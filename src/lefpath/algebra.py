@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .exact import ExactMatrix, as_exact, binomial
-from .hilbert import flo, flo_star
+from .hilbert import check_degree, flo, flo_star
 
 OPERATOR_SIDE = "op"
 DUAL_SIDE = "dual"
@@ -324,12 +324,6 @@ def monomial_basis(m: int, i: int) -> MonomialBasis:
     return MonomialBasis(m, i, elements)
 
 
-def _check_hessian_degree(m: int, i: int) -> None:
-    top = flo(3 * (m - 1))
-    if not 0 <= i <= top:
-        raise ValueError(f"degree {i} outside [0, {top}] for m={m}")
-
-
 def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     """Degree-i pairing matrix of the dual generator, entries evaluated at a point.
 
@@ -341,7 +335,7 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    _check_hessian_degree(m, i)
+    check_degree(m, i)
     c1, c2 = eval_point
     F = dual_generator(m)
     ps = list(monomial_basis(m, i).p_range)
@@ -363,7 +357,7 @@ def hessian_closed_form(m: int, i: int) -> ExactMatrix:
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    _check_hessian_degree(m, i)
+    check_degree(m, i)
     scale = Fraction(1, math.factorial(3 * m - 3 - 2 * i))
     ps = list(monomial_basis(m, i).p_range)
     rows = []

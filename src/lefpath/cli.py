@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -37,12 +38,28 @@ def _format_matrix(matrix: ExactMatrix) -> str:
 
 
 def _parse_range(text: str) -> range:
-    """"2..20" -> range(2, 21); "5" -> range(5, 6)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+    """"2..20" -> range(2, 21); "5" -> range(5, 6); rejects empty ranges."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer or A..B range: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return values
+
+
+def _range_arg(text: str) -> str:
+    """argparse type: validate a range, keep its text for the JSON inputs."""
+    _parse_range(text)
+    return text
+
+
+def _jobs_arg(text: str) -> int:
+    """argparse type: a worker count of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _default_jobs() -> int:
@@ -329,23 +346,13 @@ def cmd_report(args) -> int:
 
 def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     m, n = key
-    h = hilbert.hilbert_series(m, n)
-    closed_ok = True
-    if n == 2:
-        closed_ok = h.coeffs == tuple(
-            hilbert.hilbert_m2_closed(m, i) for i in range(h.socle_degree + 1)
-        )
+    (record,) = hilbert.scan_unimodality([m], [n])
+    closed_ok = n != 2 or hilbert.hilbert_series(m, 2).coeffs == tuple(
+        hilbert.hilbert_m2_closed(m, i) for i in range(record.socle_degree + 1)
+    )
     return {
         "key": key,
-        "rows": [
-            [
-                m,
-                n,
-                h.socle_degree,
-                hilbert.is_unimodal(h.coeffs),
-                hilbert.first_violation_index(h.coeffs),
-            ]
-        ],
+        "rows": [list(dataclasses.astuple(record))],
         "ok": closed_ok,
         "flags": [],
     }
@@ -421,8 +428,9 @@ def _scan_catalan_task(key: tuple[int, int]) -> dict:
 
 def _scan_partitions_task(key: tuple[int, int]) -> dict:
     m, n = key
-    count_ok = len(partitions.enumerate_restricted(m, n)) == m**n
-    gf_ok = partitions.gf_matches_hilbert(m, n)
+    gf = partitions.partition_gf(m, n)
+    count_ok = sum(gf) == m**n
+    gf_ok = gf == hilbert.hilbert_series(m, n).coeffs
     degree_ok = partitions.degree_formula_matches_hessian(m) if (n == 2 and m >= 2) else None
     ok = count_ok and gf_ok and degree_ok is not False
     return {
@@ -476,9 +484,6 @@ def cmd_scan(args) -> int:
         keys = [(m, n) for m in m_range for n in n_range]
     else:
         keys = [(m, 0) for m in m_range]
-    if not keys:
-        print("error: empty scan range", file=sys.stderr)
-        return 2
     results = _map_tasks(task_func, keys, args.jobs)
 
     rows = [row for result in results for row in result["rows"]]
@@ -600,8 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_scan.add_argument("--m", required=True, help="range A..B (inclusive) or single value")
-    p_scan.add_argument("--n", help="range A..B for hilbert/partitions scans (default 2)")
+    p_scan.add_argument(
+        "--m", required=True, type=_range_arg, help="range A..B (inclusive) or single value"
+    )
+    p_scan.add_argument(
+        "--n", type=_range_arg, help="range A..B for hilbert/partitions scans (default 2)"
+    )
     p_scan.add_argument(
         "--mode", required=True, choices=sorted(_SCAN_MODES.keys())
     )
@@ -609,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--output", help="write to file instead of stdout")
     p_scan.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_arg,
         default=_default_jobs(),
         help="worker count (default from LEFPATH_JOBS, else 1)",
     )

@@ -1,9 +1,10 @@
 """Exact integer/rational helpers and dense exact linear algebra.
 
-Everything here is pure and allocation-immutable: matrices are tuples of
-tuples of ``fractions.Fraction`` and every operation returns a fresh value.
-Determinants run fraction-free (Bareiss) on a denominator-cleared integer
-copy, so the factorial-scaled matrices produced elsewhere never blow up
+Matrices are immutable tuples of tuples of ``fractions.Fraction``, and
+every operation returns a fresh value.  Determinant, rank and signature
+are all read off one fraction-free (Bareiss) elimination of an integer
+copy, cleared once by the lcm of all denominators and memoised on the
+matrix, so the factorial-scaled matrices produced elsewhere never blow up
 into huge intermediate rationals.
 """
 
@@ -38,7 +39,7 @@ def as_exact(value) -> Fraction:
 class ExactMatrix:
     """Dense matrix over the rationals with exact det / rank / signature."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_elimination")
 
     def __init__(self, rows: Iterable[Iterable]):
         table = tuple(tuple(as_exact(e) for e in row) for row in rows)
@@ -48,6 +49,7 @@ class ExactMatrix:
         if width == 0 or any(len(row) != width for row in table):
             raise ValueError("matrix rows must be nonempty and equal length")
         self.rows = table
+        self._elimination = None
 
     @property
     def nrows(self) -> int:
@@ -92,115 +94,87 @@ class ExactMatrix:
             for j in range(i + 1, self.ncols)
         )
 
-    def _integer_rows(self) -> tuple[list[list[int]], Fraction]:
-        """Clear denominators row by row; return (int rows, det scale).
+    def _pivots(self) -> tuple[tuple[int, ...], int, int]:
+        """One fraction-free (Bareiss) elimination, memoised: (pivots, sign, L).
 
-        det(self) = det(int rows) / scale, where scale is the product of
-        the per-row multipliers.
+        The entries are cleared by the matrix-wide lcm L of their
+        denominators.  Pivot k is then the (k+1)-th leading principal minor
+        of a row-and-column permutation of L * self (for a symmetric matrix,
+        of a congruent matrix), and sign is the sign of that permutation.
+        A symmetric matrix is reduced by congruences only: symmetric swaps
+        and, when the remaining diagonal is zero, row_r += row_c with
+        col_r += col_c, whose new diagonal entry is 2 * a_rc != 0.
         """
-        cleared = []
-        scale = Fraction(1)
-        for row in self.rows:
-            mult = math.lcm(*(e.denominator for e in row))
-            scale *= mult
-            cleared.append([int(e * mult) for e in row])
-        return cleared, scale
-
-    def det(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination.
-
-        Pivoting takes the first nonzero entry in each column; magnitude
-        heuristics are pointless in exact arithmetic.
-        """
-        if not self.is_square():
-            raise ValueError("determinant requires a square matrix")
-        m, scale = self._integer_rows()
-        n = self.nrows
+        if self._elimination is not None:
+            return self._elimination
+        L = math.lcm(*(e.denominator for row in self.rows for e in row))
+        m = [[e.numerator * (L // e.denominator) for e in row] for row in self.rows]
+        nr, nc = self.nrows, self.ncols
+        symmetric = self.is_symmetric()
+        pivots: list[int] = []
         sign = 1
         prev = 1
-        for k in range(n - 1):
-            pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
+        for k in range(min(nr, nc)):
+            diagonal = [i for i in range(k, nr) if m[i][i]] if symmetric else []
+            if diagonal:
+                r = c = diagonal[0]
+            else:
+                cell = next(
+                    ((i, j) for j in range(k, nc) for i in range(k, nr) if m[i][j]),
+                    None,
+                )
+                if cell is None:
+                    break
+                r, c = cell
+                if symmetric:
+                    for j in range(k, nc):
+                        m[r][j] += m[c][j]
+                    for row in m[k:]:
+                        row[r] += row[c]
+                    c = r
+            if r != k:
+                m[k], m[r] = m[r], m[k]
                 sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    q, r = divmod(num, prev)
-                    assert r == 0, "Bareiss exact division failed"
+            if c != k:
+                for row in m[k:]:
+                    row[k], row[c] = row[c], row[k]
+                sign = -sign
+            pivot = m[k][k]
+            for i in range(k + 1, nr):
+                for j in range(k + 1, nc):
+                    q, rem = divmod(m[i][j] * pivot - m[i][k] * m[k][j], prev)
+                    assert rem == 0, "Bareiss exact division failed"
                     m[i][j] = q
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1]) / scale
+            pivots.append(pivot)
+            prev = pivot
+        self._elimination = (tuple(pivots), sign, L)
+        return self._elimination
+
+    def det(self) -> Fraction:
+        """Exact determinant: sign * last pivot / L^n at full rank, else 0."""
+        if not self.is_square():
+            raise ValueError("determinant requires a square matrix")
+        pivots, sign, L = self._pivots()
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return Fraction(sign * pivots[-1], L**self.nrows)
 
     def rank(self) -> int:
-        """Exact rank over the rationals (plain Gaussian elimination)."""
-        m = [list(row) for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        row = 0
-        for col in range(nc):
-            pivot_row = next((r for r in range(row, nr) if m[r][col] != 0), None)
-            if pivot_row is None:
-                continue
-            m[row], m[pivot_row] = m[pivot_row], m[row]
-            inv = 1 / m[row][col]
-            for r in range(row + 1, nr):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-            rank += 1
-            row += 1
-            if row == nr:
-                break
-        return rank
+        """Exact rank over the rationals: the number of pivots."""
+        return len(self._pivots()[0])
 
     def signature(self) -> int:
         """(#positive - #negative eigenvalues) of a symmetric matrix.
 
-        Computed by simultaneous row/column (congruence) elimination, which
-        preserves the signature; no eigenvalues are ever computed.  A zero
-        diagonal pivot with a nonzero off-diagonal partner yields one +1 and
-        one -1 pivot (hyperbolic pair) after the congruence
-        row_i += row_j / col_i += col_j.
+        The pivots are the nonzero leading principal minors d_1, ..., d_r of
+        a matrix congruent to L * self whose remaining Schur complement is
+        zero, so the Sylvester-Jacobi count sum_k sign(d_{k-1} * d_k), with
+        d_0 = 1, is the signature; no eigenvalues are ever computed.
         """
         if not self.is_symmetric():
             raise ValueError("signature requires a symmetric matrix")
-        m = [list(row) for row in self.rows]
-        n = self.nrows
-        sig = 0
-        i = 0
-        while i < n:
-            if m[i][i] == 0:
-                swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-                if swap is not None:
-                    m[i], m[swap] = m[swap], m[i]
-                    for row in m:
-                        row[i], row[swap] = row[swap], row[i]
-                else:
-                    partner = next(
-                        (j for j in range(i + 1, n) if m[i][j] != 0), None
-                    )
-                    if partner is None:
-                        i += 1
-                        continue
-                    for col in range(n):
-                        m[i][col] += m[partner][col]
-                    for row in m:
-                        row[i] += row[partner]
-            pivot = m[i][i]
-            sig += 1 if pivot > 0 else -1
-            for j in range(i + 1, n):
-                if m[j][i] != 0:
-                    f = m[j][i] / pivot
-                    for col in range(n):
-                        m[j][col] -= f * m[i][col]
-                    for row in m:
-                        row[j] -= f * row[i]
-            i += 1
-        return sig
+        minors = (1,) + self._pivots()[0]
+        return sum(1 if a * b > 0 else -1 for a, b in zip(minors, minors[1:]))
 
 
 def identity_matrix(n: int) -> ExactMatrix:

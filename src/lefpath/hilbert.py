@@ -54,6 +54,13 @@ def hilbert_series(m: int, n: int) -> HilbertFunction:
     return HilbertFunction(m, n, tuple(coeffs))
 
 
+def check_degree(m: int, i: int) -> None:
+    """Reject a degree outside [0, flo(3(m-1))], the lower half of A(m, 2)."""
+    top = flo(3 * (m - 1))
+    if not 0 <= i <= top:
+        raise ValueError(f"degree {i} outside [0, {top}] for m={m}")
+
+
 def hilbert_m2_closed(m: int, i: int) -> int:
     """Closed form for dim A(m, 2)_i: flo(i+2) - flo*(i+2-m) - flo*(i+2-2m).
 

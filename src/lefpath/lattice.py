@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Literal, Optional
 
 from .exact import ExactMatrix, binomial
-from .hilbert import flo, flo_star, hilbert_m2_closed
+from .hilbert import check_degree, flo, flo_star, hilbert_m2_closed
 
 Point = tuple[int, int]
 
@@ -153,16 +153,10 @@ class VertexSets:
         return len(self.sources)
 
 
-def _check_degree(m: int, i: int) -> None:
-    top = flo(3 * (m - 1))
-    if not 0 <= i <= top:
-        raise ValueError(f"degree {i} outside [0, {top}] for m={m}")
-
-
 def vertex_sets(m: int, i: int) -> VertexSets:
     """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
     basis index range."""
-    _check_degree(m, i)
+    check_degree(m, i)
     indices = range(flo_star(i + 2 - m), flo(i) + 1)
     sources = tuple((p, p) for p in indices)
     targets = tuple((2 * m - 2 - q, m - 1 - q) for q in indices)
@@ -475,7 +469,7 @@ def check_dvd_theorem(
     rule reliable only for i <= m - 1, where the basis index range starts
     at 0; ``in_rule_range`` exposes that region.
     """
-    _check_degree(m, i)
+    check_degree(m, i)
     det = path_matrix(m, i).det()
     assert det.denominator == 1
     det_int = det.numerator

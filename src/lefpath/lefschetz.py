@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hilbert import flo, hilbert_m2_closed, socle_degree
+from .hilbert import check_degree, flo, hilbert_m2_closed, socle_degree
 from .lattice import path_matrix
 
 
@@ -77,9 +77,8 @@ def degree_verdict(m: int, i: int) -> DegreeVerdict:
     """Verdict at degree i from the exact integer path matrix."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
+    check_degree(m, i)
     d = socle_degree(m, 2)
-    if not 0 <= i <= flo(d):
-        raise ValueError(f"degree {i} outside [0, {flo(d)}] for m={m}")
     matrix = path_matrix(m, i)
     det_sign = _sign(matrix.det())
     rank = matrix.rank()

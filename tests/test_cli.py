@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lefpath import cli, lattice
 
 
@@ -210,3 +212,22 @@ def test_jobs_default_env(monkeypatch):
     assert cli._default_jobs() == 4
     monkeypatch.delenv("LEFPATH_JOBS")
     assert cli._default_jobs() == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "x"],
+        ["--m", "5..2"],
+        ["--m", "2..3", "--jobs", "0"],
+    ],
+)
+def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["scan", "--mode", "hilbert", *argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("lefpath scan: error: argument")
+    assert "Traceback" not in captured.err

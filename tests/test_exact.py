@@ -5,13 +5,17 @@ signatures against a Descartes-rule oracle on the exact characteristic
 polynomial (sizes <= 3, where all symmetric matrices have real spectra).
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefpath.algebra import hessian
 from lefpath.exact import ExactMatrix, binomial, det_cofactor, identity_matrix
+from lefpath.lattice import path_matrix
 
 
 # -- binomial -----------------------------------------------------------------
@@ -197,3 +201,79 @@ def test_signature_parity_when_nondegenerate(rows):
     m = _symmetric(rows)
     if m.det() != 0:
         assert m.signature() % 2 == m.nrows % 2
+
+
+# -- one elimination for det, rank and signature ------------------------------
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _congruent_diagonal(draw):
+    """(D, P^T D P) with D integer diagonal and P unit-triangular times a
+    permutation, hence unimodular."""
+    n = draw(st.integers(1, 6))
+    diag = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    lower = [
+        [1 if i == j else (draw(st.integers(-3, 3)) if j < i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    perm = draw(st.permutations(range(n)))
+    p = _matmul(lower, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return diag, _matmul(_matmul([list(col) for col in zip(*p)], d), p)
+
+
+@settings(max_examples=300)
+@given(_congruent_diagonal())
+def test_congruent_diagonal_det_rank_signature(case):
+    diag, rows = case
+    m = ExactMatrix(rows)
+    assert m.signature() == sum(d > 0 for d in diag) - sum(d < 0 for d in diag)
+    assert m.rank() == sum(d != 0 for d in diag)
+    assert m.det() == math.prod(diag)
+
+
+def _rank_by_minors(rows) -> int:
+    """Independent rank oracle: the largest k with a nonzero k x k minor."""
+    nr, nc = len(rows), len(rows[0])
+    for k in range(min(nr, nc), 0, -1):
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                if det_cofactor([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+@settings(max_examples=150)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda pq: st.lists(
+            st.lists(st.integers(-3, 3), min_size=pq[1], max_size=pq[1]),
+            min_size=pq[0],
+            max_size=pq[0],
+        )
+    )
+)
+def test_zero_diagonal_block_is_hyperbolic(b):
+    # [[0, B], [B^T, 0]] has a zero diagonal, so its first pivot comes from
+    # the row_r += row_c congruence; its eigenvalues pair up as +-sigma.
+    p, q = len(b), len(b[0])
+    rows = [[0] * p + list(row) for row in b]
+    rows += [list(col) + [0] * q for col in zip(*b)]
+    m = ExactMatrix(rows)
+    assert m.signature() == 0
+    assert m.rank() == 2 * _rank_by_minors(b)
+
+
+def test_rational_hessian_matches_integer_path_matrix():
+    for m in range(2, 11):
+        for i in range(3 * (m - 1) // 2 + 1):
+            rational = hessian(m, i)
+            integer = path_matrix(m, i)
+            assert rational.rank() == integer.rank()
+            assert rational.signature() == integer.signature()
+            scale = math.factorial(3 * m - 3 - 2 * i) ** integer.nrows
+            assert integer.det() == scale * rational.det()
