@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .exact import ExactMatrix, as_exact, binomial
-from .hilbert import check_degree, flo, flo_star
+from .hilbert import basis_range, check_degree, flo
 
 OPERATOR_SIDE = "op"
 DUAL_SIDE = "dual"
@@ -174,10 +174,11 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _exact_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} was expected to be an integer, got {value}")
-    return value.numerator
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} is not an integer: {numerator}/{denominator}")
+    return quotient
 
 
 def c_coeff(m: int, k: int) -> int:
@@ -186,8 +187,7 @@ def c_coeff(m: int, k: int) -> int:
         raise ValueError(f"need m >= 1, got {m}")
     if k < 0 or k > flo(m):
         return 0
-    value = Fraction(m, m - k) * binomial(m - k, k)
-    return _exact_integer(value, f"c_coeff({m}, {k})")
+    return _exact_quotient(m * binomial(m - k, k), m - k, f"c_coeff({m}, {k})")
 
 
 def f_m(m: int) -> GradedPoly:
@@ -202,8 +202,8 @@ def f_m(m: int) -> GradedPoly:
 
 def dual_numerator(m: int, n: int) -> int:
     """(m/(m+2n)) * C(m+2n, n), the integer numerator of a dual-generator term."""
-    value = Fraction(m, m + 2 * n) * binomial(m + 2 * n, n)
-    return _exact_integer(value, f"dual_numerator({m}, {n})")
+    top = m + 2 * n
+    return _exact_quotient(m * binomial(top, n), top, f"dual_numerator({m}, {n})")
 
 
 def dual_generator(m: int) -> GradedPoly:
@@ -304,10 +304,6 @@ class MonomialBasis:
     i: int
     elements: tuple[tuple[int, int], ...]
 
-    @property
-    def p_range(self) -> range:
-        return range(flo_star(self.i + 2 - self.m), flo(self.i) + 1)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -318,9 +314,7 @@ def monomial_basis(m: int, i: int) -> MonomialBasis:
         raise ValueError(f"need m >= 2, got {m}")
     if not 0 <= i <= 2 * m - 1:
         raise ValueError(f"degree {i} outside [0, {2 * m - 1}] for m={m}")
-    elements = tuple(
-        (i - 2 * p, p) for p in range(flo_star(i + 2 - m), flo(i) + 1)
-    )
+    elements = tuple((i - 2 * p, p) for p in basis_range(m, i))
     return MonomialBasis(m, i, elements)
 
 
@@ -338,7 +332,7 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     check_degree(m, i)
     c1, c2 = eval_point
     F = dual_generator(m)
-    ps = list(monomial_basis(m, i).p_range)
+    ps = basis_range(m, i)
     rows = []
     for p in ps:
         row = []
@@ -349,22 +343,19 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def hessian_closed_form(m: int, i: int) -> ExactMatrix:
-    """Closed form of hessian(m, i, (1, 0)):
-
-    entry (p, q) = (1/(3m-3-2i)!) * (m/(3m-2-2p-2q)) * C(3m-2-2p-2q, m-1-p-q),
-    with the binomial vanishing whenever m-1-p-q < 0.
-    """
+def hankel_window(m: int, i: int) -> ExactMatrix:
+    """(3m-3-2i)! * hessian(m, i, (1, 0)) as the integer Hankel window
+    [[a_(m-1-p-q)]], p and q over basis_range(m, i), a_n = dual_numerator(m, n)
+    and a_n = 0 for n < 0; it depends on i only through that range."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     check_degree(m, i)
-    scale = Fraction(1, math.factorial(3 * m - 3 - 2 * i))
-    ps = list(monomial_basis(m, i).p_range)
-    rows = []
-    for p in ps:
-        row = []
-        for q in ps:
-            top = 3 * m - 2 - 2 * p - 2 * q
-            row.append(scale * Fraction(m, top) * binomial(top, m - 1 - p - q))
-        rows.append(row)
-    return ExactMatrix(rows)
+    ps = basis_range(m, i)
+    sums = range(2 * ps[0], 2 * ps[-1] + 1)
+    a = {s: dual_numerator(m, m - 1 - s) if s < m else 0 for s in sums}
+    return ExactMatrix([[a[p + q] for q in ps] for p in ps])
+
+
+def hessian_closed_form(m: int, i: int) -> ExactMatrix:
+    """Closed form of hessian(m, i, (1, 0)): hankel_window(m, i) / (3m-3-2i)!."""
+    return hankel_window(m, i).scaled(Fraction(1, math.factorial(3 * m - 3 - 2 * i)))

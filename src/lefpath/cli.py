@@ -3,9 +3,9 @@
 Conventions shared by all subcommands:
 
 * rationals print exactly as "p/q" (plain "p" for integers), never decimal;
-* exit code 0 means every verified equality held; a violated equality
-  exits 1.  "FLAG:" lines report findings (claim/computation mismatches)
-  and never affect the exit code;
+* exit 0: every verified equality held; 1: a violated equality; 2: bad
+  input, on one "error:" line.  "FLAG:" lines report findings
+  (claim/computation mismatches) and never affect the exit code;
 * scans partition work across --jobs workers (default from LEFPATH_JOBS)
   and merge results in key order, so output bytes are identical for any
   worker count.
@@ -38,7 +38,7 @@ def _format_matrix(matrix: ExactMatrix) -> str:
 
 
 def _parse_range(text: str) -> range:
-    """"2..20" -> range(2, 21); "5" -> range(5, 6); rejects empty ranges."""
+    """"2..20" -> range(2, 21); "5" -> range(5, 6); only nonempty, values >= 1."""
     lo, dots, hi = text.partition("..")
     try:
         values = range(int(lo), int(hi if dots else lo) + 1)
@@ -46,6 +46,8 @@ def _parse_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"not an integer or A..B range: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    if values.start < 1:
+        raise argparse.ArgumentTypeError(f"need values >= 1, got {text!r}")
     return values
 
 
@@ -55,15 +57,26 @@ def _range_arg(text: str) -> str:
     return text
 
 
-def _jobs_arg(text: str) -> int:
-    """argparse type: a worker count of at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return integer
 
 
-def _default_jobs() -> int:
-    return max(1, int(os.environ.get("LEFPATH_JOBS", "1")))
+class _DegreeArg(argparse.Action):
+    """The positional degree i, checked against the m parsed before it."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            hilbert.check_degree(namespace.m, value)
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc))
+        setattr(namespace, self.dest, value)
 
 
 def _map_tasks(func, tasks, jobs: int):
@@ -309,14 +322,14 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
 
 
 def _verify_hessian_path_equivalence(m: int) -> bool:
-    """Cross-check the two determinant routes wherever it is cheap."""
-    top = hilbert.flo(3 * (m - 1))
-    for i in range(top + 1):
-        scale = math.factorial(3 * m - 3 - 2 * i)
-        pm = lattice.path_matrix(m, i)
-        if pm != algebra.hessian_closed_form(m, i).scaled(scale):
+    """The Hankel window the verdicts read equals the path-count matrix at
+    every degree, and the scaled contraction Hessian where that is cheap."""
+    for i in range(hilbert.flo(3 * (m - 1)) + 1):
+        window = algebra.hankel_window(m, i)
+        if window != lattice.path_matrix(m, i):
             return False
-        if m <= 12 and pm != algebra.hessian(m, i, (1, 0)).scaled(scale):
+        scale = math.factorial(3 * m - 3 - 2 * i)
+        if m <= 12 and window != algebra.hessian(m, i, (1, 0)).scaled(scale):
             return False
     return True
 
@@ -350,12 +363,7 @@ def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     closed_ok = n != 2 or hilbert.hilbert_series(m, 2).coeffs == tuple(
         hilbert.hilbert_m2_closed(m, i) for i in range(record.socle_degree + 1)
     )
-    return {
-        "key": key,
-        "rows": [list(dataclasses.astuple(record))],
-        "ok": closed_ok,
-        "flags": [],
-    }
+    return {"rows": [list(dataclasses.astuple(record))], "ok": closed_ok, "flags": []}
 
 
 def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
@@ -366,13 +374,8 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
         for f in report.claim_flags
         if not f.agrees
     ]
-    return {
-        "key": key,
-        "rows": [_verdict_row(m, v) for v in report.verdicts],
-        "ok": _verify_hessian_path_equivalence(m),
-        "flags": flags,
-        "report": _report_json(report),
-    }
+    rows = [_verdict_row(m, v) for v in report.verdicts]
+    return {"rows": rows, "ok": _verify_hessian_path_equivalence(m), "flags": flags}
 
 
 def _scan_lattice_task(key: tuple[int, int]) -> dict:
@@ -403,7 +406,7 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
         flag = _nonvanishing_flag(verdict)
         if flag:
             flags.append(flag)
-    return {"key": key, "rows": rows, "ok": ok, "flags": flags}
+    return {"rows": rows, "ok": ok, "flags": flags}
 
 
 def _scan_catalan_task(key: tuple[int, int]) -> dict:
@@ -418,12 +421,8 @@ def _scan_catalan_task(key: tuple[int, int]) -> dict:
     identity_ok = all(
         catalan.check_identity_zero(m, i) for i in range(1, hilbert.flo(m) + 1)
     )
-    return {
-        "key": key,
-        "rows": [[m, power_ok, head_ok, identity_ok]],
-        "ok": power_ok and head_ok and identity_ok,
-        "flags": [],
-    }
+    ok = power_ok and head_ok and identity_ok
+    return {"rows": [[m, power_ok, head_ok, identity_ok]], "ok": ok, "flags": []}
 
 
 def _scan_partitions_task(key: tuple[int, int]) -> dict:
@@ -433,12 +432,7 @@ def _scan_partitions_task(key: tuple[int, int]) -> dict:
     gf_ok = gf == hilbert.hilbert_series(m, n).coeffs
     degree_ok = partitions.degree_formula_matches_hessian(m) if (n == 2 and m >= 2) else None
     ok = count_ok and gf_ok and degree_ok is not False
-    return {
-        "key": key,
-        "rows": [[m, n, count_ok, gf_ok, degree_ok]],
-        "ok": ok,
-        "flags": [],
-    }
+    return {"rows": [[m, n, count_ok, gf_ok, degree_ok]], "ok": ok, "flags": []}
 
 
 _SCAN_MODES = {
@@ -479,6 +473,8 @@ _SCAN_MODES = {
 def cmd_scan(args) -> int:
     task_func, header, uses_n = _SCAN_MODES[args.mode]
     m_range = _parse_range(args.m)
+    if args.mode == "lefschetz" and m_range.start < 2:
+        args.error(f"argument --m: the lefschetz mode needs m >= 2, got {args.m!r}")
     n_range = _parse_range(args.n) if args.n else range(2, 3)
     if uses_n:
         keys = [(m, n) for m in m_range for n in n_range]
@@ -536,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hilbert = sub.add_parser(
         "hilbert", help="Hilbert function of A(m, n), one coefficient per degree"
     )
-    p_hilbert.add_argument("m", type=int)
-    p_hilbert.add_argument("n", type=int)
+    p_hilbert.add_argument("m", type=_at_least(1))
+    p_hilbert.add_argument("n", type=_at_least(1))
     p_hilbert.add_argument(
         "--closed-form",
         action="store_true",
@@ -548,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser(
         "poly", help="print the degree-m relation and the dual generator"
     )
-    p_poly.add_argument("m", type=int)
+    p_poly.add_argument("m", type=_at_least(2))
     p_poly.add_argument("--format", choices=["text", "json"], default="text")
     p_poly.add_argument("--output", help="write to file instead of stdout")
     p_poly.set_defaults(func=cmd_poly)
@@ -556,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hessian = sub.add_parser(
         "hessian", help="degree-i pairing matrix of the dual generator"
     )
-    p_hessian.add_argument("m", type=int)
-    p_hessian.add_argument("i", type=int)
+    p_hessian.add_argument("m", type=_at_least(2))
+    p_hessian.add_argument("i", type=int, action=_DegreeArg)
     p_hessian.add_argument("--det", action="store_true", help="print the determinant")
     p_hessian.add_argument("--rank", action="store_true", help="print the rank")
     p_hessian.add_argument(
@@ -577,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice = sub.add_parser(
         "lattice", help="lattice-path checks for the degree-i matrix"
     )
-    p_lattice.add_argument("m", type=int)
-    p_lattice.add_argument("i", type=int)
+    p_lattice.add_argument("m", type=_at_least(1))
+    p_lattice.add_argument("i", type=int, action=_DegreeArg)
     p_lattice.add_argument(
         "action",
         choices=["count", "lgv-check", "dvd-count", "involution-check"],
@@ -588,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="per-degree Lefschetz verdicts for A(m, 2)"
     )
-    p_report.add_argument("m", type=int)
+    p_report.add_argument("m", type=_at_least(2))
     p_report.add_argument("--format", choices=["table", "json"], default="table")
     p_report.add_argument("--output", help="write to file instead of stdout")
     p_report.set_defaults(func=cmd_report)
@@ -618,11 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--output", help="write to file instead of stdout")
     p_scan.add_argument(
         "--jobs",
-        type=_jobs_arg,
-        default=_default_jobs(),
+        type=_at_least(1),
+        default=os.environ.get("LEFPATH_JOBS", "1"),
         help="worker count (default from LEFPATH_JOBS, else 1)",
     )
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func=cmd_scan, error=p_scan.error)
 
     return parser
 

@@ -61,6 +61,11 @@ def check_degree(m: int, i: int) -> None:
         raise ValueError(f"degree {i} outside [0, {top}] for m={m}")
 
 
+def basis_range(m: int, i: int) -> range:
+    """The p of the degree-i basis e1^(i-2p) e2^p of A(m, 2): flo*(i+2-m)..flo(i)."""
+    return range(flo_star(i + 2 - m), flo(i) + 1)
+
+
 def hilbert_m2_closed(m: int, i: int) -> int:
     """Closed form for dim A(m, 2)_i: flo(i+2) - flo*(i+2-m) - flo*(i+2-2m).
 

@@ -13,11 +13,10 @@ sign-reversing cancellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Literal, Optional
 
 from .exact import ExactMatrix, binomial
-from .hilbert import check_degree, flo, flo_star, hilbert_m2_closed
+from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed
 
 Point = tuple[int, int]
 
@@ -104,9 +103,9 @@ def count_paths(source: Point, target: Point) -> int:
     if c < a or b < a:
         return 0
     n = b + c - 2 * a + 1
-    value = Fraction(b - c + 1, n) * binomial(n, c - a)
-    assert value.denominator == 1
-    return value.numerator
+    count, remainder = divmod((b - c + 1) * binomial(n, c - a), n)
+    assert remainder == 0
+    return count
 
 
 def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
@@ -157,7 +156,7 @@ def vertex_sets(m: int, i: int) -> VertexSets:
     """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
     basis index range."""
     check_degree(m, i)
-    indices = range(flo_star(i + 2 - m), flo(i) + 1)
+    indices = basis_range(m, i)
     sources = tuple((p, p) for p in indices)
     targets = tuple((2 * m - 2 - q, m - 1 - q) for q in indices)
     return VertexSets(m, i, sources, targets)

@@ -1,11 +1,11 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-All signs and ranks are read off the integer path matrix: it differs from
-the actual degree-i pairing matrix by the positive factors (3m-3-2i)! and
-(d-2i)!, which change neither sign, rank, nor signature.  The linear form
-is e1 (the degree-1 component is one-dimensional), and positive rescalings
-of it rescale each pairing matrix by a positive constant, so no search
-over linear forms is needed.
+Signs and ranks are read off the integer Hankel window (algebra.hankel_window),
+which the report cross-check ties to the path matrix.  It differs from the
+degree-i pairing matrix by the positive factors (3m-3-2i)! and (d-2i)!,
+which change neither sign, rank, nor signature.  The linear form is e1 (the
+degree-1 component is one-dimensional), and positive rescalings of it
+rescale each pairing matrix by a positive constant, so no search is needed.
 
 The Hodge-Riemann relations make the degree-i pairing form definite on
 each primitive subspace P_k, k <= i (the kernel of e1^(d-2k+1) on degree k,
@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hilbert import check_degree, flo, hilbert_m2_closed, socle_degree
-from .lattice import path_matrix
+from .algebra import hankel_window
+from .exact import ExactMatrix
+from .hilbert import basis_range, flo, hilbert_m2_closed, socle_degree
 
 
 def _sign(value) -> int:
@@ -83,12 +84,13 @@ class PropertyReport:
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
-    """Verdict at degree i from the exact integer path matrix."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    check_degree(m, i)
+    """Verdict at degree i from the exact integer Hankel window, which the
+    report cross-check ties to the lattice path-count matrix."""
+    return _verdict(m, i, hankel_window(m, i))
+
+
+def _verdict(m: int, i: int, matrix: ExactMatrix) -> DegreeVerdict:
     d = socle_degree(m, 2)
-    matrix = path_matrix(m, i)
     det_sign = _sign(matrix.det())
     rank = matrix.rank()
     h = hilbert_m2_closed(m, i)
@@ -135,7 +137,12 @@ def property_report(m: int) -> PropertyReport:
         raise ValueError(f"need m >= 2, got {m}")
     d = socle_degree(m, 2)
     top = flo(d)
-    verdicts = tuple(degree_verdict(m, i) for i in range(top + 1))
+    verdicts = []
+    for i in range(top + 1):
+        # one window, and so one elimination, per run of equal basis ranges
+        if i == 0 or basis_range(m, i) != basis_range(m, i - 1):
+            window = hankel_window(m, i)
+        verdicts.append(_verdict(m, i, window))
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)
@@ -178,7 +185,7 @@ def property_report(m: int) -> PropertyReport:
     return PropertyReport(
         m=m,
         socle_degree=d,
-        verdicts=verdicts,
+        verdicts=tuple(verdicts),
         max_sl_degree=max_sl,
         hlp=hlp,
         max_chrr_degree=max_chrr,
@@ -206,7 +213,7 @@ def signature_crosscheck(m: int, i: int) -> SignatureCrosscheck:
     applicable = all(degree_verdict(m, j).sl_pass for j in range(i + 1))
     if not applicable:
         return SignatureCrosscheck(m, i, False, None, None, None)
-    signature = path_matrix(m, i).signature()
+    signature = hankel_window(m, i).signature()
     expected = 0
     for j in range(flo(i) + 1):
         h_even = hilbert_m2_closed(m, 2 * j)

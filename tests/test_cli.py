@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lefpath import cli, lattice
+from lefpath.exact import ExactMatrix
 
 
 def run(capsys, *argv):
@@ -208,26 +209,78 @@ def test_failed_verification_sets_exit_code(capsys, monkeypatch):
 
 
 def test_jobs_default_env(monkeypatch):
+    scan = ["scan", "--mode", "hilbert", "--m", "2"]
     monkeypatch.setenv("LEFPATH_JOBS", "4")
-    assert cli._default_jobs() == 4
+    assert cli.build_parser().parse_args(scan).jobs == 4
     monkeypatch.delenv("LEFPATH_JOBS")
-    assert cli._default_jobs() == 1
+    assert cli.build_parser().parse_args(scan).jobs == 1
+
+
+def _bad_input_error(capsys, argv) -> str:
+    """Run argv, which must exit 2 with one error line and no output;
+    return that line."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "Traceback" not in captured.err
+    return errors[0]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--m", "x"],
-        ["--m", "5..2"],
-        ["--m", "2..3", "--jobs", "0"],
+        ["--mode", "hilbert", "--m", "x"],
+        ["--mode", "hilbert", "--m", "5..2"],
+        ["--mode", "hilbert", "--m", "2..3", "--jobs", "0"],
+        ["--mode", "partitions", "--m", "2", "--n", "0..1"],
+        ["--mode", "lefschetz", "--m", "1..3"],
     ],
 )
 def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["scan", "--mode", "hilbert", *argv])
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].startswith("lefpath scan: error: argument")
-    assert "Traceback" not in captured.err
+    error = _bad_input_error(capsys, ["scan", *argv])
+    assert error.startswith("lefpath scan: error: argument")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hessian", "1", "0"],
+        ["report", "0"],
+        ["report", "1"],
+        ["poly", "1"],
+        ["hilbert", "5", "0"],
+        ["lattice", "3", "9", "count"],
+    ],
+)
+def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):
+    error = _bad_input_error(capsys, argv)
+    assert error.startswith(f"lefpath {argv[0]}: error: argument")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_jobs_env_fails_only_scan(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEFPATH_JOBS", value)
+    assert run(capsys, "hilbert", "3", "2") == (0, "1 1 2 1 2 1 1\n", "")
+    error = _bad_input_error(capsys, ["scan", "--mode", "hilbert", "--m", "2"])
+    assert error.startswith("lefpath scan: error: argument --jobs")
+
+
+def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
+    real = lattice.path_matrix
+
+    def tampered(m, i):
+        rows = [list(row) for row in real(m, i).rows]
+        rows[0][0] += 1
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(lattice, "path_matrix", tampered)
+    code, out, _ = run(capsys, "report", "5")
+    assert code == 1
+    assert "MISMATCH: pairing matrix != path matrix" in out
+    code, out, _ = run(capsys, "report", "5", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["verified_hessian_equals_path_matrix"] is False

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefpath.algebra import hessian
+from lefpath.algebra import hankel_window, hessian
 from lefpath.exact import ExactMatrix, binomial, det_cofactor, identity_matrix
 from lefpath.lattice import path_matrix
 
@@ -277,3 +277,9 @@ def test_rational_hessian_matches_integer_path_matrix():
             assert rational.signature() == integer.signature()
             scale = math.factorial(3 * m - 3 - 2 * i) ** integer.nrows
             assert integer.det() == scale * rational.det()
+
+
+def test_hankel_window_equals_path_matrix():
+    for m in range(2, 41):
+        for i in range(3 * (m - 1) // 2 + 1):
+            assert hankel_window(m, i) == path_matrix(m, i), (m, i)

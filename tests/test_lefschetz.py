@@ -44,6 +44,15 @@ def test_degree_verdict_range_error():
         degree_verdict(5, 7)
 
 
+@pytest.mark.parametrize("m", range(2, 21))
+def test_report_verdicts_equal_single_degree_verdicts(m):
+    # the report shares one window across degrees on the same basis range
+    report = property_report(m)
+    assert report.verdicts == tuple(
+        degree_verdict(m, i) for i in range(flo(report.socle_degree) + 1)
+    )
+
+
 def test_report_m4():
     report = property_report(4)
     assert report.socle_degree == 9
