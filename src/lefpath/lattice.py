@@ -110,7 +110,8 @@ def count_paths(source: Point, target: Point) -> int:
 
 def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
     """All subdiagonal NE paths from source to target, steps in lex order
-    (E before N).  Brute-force oracle for count_paths; small instances only."""
+    (E before N).  There are count_paths(source, target) of them; the system
+    enumeration tabulates one list per (source, target) cell."""
     a, a2 = source
     if a != a2:
         raise ValueError(f"source {source} must lie on the diagonal y = x")
@@ -287,36 +288,44 @@ def _pairwise_disjoint(paths) -> bool:
     return True
 
 
-def enumerate_systems(
-    m: int, i: int, system_filter: SystemFilter = "vertex_disjoint"
-) -> Iterator[PathSystem]:
-    """Stream all path systems passing the filter, in deterministic order.
+def _flipped_vertices(path: LatticePath, m: int) -> list[Point]:
+    """The vertices of flip(path, m), in order: the flip reflects exactly those
+    strictly below the shifted diagonal (the initial piece starts on the main
+    diagonal and stays above it; every later piece lies on one side)."""
+    return [reflect(v, m) if shifted_offset(v, m) < 0 else v for v in path.vertices()]
 
-    Systems are built one source at a time (targets ascending, paths in lex
-    order); for the disjointness filters the occupancy check prunes every
-    partial system, which keeps m <= 6 instances fast despite the raw
-    product sizes.
-    """
-    if system_filter not in ("all", "vertex_disjoint", "doubly_vertex_disjoint"):
-        raise ValueError(f"unknown filter {system_filter!r}")
+
+def _vertex_mask(vertices) -> int:
+    """One bit per subdiagonal vertex: (x, y), 0 <= y <= x, is bit x(x+1)/2 + y."""
+    mask = 0
+    for x, y in vertices:
+        mask |= 1 << (x * (x + 1) // 2 + y)
+    return mask
+
+
+def _path_cells(m: int, i: int) -> list[list[dict[LatticePath, tuple[int, int]]]]:
+    """cells[k][q] maps each path from source k to target q, in lex order, to
+    the vertex masks of the path and of its flip."""
     vs = vertex_sets(m, i)
-    h = len(vs)
-    check_disjoint = system_filter != "all"
-    check_flipped = system_filter == "doubly_vertex_disjoint"
-    paths_between = [
-        [enumerate_paths(s, t) for t in vs.targets] for s in vs.sources
-    ]
-    flipped_between = None
-    if check_flipped:
-        flipped_between = [
-            [[flip(p, m) for p in cell] for cell in row] for row in paths_between
-        ]
 
+    def masks(p: LatticePath) -> tuple[int, int]:
+        return _vertex_mask(p.vertices()), _vertex_mask(_flipped_vertices(p, m))
+
+    return [
+        [{p: masks(p) for p in enumerate_paths(s, t)} for t in vs.targets]
+        for s in vs.sources
+    ]
+
+
+def _systems(m: int, i: int, cells, system_filter: SystemFilter) -> Iterator[PathSystem]:
+    """enumerate_systems over prebuilt cells."""
+    h = len(cells)
+    disjoint = system_filter != "all"
+    doubly = system_filter == "doubly_vertex_disjoint"
     chosen: list[LatticePath] = []
-    chosen_flipped: list[LatticePath] = []
     used: list[int] = []
 
-    def extend(k: int) -> Iterator[PathSystem]:
+    def extend(k: int, occupied: int, flipped: int) -> Iterator[PathSystem]:
         if k == h:
             perm = tuple(used)
             yield PathSystem(m, i, tuple(chosen), perm, perm_sign(perm))
@@ -324,38 +333,74 @@ def enumerate_systems(
         for q in range(h):
             if q in used:
                 continue
-            for idx, path in enumerate(paths_between[k][q]):
-                if check_disjoint and any(
-                    not path.vertex_set.isdisjoint(c.vertex_set) for c in chosen
-                ):
+            used.append(q)
+            for path, (mask, flipped_mask) in cells[k][q].items():
+                if disjoint and mask & occupied or doubly and flipped_mask & flipped:
                     continue
-                if check_flipped:
-                    fpath = flipped_between[k][q][idx]
-                    if any(
-                        not fpath.vertex_set.isdisjoint(c.vertex_set)
-                        for c in chosen_flipped
-                    ):
-                        continue
-                    chosen_flipped.append(fpath)
                 chosen.append(path)
-                used.append(q)
-                yield from extend(k + 1)
-                used.pop()
+                yield from extend(k + 1, occupied | mask, flipped | flipped_mask)
                 chosen.pop()
-                if check_flipped:
-                    chosen_flipped.pop()
+            used.pop()
 
-    return extend(0)
+    return extend(0, 0, 0)
+
+
+def enumerate_systems(
+    m: int, i: int, system_filter: SystemFilter = "vertex_disjoint"
+) -> Iterator[PathSystem]:
+    """Stream all path systems passing the filter, in deterministic order.
+
+    Systems are built one source at a time (targets ascending, paths in lex
+    order) from a table holding, for every path of each (source, target)
+    cell, integer masks of its vertices and of its flip's.  A path joins a
+    partial system only if its mask misses the occupied vertices (and, for
+    the doubly-disjoint filter, its flip's mask the flipped ones), so each
+    collision prunes the whole subtree below it.
+    """
+    if system_filter not in ("all", "vertex_disjoint", "doubly_vertex_disjoint"):
+        raise ValueError(f"unknown filter {system_filter!r}")
+    return _systems(m, i, _path_cells(m, i), system_filter)
+
+
+def disjoint_system_counts(m: int, i: int) -> tuple[int, int]:
+    """(signed count of vertex-disjoint systems, N(i, m)) from one pruned pass
+    over the vertex-disjoint enumeration's tree, building no systems: taking
+    the j-th smallest free target adds j inversions to the sign, and a flag
+    says whether the flipped paths are still disjoint."""
+    cells = [[list(cell.values()) for cell in row] for row in _path_cells(m, i)]
+    last = len(cells) - 1
+
+    def extend(k, free, occupied, flipped, doubly, sign) -> tuple[int, int]:
+        signed = count = 0
+        for j, q in enumerate(free):
+            branch = -sign if j % 2 else sign
+            rest = free[:j] + free[j + 1 :]
+            for mask, flipped_mask in cells[k][q]:
+                if mask & occupied:
+                    continue
+                still = doubly and not flipped_mask & flipped
+                if k == last:
+                    signed += branch
+                    count += still
+                else:
+                    s, c = extend(
+                        k + 1, rest, occupied | mask, flipped | flipped_mask, still, branch
+                    )
+                    signed += s
+                    count += c
+        return signed, count
+
+    return extend(0, tuple(range(len(cells))), 0, 0, True, 1)
 
 
 def lgv_signed_sum(m: int, i: int) -> int:
     """Signed count of vertex-disjoint path systems (all path weights 1)."""
-    return sum(s.sign for s in enumerate_systems(m, i, "vertex_disjoint"))
+    return disjoint_system_counts(m, i)[0]
 
 
 def count_doubly_disjoint(m: int, i: int) -> int:
     """N(i, m): number of doubly-vertex-disjoint path systems."""
-    return sum(1 for _ in enumerate_systems(m, i, "doubly_vertex_disjoint"))
+    return disjoint_system_counts(m, i)[1]
 
 
 def doubly_multiplicity_view(
@@ -389,10 +434,9 @@ def involution_phi(system: PathSystem) -> PathSystem:
     m = system.m
     if not system.is_vertex_disjoint():
         raise ValueError("involution defined only on vertex-disjoint systems")
-    flipped = system.flipped_paths()
     seen: dict[Point, list[int]] = {}
-    for k, fp in enumerate(flipped):
-        for v in fp.vertex_set:
+    for k, path in enumerate(system.paths):
+        for v in _flipped_vertices(path, m):
             seen.setdefault(v, []).append(k)
     crossings = [v for v, ks in seen.items() if len(ks) > 1]
     if not crossings:
@@ -433,9 +477,52 @@ def involution_phi(system: PathSystem) -> PathSystem:
     paths[lo], paths[up] = new_lo, new_up
     perm = list(system.permutation)
     perm[lo], perm[up] = perm[up], perm[lo]
-    assert new_lo.end == vertex_sets(m, system.i).targets[perm[lo]]
-    assert new_up.end == vertex_sets(m, system.i).targets[perm[up]]
+    targets = vertex_sets(m, system.i).targets
+    assert new_lo.end == targets[perm[lo]]
+    assert new_up.end == targets[perm[up]]
     return PathSystem(m, system.i, tuple(paths), tuple(perm), -system.sign)
+
+
+def _doubly_flag(cells, system: PathSystem) -> Optional[bool]:
+    """Whether the system is doubly vertex disjoint, read from the cell masks;
+    None unless it is a vertex-disjoint system of the cells' paths."""
+    if not len(system.paths) == len(system.permutation) == len(cells):
+        return None
+    occupied = flipped = 0
+    doubly = True
+    for row, q, path in zip(cells, system.permutation, system.paths):
+        masks = row[q].get(path)
+        if masks is None or masks[0] & occupied:
+            return None
+        doubly = doubly and not masks[1] & flipped
+        occupied |= masks[0]
+        flipped |= masks[1]
+    return doubly
+
+
+def check_involution(m: int, i: int) -> tuple[int, int, bool]:
+    """Stream the vertex-disjoint systems of degree i and check involution_phi
+    on the set N of those not doubly vertex disjoint: (|N|, signed sum over
+    N, ok), where ok says every image is in N with the opposite sign, that
+    of its permutation, and maps back.  Past a failure, systems are only counted.
+    """
+    cells = _path_cells(m, i)
+    size = signed = 0
+    ok = True
+    for system in _systems(m, i, cells, "vertex_disjoint"):
+        if _doubly_flag(cells, system):
+            continue
+        size += 1
+        signed += system.sign
+        if ok:
+            image = involution_phi(system)
+            ok = (
+                image.sign == -system.sign
+                and image.sign == perm_sign(image.permutation)
+                and _doubly_flag(cells, image) is False
+                and involution_phi(image) == system
+            )
+    return size, signed, ok
 
 
 # -- determinant adjudication -------------------------------------------------
@@ -450,10 +537,14 @@ class DvdVerdict:
     h: int
     det: int
     predicted_sign: int
+    signed_sum: Optional[int]
     n_doubly: Optional[int]
     count_matches_det: Optional[bool]
     nonvanishing_rule_agrees: bool
-    in_rule_range: bool
+
+    @property
+    def in_rule_range(self) -> bool:
+        return self.i <= self.m - 1
 
 
 def check_dvd_theorem(
@@ -466,30 +557,28 @@ def check_dvd_theorem(
     does at (m, i) = (5, 6), where det = -1 yet 2 h_i = 6 > 5); the verdict
     reports the disagreement instead of raising.  Computation shows the
     rule reliable only for i <= m - 1, where the basis index range starts
-    at 0; ``in_rule_range`` exposes that region.
+    at 0; ``in_rule_range`` exposes that region.  The enumerate mode reads
+    N and the signed (Lindstrom-Gessel-Viennot) sum from one pass.
     """
-    check_degree(m, i)
+    if mode not in ("enumerate", "det_only"):
+        raise ValueError(f"unknown mode {mode!r}")
     det = path_matrix(m, i).det()
     assert det.denominator == 1
     det_int = det.numerator
     h = hilbert_m2_closed(m, i)
     predicted_sign = -1 if flo(h) % 2 else 1
-    n_doubly = None
-    matches = None
+    signed = n_doubly = matches = None
     if mode == "enumerate":
-        n_doubly = count_doubly_disjoint(m, i)
+        signed, n_doubly = disjoint_system_counts(m, i)
         matches = det_int == predicted_sign * n_doubly
-    elif mode != "det_only":
-        raise ValueError(f"unknown mode {mode!r}")
-    agrees = (det_int != 0) == (2 * h <= m)
     return DvdVerdict(
         m=m,
         i=i,
         h=h,
         det=det_int,
         predicted_sign=predicted_sign,
+        signed_sum=signed,
         n_doubly=n_doubly,
         count_matches_det=matches,
-        nonvanishing_rule_agrees=agrees,
-        in_rule_range=i <= m - 1,
+        nonvanishing_rule_agrees=(det_int != 0) == (2 * h <= m),
     )

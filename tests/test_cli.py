@@ -1,5 +1,6 @@
 """CLI surface: exact output strings, exit codes, formats, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -31,9 +32,14 @@ def test_hilbert_closed_form(capsys):
     assert out == "1 1 2 1 2 1 1\n"
 
 
-def test_hilbert_closed_form_needs_n2(capsys):
-    code, _, err = run(capsys, "hilbert", "3", "3", "--closed-form")
-    assert code == 2 and "n = 2" in err
+def test_hilbert_closed_form_needs_n2(capsys, monkeypatch):
+    # rejected at the parser, before the series is computed
+    def refuse(m, n):
+        raise AssertionError("hilbert_series ran")
+
+    monkeypatch.setattr(cli.hilbert, "hilbert_series", refuse)
+    error = _bad_input_error(capsys, ["hilbert", "3", "3", "--closed-form"])
+    assert "n = 2" in error
 
 
 def test_hessian_det(capsys):
@@ -191,6 +197,32 @@ def test_scan_deterministic_across_jobs(capsys):
     assert single == parallel
 
 
+def test_lattice_scan_rows_equal_single_degree_verdicts(capsys):
+    # the scan shares one pass per basis range; each row must still be the
+    # verdict of its own degree
+    code, out, _ = run(
+        capsys, "scan", "--m", "2..5", "--mode", "lattice", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [(r["m"], r["i"]) for r in rows] == [
+        (m, i) for m in range(2, 6) for i in range(3 * (m - 1) // 2 + 1)
+    ]
+    for row in rows:
+        v = lattice.check_dvd_theorem(row["m"], row["i"], "enumerate")
+        assert row == {
+            "m": v.m,
+            "i": v.i,
+            "h": v.h,
+            "det": v.det,
+            "predicted_sign": v.predicted_sign,
+            "n_doubly": v.n_doubly,
+            "count_matches_det": v.count_matches_det,
+            "nonvanishing_rule_agrees": v.nonvanishing_rule_agrees,
+            "in_rule_range": v.in_rule_range,
+        }
+
+
 def test_scan_output_file(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, out, _ = run(
@@ -206,6 +238,51 @@ def test_failed_verification_sets_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "lattice", "5", "3", "lgv-check")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def _identity(phi):
+    return lambda system: system
+
+
+def _wrong_sign_image(phi):
+    return lambda system: dataclasses.replace(phi(system), sign=system.sign)
+
+
+def _same_paths_negated(phi):
+    return lambda system: dataclasses.replace(system, sign=-system.sign)
+
+
+def _pairs_with_crossing_systems(phi):
+    # first and its true partner each swapped with a system of crossing paths
+    # (and crossing flips) of the opposite sign: still a sign-reversing
+    # involution, but two images leave the vertex-disjoint systems
+    first = next(
+        s
+        for s in lattice.enumerate_systems(4, 2, "vertex_disjoint")
+        if not s.is_doubly_vertex_disjoint()
+    )
+    partner = phi(first)
+    crossing = [
+        s
+        for s in lattice.enumerate_systems(4, 2, "all")
+        if not s.is_vertex_disjoint()
+        and not dataclasses.replace(s, paths=s.flipped_paths()).is_vertex_disjoint()
+    ]
+    bad_first = next(s for s in crossing if s.sign == partner.sign)
+    bad_partner = next(s for s in crossing if s.sign == first.sign)
+    swap = {first: bad_first, bad_first: first, partner: bad_partner, bad_partner: partner}
+    return lambda system: swap.get(system) or phi(system)
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [_identity, _wrong_sign_image, _same_paths_negated, _pairs_with_crossing_systems],
+)
+def test_involution_check_catches_a_broken_involution(capsys, monkeypatch, fake):
+    monkeypatch.setattr(lattice, "involution_phi", fake(lattice.involution_phi))
+    code, out, _ = run(capsys, "lattice", "4", "2", "involution-check")
+    assert code == 1
+    assert out.endswith("involution=MISMATCH\n")
 
 
 def test_jobs_default_env(monkeypatch):
@@ -254,6 +331,7 @@ def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
         ["poly", "1"],
         ["hilbert", "5", "0"],
         ["lattice", "3", "9", "count"],
+        ["hilbert", "5", "3", "--closed-form"],
     ],
 )
 def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):

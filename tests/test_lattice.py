@@ -5,9 +5,12 @@ import pytest
 from lefpath.hilbert import flo, hilbert_m2_closed
 from lefpath.lattice import (
     LatticePath,
+    _flipped_vertices,
     check_dvd_theorem,
+    check_involution,
     count_doubly_disjoint,
     count_paths,
+    disjoint_system_counts,
     enumerate_paths,
     enumerate_systems,
     flip,
@@ -260,6 +263,44 @@ def test_det_only_mode():
     v = check_dvd_theorem(5, 3, "det_only")
     assert v.n_doubly is None and v.count_matches_det is None
     assert v.det == -125
+
+
+def test_pruned_enumeration_equals_filtered_brute_force():
+    # the frozenset oracle on every unpruned system, same systems, same order
+    for m, i in all_instances(5):
+        everything = list(enumerate_systems(m, i, "all"))
+        disjoint = [s for s in everything if s.is_vertex_disjoint()]
+        doubly = [s for s in disjoint if s.is_doubly_vertex_disjoint()]
+        assert list(enumerate_systems(m, i, "vertex_disjoint")) == disjoint
+        assert list(enumerate_systems(m, i, "doubly_vertex_disjoint")) == doubly
+        assert disjoint_system_counts(m, i) == (
+            sum(s.sign for s in disjoint),
+            len(doubly),
+        )
+
+
+def test_one_pass_counts_equal_determinant_at_m6():
+    for i in range(flo(3 * 5) + 1):
+        det = path_matrix(6, i).det()
+        signed, n_doubly = disjoint_system_counts(6, i)
+        assert signed == det
+        assert (-1) ** flo(hilbert_m2_closed(6, i)) * n_doubly == det
+
+
+def test_check_involution_counts_n_and_cancels():
+    for m, i in all_instances(5):
+        systems = list(enumerate_systems(m, i, "vertex_disjoint"))
+        n_set = [s for s in systems if not s.is_doubly_vertex_disjoint()]
+        assert check_involution(m, i) == (len(n_set), 0, True)
+
+
+def test_flipped_vertices_are_those_of_the_flip():
+    for m, i in all_instances(5):
+        vs = vertex_sets(m, i)
+        for s in vs.sources:
+            for t in vs.targets:
+                for p in enumerate_paths(s, t):
+                    assert tuple(_flipped_vertices(p, m)) == flip(p, m).vertices()
 
 
 def test_enumerate_systems_all_filter():
