@@ -343,17 +343,22 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def hankel_window(m: int, i: int) -> ExactMatrix:
-    """(3m-3-2i)! * hessian(m, i, (1, 0)) as the integer Hankel window
-    [[a_(m-1-p-q)]], p and q over basis_range(m, i), a_n = dual_numerator(m, n)
-    and a_n = 0 for n < 0; it depends on i only through that range."""
+def hankel_moments(m: int, i: int) -> list[int]:
+    """a_(m-1-s) for the sums s = p + q over basis_range(m, i), ascending:
+    a_n = dual_numerator(m, n), and a_n = 0 for n < 0."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     check_degree(m, i)
-    ps = basis_range(m, i)
-    sums = range(2 * ps[0], 2 * ps[-1] + 1)
-    a = {s: dual_numerator(m, m - 1 - s) if s < m else 0 for s in sums}
-    return ExactMatrix([[a[p + q] for q in ps] for p in ps])
+    sums = range(2 * basis_range(m, i).start, 2 * basis_range(m, i).stop - 1)
+    return [dual_numerator(m, m - 1 - s) if s < m else 0 for s in sums]
+
+
+def hankel_window(m: int, i: int) -> ExactMatrix:
+    """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
+    [[a_(m-1-p-q)]] of hankel_moments(m, i), p and q over basis_range(m, i)."""
+    a = hankel_moments(m, i)
+    h = (len(a) + 1) // 2
+    return ExactMatrix([[a[u + v] for v in range(h)] for u in range(h)])
 
 
 def hessian_closed_form(m: int, i: int) -> ExactMatrix:

@@ -1,11 +1,10 @@
 """Exact integer/rational helpers and dense exact linear algebra.
 
-Matrices are immutable tuples of tuples of ``fractions.Fraction``, and
-every operation returns a fresh value.  Determinant, rank and signature
-are all read off one fraction-free (Bareiss) elimination of an integer
-copy, cleared once by the lcm of all denominators and memoised on the
-matrix, so the factorial-scaled matrices produced elsewhere never blow up
-into huge intermediate rationals.
+Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Their
+determinant, rank and signature are read off one fraction-free (Bareiss)
+elimination of an integer copy, cleared by the lcm of the denominators and
+memoised.  hankel_minors gives every leading minor of an integer Hankel
+matrix in O(n^2) by the fraction-free Chebyshev recurrence instead.
 """
 
 from __future__ import annotations
@@ -143,7 +142,8 @@ class ExactMatrix:
             for i in range(k + 1, nr):
                 for j in range(k + 1, nc):
                     q, rem = divmod(m[i][j] * pivot - m[i][k] * m[k][j], prev)
-                    assert rem == 0, "Bareiss exact division failed"
+                    if rem:
+                        raise ArithmeticError("Bareiss exact division failed")
                     m[i][j] = q
             pivots.append(pivot)
             prev = pivot
@@ -177,10 +177,27 @@ class ExactMatrix:
         return sum(1 if a * b > 0 else -1 for a, b in zip(minors, minors[1:]))
 
 
-def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(
-        tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    )
+def hankel_minors(moments: Sequence[int]) -> list[int]:
+    """Leading principal minors H_1, H_2, ... of the n x n Hankel matrix
+    [moments[p + q]], n = (len(moments) + 1) // 2, up to the first zero one,
+    in O(n^2).  From tau_(-1,l) = 0 and tau_(0,l) = moments[l], the bordered
+    minors H_(k-1)^2 tau_(k,l) = H_(k-1) H_k tau_(k-1,l+1) - H_k^2 tau_(k-2,l)
+    - (H_(k-1) tau_(k-1,k) - H_k tau_(k-2,k-1)) tau_(k-1,l); H_(k+1) = tau_(k,k)."""
+    width = len(moments)
+    row, older, minors, h_prev = list(moments) + [0], [0] * (width + 1), [], 1
+    for k in range(1, (width + 3) // 2):
+        if not (h := row[k - 1]):
+            break
+        minors.append(h)
+        square, shift, back = h_prev * h_prev, h_prev * h, h * h
+        mixed = h_prev * row[k] - h * older[k - 1]
+        new = [0] * (width + 1)
+        for l in range(k, width - k):
+            new[l], rem = divmod(shift * row[l + 1] - mixed * row[l] - back * older[l], square)
+            if rem:
+                raise ArithmeticError("Hankel minor recurrence: inexact division")
+        older, row, h_prev = row, new, h
+    return minors
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> Fraction:

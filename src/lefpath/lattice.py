@@ -104,7 +104,8 @@ def count_paths(source: Point, target: Point) -> int:
         return 0
     n = b + c - 2 * a + 1
     count, remainder = divmod((b - c + 1) * binomial(n, c - a), n)
-    assert remainder == 0
+    if remainder:
+        raise ArithmeticError(f"path count {source} -> {target} is not an integer")
     return count
 
 
@@ -563,7 +564,8 @@ def check_dvd_theorem(
     if mode not in ("enumerate", "det_only"):
         raise ValueError(f"unknown mode {mode!r}")
     det = path_matrix(m, i).det()
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError(f"path matrix determinant {det} is not an integer")
     det_int = det.numerator
     h = hilbert_m2_closed(m, i)
     predicted_sign = -1 if flo(h) % 2 else 1

@@ -1,11 +1,11 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-Signs and ranks are read off the integer Hankel window (algebra.hankel_window),
-which the report cross-check ties to the path matrix.  It differs from the
-degree-i pairing matrix by the positive factors (3m-3-2i)! and (d-2i)!,
-which change neither sign, rank, nor signature.  The linear form is e1 (the
-degree-1 component is one-dimensional), and positive rescalings of it
-rescale each pairing matrix by a positive constant, so no search is needed.
+Signs and ranks come from the leading minors of the integer Hankel windows,
+Bareiss deciding only past a zero minor; the report cross-check ties their
+moments to the path matrix.  The factors (3m-3-2i)!, (d-2i)! > 0 between a
+window and the degree-i pairing matrix change neither sign, rank, nor
+signature.  The linear form is e1 (degree 1 is one-dimensional), and its
+positive rescalings only rescale each pairing matrix, so no search is needed.
 
 The Hodge-Riemann relations make the degree-i pairing form definite on
 each primitive subspace P_k, k <= i (the kernel of e1^(d-2k+1) on degree k,
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import hankel_window
-from .exact import ExactMatrix
+from .algebra import hankel_moments, hankel_window
+from .exact import hankel_minors
 from .hilbert import basis_range, flo, hilbert_m2_closed, socle_degree
 
 
@@ -84,16 +84,23 @@ class PropertyReport:
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
-    """Verdict at degree i from the exact integer Hankel window, which the
-    report cross-check ties to the lattice path-count matrix."""
-    return _verdict(m, i, hankel_window(m, i))
+    """Verdict at degree i from the leading minors of the exact integer
+    Hankel window, which the report cross-check ties to the path matrix."""
+    return _verdict(m, i, hankel_minors(hankel_moments(m, i)))
 
 
-def _verdict(m: int, i: int, matrix: ExactMatrix) -> DegreeVerdict:
+def _verdict(m: int, i: int, minors: list[int]) -> DegreeVerdict:
+    """With minors H_1..H_r != 0 on its basis start, the h x h window has
+    det H_h and rank h if h <= r, det 0 and rank r if h = r+1; else Bareiss."""
     d = socle_degree(m, 2)
-    det_sign = _sign(matrix.det())
-    rank = matrix.rank()
-    h = hilbert_m2_closed(m, i)
+    h, r = hilbert_m2_closed(m, i), len(minors)
+    if h <= r:
+        det_sign, rank = _sign(minors[h - 1]), h
+    elif h == r + 1:
+        det_sign, rank = 0, r
+    else:
+        window = hankel_window(m, i)
+        det_sign, rank = _sign(window.det()), window.rank()
     window_min = min(hilbert_m2_closed(m, j) for j in range(i, d - i + 1))
     h_prev = hilbert_m2_closed(m, i - 1) if i > 0 else 0
     sl_pass = det_sign != 0
@@ -137,12 +144,10 @@ def property_report(m: int) -> PropertyReport:
         raise ValueError(f"need m >= 2, got {m}")
     d = socle_degree(m, 2)
     top = flo(d)
-    verdicts = []
-    for i in range(top + 1):
-        # one window, and so one elimination, per run of equal basis ranges
-        if i == 0 or basis_range(m, i) != basis_range(m, i - 1):
-            window = hankel_window(m, i)
-        verdicts.append(_verdict(m, i, window))
+    ranges = [basis_range(m, i) for i in range(top + 1)]
+    largest = {ps.start: i for i, ps in sorted(enumerate(ranges), key=lambda e: len(e[1]))}
+    minors = {lo: hankel_minors(hankel_moments(m, i)) for lo, i in largest.items()}
+    verdicts = [_verdict(m, i, minors[ps.start]) for i, ps in enumerate(ranges)]
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lefpath import cli, lattice
+from lefpath import algebra, cli, lattice
 from lefpath.exact import ExactMatrix
 
 
@@ -362,3 +362,24 @@ def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "report", "5", "--format", "json")
     assert code == 1
     assert json.loads(out)["verified_hessian_equals_path_matrix"] is False
+
+
+@pytest.mark.parametrize("m", [5, 13])
+def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
+    # one Hankel moment off by one: the verdicts read it, the path matrices
+    # do not; past m = 12 only the moment comparison can see it
+    real = algebra.dual_numerator
+
+    def tampered(mm, n):
+        return real(mm, n) + (mm == m and n == 2)
+
+    monkeypatch.setattr(algebra, "dual_numerator", tampered)
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    code, out, _ = run(capsys, "report", str(m))
+    assert code == 1
+    assert "MISMATCH: pairing matrix != path matrix" in out
+    code, out, _ = run(
+        capsys, "scan", "--mode", "lefschetz", "--m", str(m), "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["all_checks_pass"] is False

@@ -1,10 +1,13 @@
-"""Exact kernel: binomials, determinant, rank, signature.
+"""Exact kernel: binomials, determinant, rank, signature, Hankel minors.
 
 Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
 polynomial (sizes <= 3, where all symmetric matrices have real spectra).
+The Hankel minor recurrence and the verdicts read from it are checked
+against Bareiss elimination.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -13,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefpath import algebra, lefschetz
 from lefpath.algebra import hankel_window, hessian
-from lefpath.exact import ExactMatrix, binomial, det_cofactor, identity_matrix
+from lefpath.exact import ExactMatrix, binomial, det_cofactor, hankel_minors
+from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import path_matrix
 
 
@@ -47,7 +52,7 @@ def test_det_worked_example():
 
 
 def test_det_identity():
-    assert identity_matrix(3).det() == 1
+    assert ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).det() == 1
 
 
 def test_det_cofactor_last_row():
@@ -91,7 +96,7 @@ def test_rank_examples():
     assert det_cofactor([[20, 5], [5, 1]]) == -5
     assert ExactMatrix(singular).rank() == 2
     assert ExactMatrix([[0, 0], [0, 0]]).rank() == 0
-    assert identity_matrix(4).rank() == 4
+    assert ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)]).rank() == 4
 
 
 def test_rank_rectangular():
@@ -283,3 +288,88 @@ def test_hankel_window_equals_path_matrix():
     for m in range(2, 41):
         for i in range(3 * (m - 1) // 2 + 1):
             assert hankel_window(m, i) == path_matrix(m, i), (m, i)
+
+
+# -- Hankel minors ------------------------------------------------------------
+
+
+@st.composite
+def _hankel_moments(draw):
+    """Random entries, some forced to zero, or a sum of fewer than n geometric
+    sequences, whose n x n Hankel matrix has rank below n; the length is
+    2n - 1, or 2n with a last moment that the n x n matrix does not read."""
+    size = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        moments = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+        for t in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=size)):
+            moments[t] = 0
+        return moments
+    n = (size + 1) // 2
+    terms = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=max(n - 1, 0))
+    )
+    return [sum(c * x**t for c, x in terms) for t in range(size)]
+
+
+@settings(max_examples=300)
+@given(_hankel_moments())
+def test_hankel_minors_match_elimination(moments):
+    # minors up to the first zero; at size h <= r the rank is h, at r+1 it is r
+    minors = hankel_minors(moments)
+    r = len(minors)
+    assert r <= (len(moments) + 1) // 2
+    for h in range(1, (len(moments) + 1) // 2 + 1):
+        rows = [[moments[p + q] for q in range(h)] for p in range(h)]
+        block = ExactMatrix(rows)
+        det = block.det()
+        if h <= r:
+            assert det == minors[h - 1] != 0
+            assert block.rank() == h
+        elif h == r + 1:
+            assert det == 0
+            assert block.rank() == r
+        if h <= 5:
+            assert det_cofactor(rows) == det
+
+
+def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
+    # all-ones 3 x 3 window: H_1 = 1, H_2 = 0, rank 1, so the rank rules
+    # stop at size 2 and the size-3 window goes to Bareiss
+    assert hankel_minors([1] * 5) == [1]
+    fallback = []
+
+    def spy(m, i):
+        fallback.append((m, i))
+        return hankel_window(m, i)
+
+    def ones(m, i):
+        return [1] * 5
+
+    monkeypatch.setattr(algebra, "hankel_moments", ones)
+    monkeypatch.setattr(lefschetz, "hankel_moments", ones)
+    monkeypatch.setattr(lefschetz, "hankel_window", spy)
+    assert len(basis_range(5, 4)) == 3
+    v = lefschetz.degree_verdict(5, 4)
+    assert fallback == [(5, 4)]
+    assert (v.det_sign, v.rank) == (0, 1)
+
+
+def test_report_verdicts_equal_elimination_verdicts():
+    # every degree for m <= 60: the verdict equals the one Bareiss on the
+    # window gives, with every field that depends on det and rank recomputed
+    for m in range(2, 61):
+        for v in lefschetz.property_report(m).verdicts:
+            if v.i == 0 or basis_range(m, v.i) != basis_range(m, v.i - 1):
+                window = hankel_window(m, v.i)
+                det, rank = window.det(), window.rank()
+            sign = (det > 0) - (det < 0)
+            expected = dataclasses.replace(
+                v,
+                det_sign=sign,
+                rank=rank,
+                sl_pass=det != 0,
+                hlp_pass=rank == v.window_min,
+                chrr_pass=det != 0 and sign == v.chrr_expected_sign,
+                hrr_pass=det != 0 and sign == v.hrr_expected_sign,
+            )
+            assert v == expected, (m, v.i)
