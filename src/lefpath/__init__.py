@@ -19,7 +19,6 @@ from .hilbert import (
 )
 from .algebra import (
     GradedPoly,
-    MonomialBasis,
     annihilator_check,
     c_coeff,
     contract,
@@ -27,8 +26,6 @@ from .algebra import (
     dual_numerator,
     f_m,
     hessian,
-    hessian_closed_form,
-    monomial_basis,
     verify_f_recursion,
     verify_power_sum,
 )

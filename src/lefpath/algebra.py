@@ -15,7 +15,6 @@ what the Lefschetz verdicts are read from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -50,10 +49,6 @@ class GradedPoly:
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, side: str) -> "GradedPoly":
-        return cls(side, {})
 
     @classmethod
     def monomial(cls, side: str, a: int, b: int, coeff=1) -> "GradedPoly":
@@ -296,28 +291,6 @@ def verify_power_sum(m: int) -> bool:
     return expanded == {(m, 0): Fraction(1), (0, m): Fraction(1)}
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Ordered degree-i monomial basis e1^(i-2p) e2^p of A(m, 2)."""
-
-    m: int
-    i: int
-    elements: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def monomial_basis(m: int, i: int) -> MonomialBasis:
-    """Basis exponents (i - 2p, p) for p from flo*(i + 2 - m) to flo(i)."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not 0 <= i <= 2 * m - 1:
-        raise ValueError(f"degree {i} outside [0, {2 * m - 1}] for m={m}")
-    elements = tuple((i - 2 * p, p) for p in basis_range(m, i))
-    return MonomialBasis(m, i, elements)
-
-
 def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     """Degree-i pairing matrix of the dual generator, entries evaluated at a point.
 
@@ -360,7 +333,3 @@ def hankel_window(m: int, i: int) -> ExactMatrix:
     h = (len(a) + 1) // 2
     return ExactMatrix([[a[u + v] for v in range(h)] for u in range(h)])
 
-
-def hessian_closed_form(m: int, i: int) -> ExactMatrix:
-    """Closed form of hessian(m, i, (1, 0)): hankel_window(m, i) / (3m-3-2i)!."""
-    return hankel_window(m, i).scaled(Fraction(1, math.factorial(3 * m - 3 - 2 * i)))

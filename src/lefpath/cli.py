@@ -14,9 +14,11 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -86,16 +88,25 @@ def _map_tasks(func, tasks, jobs: int):
         return list(pool.map(func, tasks))
 
 
+_JSON_BLOCK = 4096  # encoder chunks per write; stdout may be unbuffered
+
+
+def _open_output(output: Optional[str]):
+    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(output) as fh:
+        fh.write(text)
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+def _emit_json(payload: dict, output: Optional[str]) -> None:
+    """json.dumps(payload, indent=2) + "\\n", written a block of chunks at a time."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    with _open_output(output) as fh:
+        while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
+            fh.write(block)
+        fh.write("\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -146,7 +157,7 @@ def cmd_poly(args) -> int:
                 "dual_generator": dual.to_json_terms(),
             },
         }
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         _emit(
             f"relation: {relation.to_text()}\ndual generator: {dual.to_text()}\n",
@@ -308,23 +319,30 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
     }
 
 
-def _verify_hessian_path_equivalence(m: int) -> bool:
-    """Every path-count matrix is the Hankel window [a[p + q]] of the moments
-    the verdicts read, and the scaled contraction Hessian where that is cheap."""
-    for i in range(hilbert.flo(3 * (m - 1)) + 1):
-        a, path = algebra.hankel_moments(m, i), lattice.path_matrix(m, i)
+def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
+    """One path matrix per basis start, against the moments the verdicts read:
+    each start's largest window [a[p + q]], whose leading blocks are the path
+    matrices and windows of the other degrees on that start.  For m <= 12,
+    every degree's scaled contraction Hessian is compared with its block."""
+    m, windows = report.m, {}
+    for i, a in report.moments:
         h = (len(a) + 1) // 2
-        if path.rows != tuple(tuple(a[u + v] for v in range(h)) for u in range(h)):
+        window = tuple(tuple(a[u + v] for v in range(h)) for u in range(h))
+        if lattice.path_matrix(m, i).rows != window:
             return False
+        windows[hilbert.basis_range(m, i).start] = window
+    for i in range(hilbert.flo(3 * (m - 1)) + 1) if m <= 12 else ():
+        ps = hilbert.basis_range(m, i)
+        block = tuple(row[: len(ps)] for row in windows[ps.start][: len(ps)])
         scale = math.factorial(3 * m - 3 - 2 * i)
-        if m <= 12 and path != algebra.hessian(m, i, (1, 0)).scaled(scale):
+        if algebra.hessian(m, i, (1, 0)).scaled(scale).rows != block:
             return False
     return True
 
 
 def cmd_report(args) -> int:
     report = lefschetz.property_report(args.m)
-    verified = _verify_hessian_path_equivalence(args.m)
+    verified = _verify_hessian_path_equivalence(report)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -333,7 +351,7 @@ def cmd_report(args) -> int:
             "results": _report_json(report),
             "verified_hessian_equals_path_matrix": verified,
         }
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         text = _report_table(report)
         if not verified:
@@ -363,7 +381,7 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
         if not f.agrees
     ]
     rows = [_verdict_row(m, v) for v in report.verdicts]
-    return {"rows": rows, "ok": _verify_hessian_path_equivalence(m), "flags": flags}
+    return {"rows": rows, "ok": _verify_hessian_path_equivalence(report), "flags": flags}
 
 
 # the lattice scan's columns, each a lattice.DvdVerdict attribute of that name
@@ -478,7 +496,7 @@ def cmd_scan(args) -> int:
             "flags": flags,
             "all_checks_pass": all_ok,
         }
-        _emit(_json_dump(payload), args.output)
+        _emit_json(payload, args.output)
     else:
         widths = [
             max(len(str(h)), max((len(str(r[k])) for r in rows), default=0))

@@ -78,9 +78,6 @@ class ExactMatrix:
         c = as_exact(factor)
         return ExactMatrix(tuple(tuple(c * e for e in row) for row in self.rows))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows)))
-
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 

@@ -84,9 +84,6 @@ class LatticePath:
     def __repr__(self) -> str:
         return f"LatticePath({self.start}, {self.steps!r})"
 
-    def to_dict(self) -> dict:
-        return {"start": list(self.start), "steps": self.steps}
-
 
 def count_paths(source: Point, target: Point) -> int:
     """Number of subdiagonal NE paths from (a, a) to (b, c).
@@ -270,15 +267,6 @@ class PathSystem:
     def is_doubly_vertex_disjoint(self) -> bool:
         return self.is_vertex_disjoint() and _pairwise_disjoint(self.flipped_paths())
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "i": self.i,
-            "paths": [p.to_dict() for p in self.paths],
-            "permutation": list(self.permutation),
-            "sign": self.sign,
-        }
-
 
 def _pairwise_disjoint(paths) -> bool:
     seen: set[Point] = set()
@@ -404,23 +392,6 @@ def count_doubly_disjoint(m: int, i: int) -> int:
     return disjoint_system_counts(m, i)[1]
 
 
-def doubly_multiplicity_view(
-    m: int, i: int
-) -> list[tuple[tuple[LatticePath, ...], int]]:
-    """Group doubly-disjoint systems by their flipped (all-upper) system.
-
-    Returns (flipped paths, multiplicity) pairs in deterministic order; the
-    multiplicities sum to N(i, m).  Display aid only.
-    """
-    groups: dict[tuple[LatticePath, ...], int] = {}
-    for system in enumerate_systems(m, i, "doubly_vertex_disjoint"):
-        key = system.flipped_paths()
-        groups[key] = groups.get(key, 0) + 1
-    return sorted(
-        groups.items(), key=lambda kv: tuple((p.start, p.steps) for p in kv[0])
-    )
-
-
 # -- the sign-reversing involution ------------------------------------------
 
 
@@ -479,8 +450,8 @@ def involution_phi(system: PathSystem) -> PathSystem:
     perm = list(system.permutation)
     perm[lo], perm[up] = perm[up], perm[lo]
     targets = vertex_sets(m, system.i).targets
-    assert new_lo.end == targets[perm[lo]]
-    assert new_up.end == targets[perm[up]]
+    if new_lo.end != targets[perm[lo]] or new_up.end != targets[perm[up]]:
+        raise ValueError("surgery misses the swapped targets; system outside the domain")
     return PathSystem(m, system.i, tuple(paths), tuple(perm), -system.sign)
 
 

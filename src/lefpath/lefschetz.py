@@ -74,6 +74,10 @@ class ClaimFlag:
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """Verdicts for A(m, 2), with the Hankel moments the kernel read: one
+    (degree, moments) pair per basis start, at that start's largest window,
+    whose leading blocks are the windows of every other degree on it."""
+
     m: int
     socle_degree: int
     verdicts: tuple[DegreeVerdict, ...]
@@ -81,6 +85,7 @@ class PropertyReport:
     hlp: bool
     max_chrr_degree: int
     claim_flags: tuple[ClaimFlag, ...] = field(default_factory=tuple)
+    moments: tuple[tuple[int, tuple[int, ...]], ...] = field(default_factory=tuple)
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
@@ -146,7 +151,8 @@ def property_report(m: int) -> PropertyReport:
     top = flo(d)
     ranges = [basis_range(m, i) for i in range(top + 1)]
     largest = {ps.start: i for i, ps in sorted(enumerate(ranges), key=lambda e: len(e[1]))}
-    minors = {lo: hankel_minors(hankel_moments(m, i)) for lo, i in largest.items()}
+    moments = tuple((i, tuple(hankel_moments(m, i))) for i in sorted(largest.values()))
+    minors = {ranges[i].start: hankel_minors(a) for i, a in moments}
     verdicts = [_verdict(m, i, minors[ps.start]) for i, ps in enumerate(ranges)]
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
@@ -195,6 +201,7 @@ def property_report(m: int) -> PropertyReport:
         hlp=hlp,
         max_chrr_degree=max_chrr,
         claim_flags=tuple(flags),
+        moments=moments,
     )
 
 

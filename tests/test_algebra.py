@@ -17,14 +17,13 @@ from lefpath.algebra import (
     dual_generator,
     dual_numerator,
     f_m,
+    hankel_window,
     hessian,
-    hessian_closed_form,
-    monomial_basis,
     verify_f_recursion,
     verify_power_sum,
 )
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import flo, hilbert_m2_closed
+from lefpath.hilbert import basis_range, check_degree, flo, hilbert_m2_closed
 
 
 def test_c_coeff_values():
@@ -124,21 +123,26 @@ def test_power_sum(m):
     assert verify_power_sum(m)
 
 
+def _monomial_basis(m, i):
+    """Exponents (i - 2p, p) of the degree-i basis e1^(i-2p) e2^p."""
+    return tuple((i - 2 * p, p) for p in basis_range(m, i))
+
+
 def test_monomial_basis_examples():
-    assert monomial_basis(5, 3).elements == ((3, 0), (1, 1))
-    assert monomial_basis(5, 0).elements == ((0, 0),)
-    assert monomial_basis(5, 6).elements == ((4, 1), (2, 2), (0, 3))
+    assert _monomial_basis(5, 3) == ((3, 0), (1, 1))
+    assert _monomial_basis(5, 0) == ((0, 0),)
+    assert _monomial_basis(5, 6) == ((4, 1), (2, 2), (0, 3))
 
 
 def test_monomial_basis_counts_match_hilbert():
     for m in range(2, 13):
         for i in range(flo(3 * (m - 1)) + 1):
-            assert len(monomial_basis(m, i)) == hilbert_m2_closed(m, i)
+            assert len(basis_range(m, i)) == hilbert_m2_closed(m, i)
 
 
 def test_monomial_basis_range_error():
     with pytest.raises(ValueError):
-        monomial_basis(5, 10)
+        check_degree(5, 10)
 
 
 def test_hessian_worked_example():
@@ -146,7 +150,7 @@ def test_hessian_worked_example():
         Fraction(1, math.factorial(6))
     )
     assert hessian(5, 3, (1, 0)) == expected
-    assert hessian_closed_form(5, 3) == expected
+    assert hankel_window(5, 3) == ExactMatrix([[275, 75], [75, 20]])
 
 
 def test_hessian_degree_zero():
@@ -159,29 +163,28 @@ def test_hessian_singular_degree():
 
 def test_hessian_closed_form_with_vanishing_binomials():
     # (3m-3-2i)! = 0! = 1 at (5, 6); lower-index overflow zeroes the corner
-    assert hessian_closed_form(5, 6) == ExactMatrix(
-        [[20, 5, 1], [5, 1, 0], [1, 0, 0]]
-    )
+    assert hankel_window(5, 6) == ExactMatrix([[20, 5, 1], [5, 1, 0], [1, 0, 0]])
+    assert hessian(5, 6, (1, 0)) == hankel_window(5, 6)
 
 
 def test_hessian_closed_form_m4():
     # (4/10)C(10,3) = 48, (4/8)C(8,2) = 14, (4/6)C(6,1) = 4
-    assert hessian_closed_form(4, 2) == ExactMatrix([[48, 14], [14, 4]]).scaled(
-        Fraction(1, math.factorial(5))
-    )
+    assert hankel_window(4, 2) == ExactMatrix([[48, 14], [14, 4]])
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_hessian_equals_closed_form(m):
+    # the closed form: (3m-3-2i)! times the pairing matrix is the Hankel window
     for i in range(flo(3 * (m - 1)) + 1):
-        assert hessian(m, i, (1, 0)) == hessian_closed_form(m, i)
+        scale = math.factorial(3 * m - 3 - 2 * i)
+        assert hessian(m, i, (1, 0)).scaled(scale) == hankel_window(m, i)
 
 
 def test_hessian_range_error():
     with pytest.raises(ValueError):
         hessian(5, 7, (1, 0))
     with pytest.raises(ValueError):
-        hessian_closed_form(5, -1)
+        hankel_window(5, -1)
 
 
 @pytest.mark.parametrize("c", [2, -1])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lefpath import algebra, cli, lattice
+from lefpath import algebra, cli, hilbert, lattice, lefschetz
 from lefpath.exact import ExactMatrix
 
 
@@ -383,3 +383,83 @@ def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
     )
     assert code == 1
     assert json.loads(out)["all_checks_pass"] is False
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, degree):
+    # one entry of one degree's contraction Hessian off by one: only the
+    # m <= 12 comparison reads the contraction, so report 13 still passes
+    real = algebra.hessian
+
+    def tampered(m, i, point=(1, 0)):
+        matrix = real(m, i, point)
+        if i != degree:
+            return matrix
+        rows = [list(row) for row in matrix.rows]
+        rows[-1][-1] += 1
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(algebra, "hessian", tampered)
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    code, out, _ = run(capsys, "report", "5")
+    assert code == 1
+    assert "MISMATCH: pairing matrix != path matrix" in out
+    code, out, _ = run(
+        capsys, "scan", "--mode", "lefschetz", "--m", "5", "--format", "json"
+    )
+    assert code == 1
+    assert json.loads(out)["all_checks_pass"] is False
+    code, out, _ = run(capsys, "report", "13")
+    assert code == 0 and "MISMATCH" not in out
+
+
+@pytest.mark.parametrize("m", [5, 13])
+def test_crosscheck_reads_every_basis_start(capsys, monkeypatch, m):
+    # a path matrix off by one at any single basis start fails the report
+    real = lattice.path_matrix
+    starts = sorted({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)})
+    for start in starts:
+
+        def tampered(mm, i, start=start):
+            matrix = real(mm, i)
+            if hilbert.basis_range(mm, i).start != start:
+                return matrix
+            rows = [list(row) for row in matrix.rows]
+            rows[-1][-1] += 1
+            return ExactMatrix(rows)
+
+        monkeypatch.setattr(lattice, "path_matrix", tampered)
+        code, out, _ = run(capsys, "report", str(m))
+        assert code == 1, start
+        assert "MISMATCH: pairing matrix != path matrix" in out
+
+
+@pytest.mark.parametrize("m, starts", [(55, 15), (56, 15)])
+def test_crosscheck_builds_one_path_matrix_per_basis_start(capsys, monkeypatch, m, starts):
+    # 82 and 83 path matrices, one per degree, before the per-start check
+    report = lefschetz.property_report(m)
+    monkeypatch.setattr(lefschetz, "property_report", lambda mm: report)
+    real, calls = lattice.path_matrix, []
+
+    def counted(mm, i):
+        calls.append(i)
+        return real(mm, i)
+
+    monkeypatch.setattr(lattice, "path_matrix", counted)
+    code, _, _ = run(capsys, "report", str(m))
+    assert code == 0
+    assert len({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)}) == starts
+    assert calls == [i for i, _ in report.moments] and len(calls) == starts
+
+
+def test_json_output_is_streamed_in_blocks(capsys, tmp_path):
+    argv = ["scan", "--mode", "lefschetz", "--m", "2..20", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+    assert chunks > 2 * cli._JSON_BLOCK  # the payload spans several blocks
+    assert out == json.dumps(payload, indent=2) + "\n"
+    target = tmp_path / "scan.json"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text() == out

@@ -1,5 +1,7 @@
 """Path counting, enumeration, flips, disjoint systems, and the involution."""
 
+import dataclasses
+
 import pytest
 
 from lefpath.hilbert import flo, hilbert_m2_closed
@@ -344,23 +346,14 @@ def test_involution_rejects_non_disjoint():
         involution_phi(crossing)
 
 
-def test_multiplicity_view():
-    from lefpath.lattice import doubly_multiplicity_view, is_upper
-
-    view = doubly_multiplicity_view(5, 3)
-    counts = [count for _, count in view]
-    # each upper representative stands in for 2^(#flippable segments) systems
-    assert sum(counts) == 125
-    assert all(count & (count - 1) == 0 for count in counts)
-    assert len(view) == 27  # enumeration-derived regression value
-    for flipped_paths, _ in view:
-        assert all(is_upper(p, 5) for p in flipped_paths)
-
-
-def test_system_serialization():
-    system = next(iter(enumerate_systems(5, 3, "doubly_vertex_disjoint")))
-    payload = system.to_dict()
-    assert payload["m"] == 5 and payload["i"] == 3
-    assert len(payload["paths"]) == 2
-    assert payload["sign"] in (-1, 1)
-    assert all(set(p) == {"start", "steps"} for p in payload["paths"])
+def test_involution_rejects_a_wrong_permutation():
+    # the surgery's ends miss the targets of the swapped permutation; the
+    # rejection is an error, not an assert that python -O would drop
+    system = next(
+        s
+        for s in enumerate_systems(4, 2, "vertex_disjoint")
+        if not s.is_doubly_vertex_disjoint()
+    )
+    reversed_system = dataclasses.replace(system, permutation=system.permutation[::-1])
+    with pytest.raises(ValueError, match="outside the domain"):
+        involution_phi(reversed_system)

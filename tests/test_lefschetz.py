@@ -2,7 +2,9 @@
 
 import pytest
 
-from lefpath.hilbert import flo
+from lefpath.algebra import hankel_moments
+from lefpath.hilbert import basis_range, flo
+from lefpath.lattice import path_matrix
 from lefpath.lefschetz import (
     complex_hrr_expected_sign,
     degree_verdict,
@@ -169,3 +171,35 @@ def test_primitive_dims_at_most_one_under_strong_lefschetz():
         for v in report.verdicts:
             if v.i <= report.max_sl_degree + 1:
                 assert v.primitive_dim in (0, 1)
+
+
+def _starts(m):
+    """{basis start: degrees on it} over the lower half of A(m, 2)."""
+    starts = {}
+    for i in range(flo(3 * (m - 1)) + 1):
+        starts.setdefault(basis_range(m, i).start, []).append(i)
+    return starts
+
+
+def test_report_moments_are_one_largest_window_per_start():
+    for m in range(2, 41):
+        report = property_report(m)
+        moments, starts = report.moments, _starts(m)
+        degrees = [i for i, _ in moments]
+        assert sorted(basis_range(m, i).start for i in degrees) == sorted(starts), m
+        for i, a in moments:
+            on_start = starts[basis_range(m, i).start]
+            assert len(basis_range(m, i)) == max(len(basis_range(m, j)) for j in on_start)
+            assert a == tuple(hankel_moments(m, i)), (m, i)
+        hash(report)  # the frozen report stays hashable
+
+
+def test_each_path_matrix_is_a_leading_block_of_its_starts_largest():
+    # what lets the report cross-check read one path matrix per basis start
+    for m in range(2, 41):
+        largest = {basis_range(m, i).start: path_matrix(m, i).rows
+                   for i, _ in property_report(m).moments}
+        for i in range(flo(3 * (m - 1)) + 1):
+            ps = basis_range(m, i)
+            block = tuple(row[: len(ps)] for row in largest[ps.start][: len(ps)])
+            assert path_matrix(m, i).rows == block, (m, i)
