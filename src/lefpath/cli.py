@@ -468,6 +468,8 @@ _SCAN_MODES = {
 
 def cmd_scan(args) -> int:
     task_func, header, uses_n = _SCAN_MODES[args.mode]
+    if args.n and not uses_n:
+        args.error(f"argument --n: the {args.mode} mode does not read --n")
     m_range = _parse_range(args.m)
     if args.mode == "lefschetz" and m_range.start < 2:
         args.error(f"argument --m: the lefschetz mode needs m >= 2, got {args.m!r}")
@@ -552,12 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_hessian.add_argument("i", type=int, action=_DegreeArg)
     p_hessian.add_argument("--det", action="store_true", help="print the determinant")
     p_hessian.add_argument("--rank", action="store_true", help="print the rank")
-    p_hessian.add_argument(
+    source = p_hessian.add_mutually_exclusive_group()
+    source.add_argument(
         "--paths",
         action="store_true",
         help="print the integer path matrix ((3m-3-2i)! times the pairing matrix)",
     )
-    p_hessian.add_argument(
+    source.add_argument(
         "--point",
         nargs=2,
         type=int,

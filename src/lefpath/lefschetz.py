@@ -1,11 +1,13 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-Signs and ranks come from the leading minors of the integer Hankel windows,
-Bareiss deciding only past a zero minor; the report cross-check ties their
-moments to the path matrix.  The factors (3m-3-2i)!, (d-2i)! > 0 between a
-window and the degree-i pairing matrix change neither sign, rank, nor
-signature.  The linear form is e1 (degree 1 is one-dimensional), and its
-positive rescalings only rescale each pairing matrix, so no search is needed.
+property_report is the one reader of the Hankel kernel: each window's sign,
+rank and signature come off the leading minors on its basis start (Bareiss
+only past a zero minor); degree_verdict and signature_crosscheck read the
+report, and its cross-check ties the minors' moments to the path matrix.
+The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
+pairing matrix change neither sign, rank, nor signature.  The linear form
+is e1 (degree 1 is one-dimensional), and its positive rescalings only
+rescale each pairing matrix, so no search is needed.
 
 The Hodge-Riemann relations make the degree-i pairing form definite on
 each primitive subspace P_k, k <= i (the kernel of e1^(d-2k+1) on degree k,
@@ -27,7 +29,7 @@ from typing import Optional
 
 from .algebra import hankel_moments, hankel_window
 from .exact import hankel_minors
-from .hilbert import basis_range, flo, hilbert_m2_closed, socle_degree
+from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed, socle_degree
 
 
 def _sign(value) -> int:
@@ -60,6 +62,7 @@ class DegreeVerdict:
     chrr_pass: bool
     hrr_expected_sign: int
     hrr_pass: bool
+    signature: int
 
 
 @dataclass(frozen=True)
@@ -89,25 +92,25 @@ class PropertyReport:
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
-    """Verdict at degree i from the leading minors of the exact integer
-    Hankel window, which the report cross-check ties to the path matrix."""
-    return _verdict(m, i, hankel_minors(hankel_moments(m, i)))
+    """Verdict at degree i: a view of property_report(m), the one reader of
+    the Hankel kernel."""
+    check_degree(m, i)
+    return property_report(m).verdicts[i]
 
 
-def _verdict(m: int, i: int, minors: list[int]) -> DegreeVerdict:
-    """With minors H_1..H_r != 0 on its basis start, the h x h window has
-    det H_h and rank h if h <= r, det 0 and rank r if h = r+1; else Bareiss."""
-    d = socle_degree(m, 2)
-    h, r = hilbert_m2_closed(m, i), len(minors)
-    if h <= r:
-        det_sign, rank = _sign(minors[h - 1]), h
-    elif h == r + 1:
-        det_sign, rank = 0, r
+def _verdict(m: int, i: int, hs: list[int], signs: list[int]) -> DegreeVerdict:
+    """From the signs of H_1..H_r != 0 on its basis start: an h x h window,
+    h <= r+1, has rank min(h, r), det sign(H_h) (0 at h = r+1, a zero Schur
+    complement) and signature sum_(k <= rank) sign(H_(k-1) H_k), H_0 = 1
+    (Sylvester-Jacobi); a larger one takes all three from one Bareiss pass."""
+    h, r, window_min = hs[i], len(signs), min(hs[i : len(hs) - i])
+    if h <= r + 1:
+        det_sign, rank = signs[h - 1] if h <= r else 0, min(h, r)
+        jacobi = [1] + signs[:rank]
+        signature = sum(a * b for a, b in zip(jacobi, jacobi[1:]))
     else:
         window = hankel_window(m, i)
-        det_sign, rank = _sign(window.det()), window.rank()
-    window_min = min(hilbert_m2_closed(m, j) for j in range(i, d - i + 1))
-    h_prev = hilbert_m2_closed(m, i - 1) if i > 0 else 0
+        det_sign, rank, signature = _sign(window.det()), window.rank(), window.signature()
     sl_pass = det_sign != 0
     chrr_expected = complex_hrr_expected_sign(i)
     hrr_expected = hrr_expected_sign(i)
@@ -117,13 +120,14 @@ def _verdict(m: int, i: int, minors: list[int]) -> DegreeVerdict:
         det_sign=det_sign,
         rank=rank,
         window_min=window_min,
-        primitive_dim=h - h_prev,
+        primitive_dim=h - (hs[i - 1] if i > 0 else 0),
         sl_pass=sl_pass,
         hlp_pass=rank == window_min,
         chrr_expected_sign=chrr_expected,
         chrr_pass=sl_pass and det_sign == chrr_expected,
         hrr_expected_sign=hrr_expected,
         hrr_pass=sl_pass and det_sign == hrr_expected,
+        signature=signature,
     )
 
 
@@ -152,8 +156,9 @@ def property_report(m: int) -> PropertyReport:
     ranges = [basis_range(m, i) for i in range(top + 1)]
     largest = {ps.start: i for i, ps in sorted(enumerate(ranges), key=lambda e: len(e[1]))}
     moments = tuple((i, tuple(hankel_moments(m, i))) for i in sorted(largest.values()))
-    minors = {ranges[i].start: hankel_minors(a) for i, a in moments}
-    verdicts = [_verdict(m, i, minors[ps.start]) for i, ps in enumerate(ranges)]
+    signs = {ranges[i].start: [_sign(x) for x in hankel_minors(a)] for i, a in moments}
+    hs = [hilbert_m2_closed(m, j) for j in range(d + 1)]
+    verdicts = [_verdict(m, i, hs, signs[ps.start]) for i, ps in enumerate(ranges)]
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)
@@ -216,19 +221,14 @@ class SignatureCrosscheck:
 
 
 def signature_crosscheck(m: int, i: int) -> SignatureCrosscheck:
-    """Exact signature vs the alternating sum of even first differences.
-
-    The comparison sum_{j=0}^{flo(i)} (-1)^j (h_2j - h_{2j-1}) is meaningful
-    only while all lower-degree Lefschetz maps are isomorphisms; outside
-    that range the record is marked not applicable rather than an error.
-    """
-    applicable = all(degree_verdict(m, j).sl_pass for j in range(i + 1))
-    if not applicable:
+    """The report's degree-i signature vs sum_(j <= flo(i)) (-1)^j p_2j, over
+    the even primitive dimensions p_k = h_k - h_(k-1).  Only meaningful while
+    every Lefschetz map through degree i is an isomorphism; past that the
+    record is marked not applicable rather than an error."""
+    check_degree(m, i)
+    report = property_report(m)
+    if report.max_sl_degree < i:
         return SignatureCrosscheck(m, i, False, None, None, None)
-    signature = hankel_window(m, i).signature()
-    expected = 0
-    for j in range(flo(i) + 1):
-        h_even = hilbert_m2_closed(m, 2 * j)
-        h_odd = hilbert_m2_closed(m, 2 * j - 1) if 2 * j - 1 >= 0 else 0
-        expected += (-1) ** j * (h_even - h_odd)
+    signature = report.verdicts[i].signature
+    expected = sum((-1) ** j * report.verdicts[2 * j].primitive_dim for j in range(flo(i) + 1))
     return SignatureCrosscheck(m, i, True, signature, expected, signature == expected)

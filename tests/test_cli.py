@@ -174,6 +174,29 @@ def test_scan_json_payload(capsys):
     assert [r["m"] for r in payload["results"]] == [2, 3, 4]
 
 
+def _refuse_float(text):
+    raise AssertionError(f"float in the JSON output: {text}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "13"],
+        ["poly", "6"],
+        ["scan", "--mode", "hilbert", "--m", "2..6", "--n", "2..4"],
+        ["scan", "--mode", "lefschetz", "--m", "2..8"],
+        ["scan", "--mode", "lattice", "--m", "2..5"],
+        ["scan", "--mode", "catalan", "--m", "2..6"],
+        ["scan", "--mode", "partitions", "--m", "2..5", "--n", "2..3"],
+    ],
+)
+def test_json_output_has_no_floats(capsys, argv):
+    # exact arithmetic end to end: one float anywhere fails the parse
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(out, parse_float=_refuse_float)
+
+
 def test_scan_partitions_mode(capsys):
     code, out, _ = run(
         capsys, "scan", "--m", "2..4", "--n", "1..3", "--mode", "partitions",
@@ -315,6 +338,7 @@ def _bad_input_error(capsys, argv) -> str:
         ["--mode", "hilbert", "--m", "2..3", "--jobs", "0"],
         ["--mode", "partitions", "--m", "2", "--n", "0..1"],
         ["--mode", "lefschetz", "--m", "1..3"],
+        ["--mode", "lefschetz", "--m", "2..3", "--n", "2"],
     ],
 )
 def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -332,6 +356,7 @@ def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
         ["hilbert", "5", "0"],
         ["lattice", "3", "9", "count"],
         ["hilbert", "5", "3", "--closed-form"],
+        ["hessian", "5", "3", "--paths", "--point", "1", "0"],
     ],
 )
 def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):

@@ -314,7 +314,9 @@ def _hankel_moments(draw):
 @settings(max_examples=300)
 @given(_hankel_moments())
 def test_hankel_minors_match_elimination(moments):
-    # minors up to the first zero; at size h <= r the rank is h, at r+1 it is r
+    # minors up to the first zero; at size h <= r the rank is h, at r+1 it is
+    # r, and through r+1 Sylvester-Jacobi on the first min(h, r) minors gives
+    # the signature
     minors = hankel_minors(moments)
     r = len(minors)
     assert r <= (len(moments) + 1) // 2
@@ -328,13 +330,19 @@ def test_hankel_minors_match_elimination(moments):
         elif h == r + 1:
             assert det == 0
             assert block.rank() == r
+        if h <= r + 1:
+            jacobi = [1] + minors[: min(h, r)]
+            assert block.signature() == sum(
+                1 if a * b > 0 else -1 for a, b in zip(jacobi, jacobi[1:])
+            )
         if h <= 5:
             assert det_cofactor(rows) == det
 
 
 def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
-    # all-ones 3 x 3 window: H_1 = 1, H_2 = 0, rank 1, so the rank rules
-    # stop at size 2 and the size-3 window goes to Bareiss
+    # all-ones moments on both basis starts of m = 5: H_1 = 1, H_2 = 0, so
+    # the rank rules stop at size 2 and the size-3 windows (degrees 4 and 6)
+    # go to Bareiss, whose one elimination also gives the signature
     assert hankel_minors([1] * 5) == [1]
     fallback = []
 
@@ -350,13 +358,15 @@ def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
     monkeypatch.setattr(lefschetz, "hankel_window", spy)
     assert len(basis_range(5, 4)) == 3
     v = lefschetz.degree_verdict(5, 4)
-    assert fallback == [(5, 4)]
+    assert fallback == [(5, 4), (5, 6)]
     assert (v.det_sign, v.rank) == (0, 1)
+    assert v.signature == 1
 
 
 def test_report_verdicts_equal_elimination_verdicts():
     # every degree for m <= 60: the verdict equals the one Bareiss on the
-    # window gives, with every field that depends on det and rank recomputed
+    # window gives, with every field that depends on det, rank and signature
+    # recomputed
     for m in range(2, 61):
         for v in lefschetz.property_report(m).verdicts:
             if v.i == 0 or basis_range(m, v.i) != basis_range(m, v.i - 1):
@@ -367,6 +377,7 @@ def test_report_verdicts_equal_elimination_verdicts():
                 v,
                 det_sign=sign,
                 rank=rank,
+                signature=window.signature(),
                 sl_pass=det != 0,
                 hlp_pass=rank == v.window_min,
                 chrr_pass=det != 0 and sign == v.chrr_expected_sign,

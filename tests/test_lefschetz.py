@@ -48,7 +48,7 @@ def test_degree_verdict_range_error():
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_report_verdicts_equal_single_degree_verdicts(m):
-    # the report shares one window across degrees on the same basis range
+    # degree_verdict is a view of the report, the one reader of the kernel
     report = property_report(m)
     assert report.verdicts == tuple(
         degree_verdict(m, i) for i in range(flo(report.socle_degree) + 1)
