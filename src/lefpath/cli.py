@@ -3,9 +3,9 @@
 Conventions shared by all subcommands:
 
 * rationals print exactly as "p/q" (plain "p" for integers), never decimal;
-* exit 0: every verified equality held; 1: a violated equality; 2: bad
-  input, on one "error:" line.  "FLAG:" lines report findings
-  (claim/computation mismatches) and never affect the exit code;
+* exit 0: every verified equality held; 1: one was violated; 2: bad input
+  or an over-budget transfer sweep, on one "error:" line.  "FLAG:" lines
+  report findings (claim/computation mismatches), never the exit code;
 * scans partition work across --jobs workers (default from LEFPATH_JOBS)
   and merge results in key order, so output bytes are identical for any
   worker count.
@@ -400,12 +400,12 @@ _LATTICE_COLUMNS = [
 
 def _scan_lattice_task(key: tuple[int, int]) -> dict:
     m, _ = key
-    mode = "enumerate" if m <= 6 else "det_only"
+    mode = "enumerate" if m <= 12 else "det_only"  # the transfer sweep's reach
     rows = []
     flags = []
     ok = True
     for i in range(hilbert.flo(3 * (m - 1)) + 1):
-        # degrees on one basis range share the path matrix and its systems
+        # degrees on one basis range share the path matrix and its sweep
         if i == 0 or hilbert.basis_range(m, i) != hilbert.basis_range(m, i - 1):
             verdict = lattice.check_dvd_theorem(m, i, mode)
         verdict = dataclasses.replace(verdict, i=i)
@@ -624,7 +624,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except lattice.BudgetExceeded as exc:
+        print(f"lefpath {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

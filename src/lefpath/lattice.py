@@ -1,4 +1,4 @@
-"""Subdiagonal NE lattice paths, path systems, flips, and signed enumeration.
+"""Subdiagonal NE lattice paths, path systems, flips, and signed counts.
 
 Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
@@ -7,12 +7,16 @@ path matrix reproduces the degree-i pairing matrix of the dual generator
 (up to the factorial scale), and its determinant is recomputed here two
 independent ways: as a signed sum over vertex-disjoint path systems, and
 as a signed count of doubly-vertex-disjoint systems obtained after a
-sign-reversing cancellation.
+sign-reversing cancellation.  Both counts come from one transfer sweep over
+the anti-diagonals x + y = s, holding at most STATE_BUDGET states; the
+involution check still enumerates the systems one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Literal, Optional
 
 from .exact import ExactMatrix, binomial
@@ -51,10 +55,10 @@ class LatticePath:
                 x += 1
             elif s == "N":
                 y += 1
+                if y > x:
+                    raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
             else:
                 raise ValueError(f"invalid step {s!r}")
-            if y > x:
-                raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
             verts.append((x, y))
         self.start = start
         self.steps = steps
@@ -151,9 +155,10 @@ class VertexSets:
         return len(self.sources)
 
 
+@lru_cache(maxsize=16)
 def vertex_sets(m: int, i: int) -> VertexSets:
     """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
-    basis index range."""
+    basis index range (memoised: the involution reads them for every system)."""
     check_degree(m, i)
     indices = basis_range(m, i)
     sources = tuple((p, p) for p in indices)
@@ -351,48 +356,80 @@ def enumerate_systems(
     return _systems(m, i, _path_cells(m, i), system_filter)
 
 
-def disjoint_system_counts(m: int, i: int) -> tuple[int, int]:
-    """(signed count of vertex-disjoint systems, N(i, m)) from one pruned pass
-    over the vertex-disjoint enumeration's tree, building no systems: taking
-    the j-th smallest free target adds j inversions to the sign, and a flag
-    says whether the flipped paths are still disjoint."""
-    cells = [[list(cell.values()) for cell in row] for row in _path_cells(m, i)]
-    last = len(cells) - 1
+# Live states a transfer sweep may hold: every window of m <= 16 fits (the
+# peak is 924 at m = 12 and 12,870 at m = 16); past it the sweep stops.
+STATE_BUDGET = 2**14
 
-    def extend(k, free, occupied, flipped, doubly, sign) -> tuple[int, int]:
-        signed = count = 0
-        for j, q in enumerate(free):
-            branch = -sign if j % 2 else sign
-            rest = free[:j] + free[j + 1 :]
-            for mask, flipped_mask in cells[k][q]:
-                if mask & occupied:
+
+class BudgetExceeded(RuntimeError):
+    """A transfer sweep needed more than STATE_BUDGET live states."""
+
+
+def transfer_counts(m: int, i: int) -> tuple[int, int]:
+    """(signed count of vertex-disjoint systems, N(i, m)) from one sweep over
+    the anti-diagonals s = x + y; a path meets each in one vertex, and disjoint
+    paths keep their order.  A state, the walkers' increasing x on s, maps to
+    its (signed, doubly) counts.  Source p enters at (p, p), the least x on
+    s = 2p, if free; on s = 3m-3-2q target q's vertex must be taken, and its
+    walker leaves with sign (-1)^j, j the walkers before it: each entered and
+    leaves later, and all sources are in by then (2p <= 3m-3-2q).  Flips are
+    disjoint iff the folds (x, or s-x+m-1 below the shifted diagonal) differ
+    on every s.  Walkers step last first: E to x+1, or N if y+1 <= x."""
+    check_degree(m, i)
+    ps = basis_range(m, i)
+    x_max, y_max, last = 2 * m - 2 - ps.start, m - 1 - ps.start, 3 * m - 3 - 2 * ps.start
+    enter = {2 * p: p for p in ps}
+    leave = {3 * m - 3 - 2 * q: 2 * m - 2 - q for q in ps}
+    states, walkers = {(): (1, 1)}, 0
+    for s in range(2 * ps.start, last + 1):
+        if s in enter:
+            p, walkers = enter[s], walkers + 1
+            states = {(p,) + xs: v for xs, v in states.items() if not xs or xs[0] > p}
+        fold, target, kept = s + m - 1, leave.get(s), {}
+        for xs, (signed, doubly) in states.items():
+            if doubly and len({x if 2 * x <= fold else fold - x for x in xs}) < walkers:
+                doubly = 0
+            if target is not None:
+                if target not in xs:
                     continue
-                still = doubly and not flipped_mask & flipped
-                if k == last:
-                    signed += branch
-                    count += still
-                else:
-                    s, c = extend(
-                        k + 1, rest, occupied | mask, flipped | flipped_mask, still, branch
-                    )
-                    signed += s
-                    count += c
-        return signed, count
-
-    return extend(0, tuple(range(len(cells))), 0, 0, True, 1)
+                j = xs.index(target)
+                xs, signed = xs[:j] + xs[j + 1 :], -signed if j % 2 else signed
+            kept[xs] = (signed, doubly)
+        states, walkers = kept, walkers - (target is not None)
+        for k in reversed(range(walkers if s < last else 0)):
+            moved: dict[tuple[int, ...], tuple[int, int]] = {}
+            for xs, (signed, doubly) in states.items():
+                x = xs[k]
+                steps = [xs] if 2 * x > s and s - x < y_max else []
+                if x < x_max and (k + 1 == walkers or xs[k + 1] > x + 1):
+                    steps.append(xs[:k] + (x + 1,) + xs[k + 1 :])
+                for key in steps:
+                    a, b = moved.get(key, (0, 0))
+                    moved[key] = (a + signed, b + doubly)
+            states = moved
+            if len(states) > STATE_BUDGET:
+                raise BudgetExceeded(f"budget exceeded: over {STATE_BUDGET} states at ({m}, {i})")
+    return states.get((), (0, 0))
 
 
 def lgv_signed_sum(m: int, i: int) -> int:
     """Signed count of vertex-disjoint path systems (all path weights 1)."""
-    return disjoint_system_counts(m, i)[0]
+    return transfer_counts(m, i)[0]
 
 
 def count_doubly_disjoint(m: int, i: int) -> int:
     """N(i, m): number of doubly-vertex-disjoint path systems."""
-    return disjoint_system_counts(m, i)[1]
+    return transfer_counts(m, i)[1]
 
 
 # -- the sign-reversing involution ------------------------------------------
+
+
+@lru_cache(maxsize=2**12)
+def _flip_data(path: LatticePath, m: int) -> tuple[frozenset, tuple[int, ...]]:
+    """The vertex set of flip(path, m) and the indices where path touches the
+    shifted diagonal, once per path: the systems and their images share paths."""
+    return frozenset(_flipped_vertices(path, m)), tuple(_touch_indices(path, m))
 
 
 def involution_phi(system: PathSystem) -> PathSystem:
@@ -406,17 +443,15 @@ def involution_phi(system: PathSystem) -> PathSystem:
     m = system.m
     if not system.is_vertex_disjoint():
         raise ValueError("involution defined only on vertex-disjoint systems")
-    seen: dict[Point, list[int]] = {}
-    for k, path in enumerate(system.paths):
-        for v in _flipped_vertices(path, m):
-            seen.setdefault(v, []).append(k)
-    crossings = [v for v, ks in seen.items() if len(ks) > 1]
+    data = [_flip_data(path, m) for path in system.paths]
+    crossings = set().union(*(a[0] & b[0] for a, b in combinations(data, 2)))
     if not crossings:
         raise ValueError("system is doubly vertex disjoint; involution undefined")
     c = max(crossings, key=lambda v: (v[1], v[0]))
-    if len(seen[c]) != 2:
+    meeting = [k for k, (flipped, _) in enumerate(data) if c in flipped]
+    if len(meeting) != 2:
         raise ValueError(f"more than two paths meet at {c}; system outside the domain")
-    k1, k2 = seen[c]
+    k1, k2 = meeting
 
     c_mirror = reflect(c, m)
     through_mirror = [k for k in (k1, k2) if c_mirror in system.paths[k].vertex_set]
@@ -428,13 +463,11 @@ def involution_phi(system: PathSystem) -> PathSystem:
     lo, up = through_mirror[0], through_point[0]
     p_lo, p_up = system.paths[lo], system.paths[up]
 
-    def cut_points(path: LatticePath, vertex: Point) -> tuple[int, int]:
-        j = path.vertices().index(vertex)
-        seg_end = next(t for t in _touch_indices(path, m) if t > j)
-        return j, seg_end
-
-    j_lo, e_lo = cut_points(p_lo, c_mirror)
-    j_up, e_up = cut_points(p_up, c)
+    # each path meets the anti-diagonal of c and c_mirror once: cut there, and
+    # again at the path's next touch of the shifted diagonal
+    j_lo, j_up = sum(c) - sum(p_lo.start), sum(c) - sum(p_up.start)
+    e_lo = next(t for t in data[lo][1] if t > j_lo)
+    e_up = next(t for t in data[up][1] if t > j_up)
 
     new_lo = LatticePath(
         p_lo.start,
@@ -530,7 +563,7 @@ def check_dvd_theorem(
     reports the disagreement instead of raising.  Computation shows the
     rule reliable only for i <= m - 1, where the basis index range starts
     at 0; ``in_rule_range`` exposes that region.  The enumerate mode reads
-    N and the signed (Lindstrom-Gessel-Viennot) sum from one pass.
+    N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep.
     """
     if mode not in ("enumerate", "det_only"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -542,7 +575,7 @@ def check_dvd_theorem(
     predicted_sign = -1 if flo(h) % 2 else 1
     signed = n_doubly = matches = None
     if mode == "enumerate":
-        signed, n_doubly = disjoint_system_counts(m, i)
+        signed, n_doubly = transfer_counts(m, i)
         matches = det_int == predicted_sign * n_doubly
     return DvdVerdict(
         m=m,

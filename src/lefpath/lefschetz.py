@@ -25,6 +25,7 @@ reports show them as the claims they are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .algebra import hankel_moments, hankel_window
@@ -148,7 +149,13 @@ def property_report(m: int) -> PropertyReport:
     property and the complex sign law at every degree; every m gives rank
     equal to the Hilbert window minimum; odd m is claimed strong-Lefschetz
     through degree m-1, while computation says it fails exactly there.
+    The frozen report is memoised on m, so a sweep over the degrees builds one.
     """
+    return _property_report(m)
+
+
+@lru_cache(maxsize=8)
+def _property_report(m: int) -> PropertyReport:
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     d = socle_degree(m, 2)

@@ -89,7 +89,7 @@ def test_criterion_05_lgv_oracle():
     for m in range(2, 6):
         for i in range(flo(3 * (m - 1)) + 1):
             ok &= lgv_signed_sum(m, i) == path_matrix(m, i).det()
-    _verdict(5, "signed vertex-disjoint enumeration = determinant for m <= 5", ok)
+    _verdict(5, "signed vertex-disjoint sum = determinant for m <= 5", ok)
 
 
 def test_criterion_06_doubly_disjoint_theorem():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -261,6 +262,30 @@ def test_failed_verification_sets_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "lattice", "5", "3", "lgv-check")
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_lattice_scan_fills_the_transfer_counts_to_m12(capsys):
+    code, out, _ = run(capsys, "scan", "--mode", "lattice", "--m", "12..13", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert {r["m"] for r in rows} == {12, 13}
+    for row in rows:
+        if row["m"] == 12:
+            assert row["count_matches_det"] is True
+            assert row["predicted_sign"] * row["n_doubly"] == row["det"]
+        else:
+            assert row["n_doubly"] is None and row["count_matches_det"] is None
+
+
+@pytest.mark.parametrize("action", ["dvd-count", "lgv-check"])
+def test_transfer_sweep_past_its_budget_exits_2_fast(capsys, action):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "30", "20", action)
+    assert time.perf_counter() - started < 10
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"lefpath lattice: error: budget exceeded: over {lattice.STATE_BUDGET} states at (30, 20)"
+    ]
 
 
 def _identity(phi):

@@ -1,8 +1,11 @@
 """Path counting, enumeration, flips, disjoint systems, and the involution."""
 
 import dataclasses
+import time
 
 import pytest
+
+from lefpath import lattice
 
 from lefpath.hilbert import flo, hilbert_m2_closed
 from lefpath.lattice import (
@@ -12,7 +15,6 @@ from lefpath.lattice import (
     check_involution,
     count_doubly_disjoint,
     count_paths,
-    disjoint_system_counts,
     enumerate_paths,
     enumerate_systems,
     flip,
@@ -22,6 +24,7 @@ from lefpath.lattice import (
     path_matrix,
     primitive_segments,
     reflect,
+    transfer_counts,
     vertex_sets,
 )
 
@@ -268,25 +271,57 @@ def test_det_only_mode():
 
 
 def test_pruned_enumeration_equals_filtered_brute_force():
-    # the frozenset oracle on every unpruned system, same systems, same order
+    # the frozenset oracle on every unpruned system, same systems, same order;
+    # the transfer sweep gives the oracle's signed sum and doubly count
     for m, i in all_instances(5):
         everything = list(enumerate_systems(m, i, "all"))
         disjoint = [s for s in everything if s.is_vertex_disjoint()]
         doubly = [s for s in disjoint if s.is_doubly_vertex_disjoint()]
         assert list(enumerate_systems(m, i, "vertex_disjoint")) == disjoint
         assert list(enumerate_systems(m, i, "doubly_vertex_disjoint")) == doubly
-        assert disjoint_system_counts(m, i) == (
-            sum(s.sign for s in disjoint),
-            len(doubly),
-        )
+        assert transfer_counts(m, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
-def test_one_pass_counts_equal_determinant_at_m6():
+def test_transfer_counts_equal_the_enumeration_oracle_at_m6():
+    # past m = 5 the unpruned enumeration is too large; the pruned one,
+    # checked system by system with the frozenset predicates, is the oracle
     for i in range(flo(3 * 5) + 1):
-        det = path_matrix(6, i).det()
-        signed, n_doubly = disjoint_system_counts(6, i)
-        assert signed == det
-        assert (-1) ** flo(hilbert_m2_closed(6, i)) * n_doubly == det
+        disjoint = list(enumerate_systems(6, i, "vertex_disjoint"))
+        assert all(s.is_vertex_disjoint() for s in disjoint)
+        doubly = [s for s in disjoint if s.is_doubly_vertex_disjoint()]
+        assert transfer_counts(6, i) == (sum(s.sign for s in disjoint), len(doubly))
+
+
+def test_transfer_counts_equal_determinant_and_sign_law_to_m12():
+    # every window of m <= 12: the signed sum is det, and (-1)^flo(h_i) N = det
+    for m, i in all_instances(12):
+        det = path_matrix(m, i).det()
+        signed, n_doubly = transfer_counts(m, i)
+        assert signed == det, (m, i)
+        assert (-1) ** flo(hilbert_m2_closed(m, i)) * n_doubly == det, (m, i)
+
+
+def test_transfer_counts_examples():
+    assert transfer_counts(1, 0) == (1, 1)  # one source on its own target
+    assert transfer_counts(5, 3) == (-125, 125)
+    assert transfer_counts(6, 6) == (-2, 2)
+    assert transfer_counts(7, 0) == (9996, 9996)
+    assert transfer_counts(7, 2) == (-124852, 124852)
+    assert transfer_counts(7, 6) == (0, 0)
+    with pytest.raises(ValueError):
+        transfer_counts(5, 7)
+
+
+def test_transfer_sweep_stops_at_its_state_budget(monkeypatch):
+    # m <= 16 fits the budget; a larger window fails fast instead of growing
+    started = time.perf_counter()
+    with pytest.raises(lattice.BudgetExceeded, match="budget exceeded"):
+        transfer_counts(30, 20)
+    assert time.perf_counter() - started < 10
+    monkeypatch.setattr(lattice, "STATE_BUDGET", 34)  # m = 7 peaks at 35
+    with pytest.raises(lattice.BudgetExceeded):
+        transfer_counts(7, 6)
+    assert transfer_counts(6, 4) == (-8, 8)  # peaks at 20
 
 
 def test_check_involution_counts_n_and_cancels():

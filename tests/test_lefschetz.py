@@ -2,6 +2,7 @@
 
 import pytest
 
+from lefpath import lefschetz
 from lefpath.algebra import hankel_moments
 from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import path_matrix
@@ -48,11 +49,27 @@ def test_degree_verdict_range_error():
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_report_verdicts_equal_single_degree_verdicts(m):
-    # degree_verdict is a view of the report, the one reader of the kernel
+    # degree_verdict reads the memoised report, the one reader of the kernel,
+    # and rejects a degree outside [0, flo(d)] rather than index the report
     report = property_report(m)
-    assert report.verdicts == tuple(
-        degree_verdict(m, i) for i in range(flo(report.socle_degree) + 1)
-    )
+    top = flo(report.socle_degree)
+    assert all(degree_verdict(m, i) is report.verdicts[i] for i in range(top + 1))
+    for i in (-1, top + 1):
+        with pytest.raises(ValueError):
+            degree_verdict(m, i)
+
+
+@pytest.mark.parametrize("m", [26, 27])
+def test_a_degree_sweep_builds_one_report(monkeypatch, m):
+    # every degree's crosscheck and verdict read one report: one kernel pass
+    # per basis start, where a report per degree made one per degree and start
+    real, passes = lefschetz.hankel_minors, []
+    monkeypatch.setattr(lefschetz, "hankel_minors", lambda a: passes.append(a) or real(a))
+    for i in range(flo(3 * (m - 1)) + 1):
+        signature_crosscheck(m, i)
+        degree_verdict(m, i)
+    assert lefschetz._property_report.cache_info().misses == 1
+    assert len(passes) == len(property_report(m).moments)
 
 
 def test_report_m4():
