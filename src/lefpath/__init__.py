@@ -34,7 +34,6 @@ from .lattice import (
     PathSystem,
     VertexSets,
     check_dvd_theorem,
-    count_doubly_disjoint,
     count_paths,
     enumerate_paths,
     enumerate_systems,

@@ -319,8 +319,8 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
 def hankel_moments(m: int, i: int) -> list[int]:
     """a_(m-1-s) for the sums s = p + q over basis_range(m, i), ascending:
     a_n = dual_numerator(m, n), and a_n = 0 for n < 0."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     check_degree(m, i)
     sums = range(2 * basis_range(m, i).start, 2 * basis_range(m, i).stop - 1)
     return [dual_numerator(m, m - 1 - s) if s < m else 0 for s in sums]

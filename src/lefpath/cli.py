@@ -210,10 +210,9 @@ def cmd_lattice(args) -> int:
         print(_format_matrix(matrix))
         return 0
     if args.action == "lgv-check":
-        signed = lattice.lgv_signed_sum(m, i)
-        det = lattice.path_matrix(m, i).det()
-        ok = signed == det
-        print(f"signed_sum={signed} det={format_rational(det)} {'OK' if ok else 'MISMATCH'}")
+        verdict = lattice.check_dvd_theorem(m, i, "enumerate")
+        ok = verdict.signed_sum == verdict.det
+        print(f"signed_sum={verdict.signed_sum} det={verdict.det} {'OK' if ok else 'MISMATCH'}")
         return 0 if ok else 1
     if args.action == "dvd-count":
         verdict = lattice.check_dvd_theorem(m, i, "enumerate")
@@ -405,7 +404,7 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
     flags = []
     ok = True
     for i in range(hilbert.flo(3 * (m - 1)) + 1):
-        # degrees on one basis range share the path matrix and its sweep
+        # degrees on one basis range share the window, its det and its sweep
         if i == 0 or hilbert.basis_range(m, i) != hilbert.basis_range(m, i - 1):
             verdict = lattice.check_dvd_theorem(m, i, mode)
         verdict = dataclasses.replace(verdict, i=i)

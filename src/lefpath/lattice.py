@@ -4,7 +4,8 @@ Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
 vertices on the shifted diagonal y = x - (m - 1).  The degree-i weighted
 path matrix reproduces the degree-i pairing matrix of the dual generator
-(up to the factorial scale), and its determinant is recomputed here two
+(up to the factorial scale).  Its determinant, which the verdicts read off
+the Hankel minors of lefschetz.property_report, is recomputed here two
 independent ways: as a signed sum over vertex-disjoint path systems, and
 as a signed count of doubly-vertex-disjoint systems obtained after a
 sign-reversing cancellation.  Both counts come from one transfer sweep over
@@ -19,8 +20,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Literal, Optional
 
+from . import lefschetz
 from .exact import ExactMatrix, binomial
-from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed
+from .hilbert import basis_range, check_degree, flo
 
 Point = tuple[int, int]
 
@@ -417,11 +419,6 @@ def lgv_signed_sum(m: int, i: int) -> int:
     return transfer_counts(m, i)[0]
 
 
-def count_doubly_disjoint(m: int, i: int) -> int:
-    """N(i, m): number of doubly-vertex-disjoint path systems."""
-    return transfer_counts(m, i)[1]
-
-
 # -- the sign-reversing involution ------------------------------------------
 
 
@@ -555,36 +552,36 @@ class DvdVerdict:
 def check_dvd_theorem(
     m: int, i: int, mode: Literal["enumerate", "det_only"] = "enumerate"
 ) -> DvdVerdict:
-    """Compare det(path matrix) against (-1)^flo(h_i) * N(i, m), and record
-    whether (det != 0) matches (2 h_i <= m).
+    """Compare det(path matrix), the report's exact window determinant
+    (lefschetz.degree_verdict, off the Hankel minors), against
+    (-1)^flo(h_i) * N(i, m), and record whether (det != 0) matches
+    (2 h_i <= m).
 
     The nonvanishing rule can genuinely disagree with the determinant (it
     does at (m, i) = (5, 6), where det = -1 yet 2 h_i = 6 > 5); the verdict
     reports the disagreement instead of raising.  Computation shows the
     rule reliable only for i <= m - 1, where the basis index range starts
     at 0; ``in_rule_range`` exposes that region.  The enumerate mode reads
-    N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep.
+    N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep,
+    so it compares the two routes with no elimination and no path matrix.
     """
     if mode not in ("enumerate", "det_only"):
         raise ValueError(f"unknown mode {mode!r}")
-    det = path_matrix(m, i).det()
-    if det.denominator != 1:
-        raise ArithmeticError(f"path matrix determinant {det} is not an integer")
-    det_int = det.numerator
-    h = hilbert_m2_closed(m, i)
+    verdict = lefschetz.degree_verdict(m, i)
+    h, det = verdict.h, verdict.det
     predicted_sign = -1 if flo(h) % 2 else 1
     signed = n_doubly = matches = None
     if mode == "enumerate":
         signed, n_doubly = transfer_counts(m, i)
-        matches = det_int == predicted_sign * n_doubly
+        matches = det == predicted_sign * n_doubly
     return DvdVerdict(
         m=m,
         i=i,
         h=h,
-        det=det_int,
+        det=det,
         predicted_sign=predicted_sign,
         signed_sum=signed,
         n_doubly=n_doubly,
         count_matches_det=matches,
-        nonvanishing_rule_agrees=(det_int != 0) == (2 * h <= m),
+        nonvanishing_rule_agrees=(det != 0) == (2 * h <= m),
     )

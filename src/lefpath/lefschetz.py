@@ -1,9 +1,10 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-property_report is the one reader of the Hankel kernel: each window's sign,
-rank and signature come off the leading minors on its basis start (Bareiss
-only past a zero minor); degree_verdict and signature_crosscheck read the
-report, and its cross-check ties the minors' moments to the path matrix.
+property_report is the one reader of the Hankel kernel: each window's
+determinant, rank and signature come off the leading minors on its basis
+start (Bareiss only past a zero minor); degree_verdict, signature_crosscheck
+and the path route's checks read the report, and its cross-check ties the
+minors' moments to the path matrix.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -53,6 +54,7 @@ class DegreeVerdict:
 
     i: int
     h: int
+    det: int
     det_sign: int
     rank: int
     window_min: int
@@ -99,25 +101,27 @@ def degree_verdict(m: int, i: int) -> DegreeVerdict:
     return property_report(m).verdicts[i]
 
 
-def _verdict(m: int, i: int, hs: list[int], signs: list[int]) -> DegreeVerdict:
-    """From the signs of H_1..H_r != 0 on its basis start: an h x h window,
-    h <= r+1, has rank min(h, r), det sign(H_h) (0 at h = r+1, a zero Schur
-    complement) and signature sum_(k <= rank) sign(H_(k-1) H_k), H_0 = 1
-    (Sylvester-Jacobi); a larger one takes all three from one Bareiss pass."""
-    h, r, window_min = hs[i], len(signs), min(hs[i : len(hs) - i])
+def _verdict(m: int, i: int, hs: list[int], minors: list[int]) -> DegreeVerdict:
+    """From H_1..H_r != 0 on its basis start: an h x h window, h <= r+1, has
+    rank min(h, r), det H_h (0 at h = r+1, a zero Schur complement) and
+    signature sum_(k <= rank) sign(H_(k-1) H_k), H_0 = 1 (Sylvester-Jacobi);
+    a larger one takes all three from one Bareiss pass."""
+    h, r, window_min = hs[i], len(minors), min(hs[i : len(hs) - i])
     if h <= r + 1:
-        det_sign, rank = signs[h - 1] if h <= r else 0, min(h, r)
-        jacobi = [1] + signs[:rank]
+        det, rank = minors[h - 1] if h <= r else 0, min(h, r)
+        jacobi = [_sign(x) for x in [1] + minors[:rank]]
         signature = sum(a * b for a, b in zip(jacobi, jacobi[1:]))
     else:
         window = hankel_window(m, i)
-        det_sign, rank, signature = _sign(window.det()), window.rank(), window.signature()
+        det, rank, signature = window.det().numerator, window.rank(), window.signature()
+    det_sign = _sign(det)
     sl_pass = det_sign != 0
     chrr_expected = complex_hrr_expected_sign(i)
     hrr_expected = hrr_expected_sign(i)
     return DegreeVerdict(
         i=i,
         h=h,
+        det=det,
         det_sign=det_sign,
         rank=rank,
         window_min=window_min,
@@ -156,16 +160,16 @@ def property_report(m: int) -> PropertyReport:
 
 @lru_cache(maxsize=8)
 def _property_report(m: int) -> PropertyReport:
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     d = socle_degree(m, 2)
     top = flo(d)
     ranges = [basis_range(m, i) for i in range(top + 1)]
     largest = {ps.start: i for i, ps in sorted(enumerate(ranges), key=lambda e: len(e[1]))}
     moments = tuple((i, tuple(hankel_moments(m, i))) for i in sorted(largest.values()))
-    signs = {ranges[i].start: [_sign(x) for x in hankel_minors(a)] for i, a in moments}
+    minors = {ranges[i].start: hankel_minors(a) for i, a in moments}
     hs = [hilbert_m2_closed(m, j) for j in range(d + 1)]
-    verdicts = [_verdict(m, i, hs, signs[ps.start]) for i, ps in enumerate(ranges)]
+    verdicts = [_verdict(m, i, hs, minors[ps.start]) for i, ps in enumerate(ranges)]
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)

@@ -76,17 +76,29 @@ def test_lattice_dvd_count(capsys):
 
 
 def test_lattice_lgv_check(capsys):
-    code, out, _ = run(capsys, "lattice", "5", "4", "lgv-check")
-    assert code == 0
-    assert out == "signed_sum=0 det=0 OK\n"
+    # m = 1: A(1, 2) is one-dimensional, one source on its own target
+    for m, i, expected in [
+        ("5", "4", "signed_sum=0 det=0 OK\n"),
+        ("1", "0", "signed_sum=1 det=1 OK\n"),
+    ]:
+        code, out, _ = run(capsys, "lattice", m, i, "lgv-check")
+        assert code == 0
+        assert out == expected, m
 
 
 def test_lattice_dvd_count_flags_rule_mismatch(capsys):
-    code, out, _ = run(capsys, "lattice", "5", "6", "dvd-count")
-    assert code == 0  # flags are findings, not failures
-    lines = out.splitlines()
-    assert lines[0] == "N=1 sign=-1 det=-1 OK (nonvanishing rule mismatch flagged)"
-    assert lines[1].startswith("FLAG: nonvanishing rule disagrees at (m,i)=(5,6)")
+    rule = "the rule (det != 0 <=> 2*h_i <= m) is only reliable for i <= m-1"
+    for m, i, first, h2 in [
+        ("5", "6", "N=1 sign=-1 det=-1", 6),
+        ("1", "0", "N=1 sign=+1 det=1", 2),
+    ]:
+        code, out, _ = run(capsys, "lattice", m, i, "dvd-count")
+        assert code == 0  # flags are findings, not failures
+        assert out == (
+            f"{first} OK (nonvanishing rule mismatch flagged)\n"
+            f"FLAG: nonvanishing rule disagrees at (m,i)=({m},{i}): "
+            f"{first.split()[-1]} but 2*h_i={h2} vs m={m}; {rule}\n"
+        ), m
 
 
 def test_lattice_involution_check(capsys):
@@ -258,10 +270,56 @@ def test_scan_output_file(tmp_path, capsys):
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(lattice, "lgv_signed_sum", lambda m, i: 999)
+    monkeypatch.setattr(lattice, "transfer_counts", lambda m, i: (999, 0))
     code, out, _ = run(capsys, "lattice", "5", "3", "lgv-check")
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("action", ["lgv-check", "dvd-count"])
+def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
+    # the path route checks the sweep against the report's determinant, so
+    # one Hankel moment off by one (a_2 of m = 5, read at degree 3) fails it
+    real = algebra.dual_numerator
+    monkeypatch.setattr(
+        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
+    )
+    code, out, _ = run(capsys, "lattice", "5", "3", action)
+    assert code == 1
+    assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--mode", "lattice", "--m", "2..20", "--format", "json"],
+        ["lattice", "7", "2", "lgv-check"],
+        ["lattice", "7", "2", "dvd-count"],
+    ],
+)
+def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkeypatch, argv):
+    # the determinant comes off the report's Hankel minors; the path matrix
+    # stays an oracle for report, hessian --paths and lattice count, Bareiss
+    # for hessian --det and --rank
+    eliminations, matrices = [], []
+    real_pivots, real_path_matrix = ExactMatrix._pivots, lattice.path_matrix
+
+    def pivots(self):
+        eliminations.append(self.rows)
+        return real_pivots(self)
+
+    def path_matrix(m, i):
+        matrices.append((m, i))
+        return real_path_matrix(m, i)
+
+    monkeypatch.setattr(ExactMatrix, "_pivots", pivots)
+    monkeypatch.setattr(lattice, "path_matrix", path_matrix)
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert eliminations == [] and matrices == []
+    assert run(capsys, "hessian", "5", "3", "--paths", "--det") == (0, "-125\n", "")
+    assert eliminations == [((275, 75), (75, 20))] and matrices == [(5, 3)]  # the spies are live
 
 
 def test_lattice_scan_fills_the_transfer_counts_to_m12(capsys):

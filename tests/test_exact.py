@@ -339,42 +339,60 @@ def test_hankel_minors_match_elimination(moments):
             assert det_cofactor(rows) == det
 
 
-def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
-    # all-ones moments on both basis starts of m = 5: H_1 = 1, H_2 = 0, so
-    # the rank rules stop at size 2 and the size-3 windows (degrees 4 and 6)
-    # go to Bareiss, whose one elimination also gives the signature
-    assert hankel_minors([1] * 5) == [1]
-    fallback = []
+def _fallback_verdict(monkeypatch, moments):
+    """The same moments on both basis starts of m = 5: the degree-4 verdict,
+    and the degrees whose windows went to the Bareiss fallback."""
+    called = []
 
     def spy(m, i):
-        fallback.append((m, i))
+        called.append((m, i))
         return hankel_window(m, i)
 
-    def ones(m, i):
-        return [1] * 5
+    def patched(m, i):
+        return list(moments)
 
-    monkeypatch.setattr(algebra, "hankel_moments", ones)
-    monkeypatch.setattr(lefschetz, "hankel_moments", ones)
+    monkeypatch.setattr(algebra, "hankel_moments", patched)
+    monkeypatch.setattr(lefschetz, "hankel_moments", patched)
     monkeypatch.setattr(lefschetz, "hankel_window", spy)
     assert len(basis_range(5, 4)) == 3
-    v = lefschetz.degree_verdict(5, 4)
+    return lefschetz.degree_verdict(5, 4), called
+
+
+def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
+    # all-ones moments: H_1 = 1, H_2 = 0, so the rank rules stop at size 2
+    # and the size-3 windows (degrees 4 and 6) go to Bareiss, whose one
+    # elimination also gives the signature
+    assert hankel_minors([1] * 5) == [1]
+    v, fallback = _fallback_verdict(monkeypatch, [1] * 5)
     assert fallback == [(5, 4), (5, 6)]
-    assert (v.det_sign, v.rank) == (0, 1)
+    assert (v.det, v.det_sign, v.rank) == (0, 0, 1)
     assert v.signature == 1
 
 
+def test_fallback_keeps_the_exact_determinant(monkeypatch):
+    # H_1 = 0: every window of size 2 or more goes to Bareiss, and twice the
+    # 3 x 3 exchange matrix keeps its integer determinant -8, not only its sign
+    assert hankel_minors([0, 0, 2, 0, 0]) == []
+    v, fallback = _fallback_verdict(monkeypatch, [0, 0, 2, 0, 0])
+    assert fallback == [(5, 2), (5, 3), (5, 4), (5, 5), (5, 6)]
+    assert (v.det, v.det_sign, v.rank, v.signature) == (-8, -1, 3, 1)
+    assert type(v.det) is int
+
+
 def test_report_verdicts_equal_elimination_verdicts():
-    # every degree for m <= 60: the verdict equals the one Bareiss on the
+    # every degree for 1 <= m <= 60: the verdict equals the one Bareiss on the
     # window gives, with every field that depends on det, rank and signature
-    # recomputed
-    for m in range(2, 61):
+    # recomputed; det is the exact integer determinant, not only its sign
+    for m in range(1, 61):
         for v in lefschetz.property_report(m).verdicts:
             if v.i == 0 or basis_range(m, v.i) != basis_range(m, v.i - 1):
                 window = hankel_window(m, v.i)
                 det, rank = window.det(), window.rank()
             sign = (det > 0) - (det < 0)
+            assert type(v.det) is int and det.denominator == 1, (m, v.i)
             expected = dataclasses.replace(
                 v,
+                det=det.numerator,
                 det_sign=sign,
                 rank=rank,
                 signature=window.signature(),

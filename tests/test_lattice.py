@@ -13,7 +13,6 @@ from lefpath.lattice import (
     _flipped_vertices,
     check_dvd_theorem,
     check_involution,
-    count_doubly_disjoint,
     count_paths,
     enumerate_paths,
     enumerate_systems,
@@ -206,9 +205,9 @@ def test_double_reflection_restores_lower_segments():
 
 
 def test_doubly_counts_match_worked_example():
-    assert count_doubly_disjoint(5, 3) == 125
-    assert count_doubly_disjoint(5, 4) == 0
-    assert count_doubly_disjoint(5, 6) == 1
+    assert transfer_counts(5, 3)[1] == 125
+    assert transfer_counts(5, 4)[1] == 0
+    assert transfer_counts(5, 6)[1] == 1
 
 
 def test_unique_doubly_system_at_5_6():

@@ -24,7 +24,7 @@ def test_expected_sign_laws():
 
 def test_degree_verdict_m5_i3():
     v = degree_verdict(5, 3)
-    assert v.det_sign == -1 and v.sl_pass
+    assert v.det == -125 and v.det_sign == -1 and v.sl_pass
     assert v.chrr_expected_sign == -1 and v.chrr_pass
     assert v.h == 2 and v.primitive_dim == 0
 
@@ -90,6 +90,20 @@ def test_report_m5():
     disagreements = [f for f in report.claim_flags if not f.agrees]
     assert len(disagreements) == 1
     assert "m-1" in disagreements[0].claim
+
+
+def test_report_m1():
+    # A(1, 2) is the field: one moment, one 1 x 1 window, det = rank = 1
+    assert hankel_moments(1, 0) == [1]
+    report = property_report(1)
+    assert report.socle_degree == 0 and report.moments == ((0, (1,)),)
+    (v,) = report.verdicts
+    assert (v.i, v.h, v.det, v.det_sign, v.rank, v.signature) == (0, 1, 1, 1, 1, 1)
+    assert report.max_sl_degree == 0 and report.hlp
+    with pytest.raises(ValueError):
+        property_report(0)
+    with pytest.raises(ValueError):
+        hankel_moments(0, 0)
 
 
 def test_report_m2():
