@@ -39,7 +39,6 @@ from .lattice import (
     enumerate_systems,
     flip,
     involution_phi,
-    lgv_signed_sum,
     path_matrix,
     primitive_segments,
     vertex_sets,

@@ -316,20 +316,18 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def hankel_moments(m: int, i: int) -> list[int]:
-    """a_(m-1-s) for the sums s = p + q over basis_range(m, i), ascending:
-    a_n = dual_numerator(m, n), and a_n = 0 for n < 0."""
+def hankel_moments(m: int) -> tuple[int, ...]:
+    """b_s = a_(m-1-s), a_n = dual_numerator(m, n), 0 for s >= m, up to the
+    largest p + q of any basis range: every degree's window reads this one."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    check_degree(m, i)
-    sums = range(2 * basis_range(m, i).start, 2 * basis_range(m, i).stop - 1)
-    return [dual_numerator(m, m - 1 - s) if s < m else 0 for s in sums]
+    stop = basis_range(m, flo(3 * (m - 1))).stop
+    return tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(2 * stop - 1))
 
 
 def hankel_window(m: int, i: int) -> ExactMatrix:
     """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
-    [[a_(m-1-p-q)]] of hankel_moments(m, i), p and q over basis_range(m, i)."""
-    a = hankel_moments(m, i)
-    h = (len(a) + 1) // 2
-    return ExactMatrix([[a[u + v] for v in range(h)] for u in range(h)])
-
+    [[b_(p+q)]] of hankel_moments(m), p and q over basis_range(m, i)."""
+    check_degree(m, i)
+    b, ps = hankel_moments(m), basis_range(m, i)
+    return ExactMatrix([[b[p + q] for q in ps] for p in ps])

@@ -193,10 +193,11 @@ def cmd_hessian(args) -> int:
 def _nonvanishing_flag(verdict) -> Optional[str]:
     if verdict.nonvanishing_rule_agrees:
         return None
+    reach = "i <= m-1" if verdict.m >= 2 else "m >= 2 and i <= m-1"
     return (
         f"FLAG: nonvanishing rule disagrees at (m,i)=({verdict.m},{verdict.i}): "
         f"det={verdict.det} but 2*h_i={2 * verdict.h} vs m={verdict.m}; "
-        f"the rule (det != 0 <=> 2*h_i <= m) is only reliable for i <= m-1"
+        f"the rule (det != 0 <=> 2*h_i <= m) is only reliable for {reach}"
     )
 
 
@@ -210,12 +211,12 @@ def cmd_lattice(args) -> int:
         print(_format_matrix(matrix))
         return 0
     if args.action == "lgv-check":
-        verdict = lattice.check_dvd_theorem(m, i, "enumerate")
+        verdict = lattice.check_dvd_theorem(m, i, "sweep")
         ok = verdict.signed_sum == verdict.det
         print(f"signed_sum={verdict.signed_sum} det={verdict.det} {'OK' if ok else 'MISMATCH'}")
         return 0 if ok else 1
     if args.action == "dvd-count":
-        verdict = lattice.check_dvd_theorem(m, i, "enumerate")
+        verdict = lattice.check_dvd_theorem(m, i, "sweep")
         ok = bool(verdict.count_matches_det)
         flag = _nonvanishing_flag(verdict)
         suffix = " (nonvanishing rule mismatch flagged)" if flag else ""
@@ -319,22 +320,20 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
 
 
 def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
-    """One path matrix per basis start, against the moments the verdicts read:
-    each start's largest window [a[p + q]], whose leading blocks are the path
-    matrices and windows of the other degrees on that start.  For m <= 12,
-    every degree's scaled contraction Hessian is compared with its block."""
-    m, windows = report.m, {}
-    for i, a in report.moments:
-        h = (len(a) + 1) // 2
-        window = tuple(tuple(a[u + v] for v in range(h)) for u in range(h))
-        if lattice.path_matrix(m, i).rows != window:
-            return False
-        windows[hilbert.basis_range(m, i).start] = window
-    for i in range(hilbert.flo(3 * (m - 1)) + 1) if m <= 12 else ():
-        ps = hilbert.basis_range(m, i)
-        block = tuple(row[: len(ps)] for row in windows[ps.start][: len(ps)])
+    """Every entry of every path matrix against the sequence b the verdicts
+    read: each (p, q) in some degree's basis range once, the count of paths
+    from source p to target q against b[p + q].  For m <= 12, every degree's
+    scaled contraction Hessian is compared with its window of b."""
+    m, b = report.m, report.moments
+    ranges = [hilbert.basis_range(m, i) for i in range(hilbert.flo(3 * (m - 1)) + 1)]
+    largest = {ps.start: ps for ps in ranges}.values()  # stops grow with the degree
+    pairs = {(p, q) for ps in largest for p in ps for q in ps}
+    if any(lattice.count_paths((p, p), (2 * m - 2 - q, m - 1 - q)) != b[p + q] for p, q in pairs):
+        return False
+    for i, ps in enumerate(ranges) if m <= 12 else ():
+        window = tuple(tuple(b[p + q] for q in ps) for p in ps)
         scale = math.factorial(3 * m - 3 - 2 * i)
-        if algebra.hessian(m, i, (1, 0)).scaled(scale).rows != block:
+        if algebra.hessian(m, i, (1, 0)).scaled(scale).rows != window:
             return False
     return True
 
@@ -399,7 +398,7 @@ _LATTICE_COLUMNS = [
 
 def _scan_lattice_task(key: tuple[int, int]) -> dict:
     m, _ = key
-    mode = "enumerate" if m <= 12 else "det_only"  # the transfer sweep's reach
+    mode = "sweep" if m <= 12 else "det_only"  # the transfer sweep's reach
     rows = []
     flags = []
     ok = True
@@ -408,7 +407,7 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
         if i == 0 or hilbert.basis_range(m, i) != hilbert.basis_range(m, i - 1):
             verdict = lattice.check_dvd_theorem(m, i, mode)
         verdict = dataclasses.replace(verdict, i=i)
-        if mode == "enumerate":
+        if mode == "sweep":
             ok &= verdict.signed_sum == verdict.det
             ok &= bool(verdict.count_matches_det)
         rows.append([getattr(verdict, column) for column in _LATTICE_COLUMNS])

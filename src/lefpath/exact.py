@@ -3,15 +3,15 @@
 Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Their
 determinant, rank and signature are read off one fraction-free (Bareiss)
 elimination of an integer copy, cleared by the lcm of the denominators and
-memoised.  hankel_minors gives every leading minor of an integer Hankel
-matrix in O(n^2) by the fraction-free Chebyshev recurrence instead.
+memoised.  hankel_wall gives the leading minors of every Hankel window of
+one integer sequence instead, one exact division per number-wall entry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -174,43 +174,33 @@ class ExactMatrix:
         return sum(1 if a * b > 0 else -1 for a, b in zip(minors, minors[1:]))
 
 
-def hankel_minors(moments: Sequence[int]) -> list[int]:
-    """Leading principal minors H_1, H_2, ... of the n x n Hankel matrix
-    [moments[p + q]], n = (len(moments) + 1) // 2, up to the first zero one,
-    in O(n^2).  From tau_(-1,l) = 0 and tau_(0,l) = moments[l], the bordered
-    minors H_(k-1)^2 tau_(k,l) = H_(k-1) H_k tau_(k-1,l+1) - H_k^2 tau_(k-2,l)
-    - (H_(k-1) tau_(k-1,k) - H_k tau_(k-2,k-1)) tau_(k-1,l); H_(k+1) = tau_(k,k)."""
-    width = len(moments)
-    row, older, minors, h_prev = list(moments) + [0], [0] * (width + 1), [], 1
-    for k in range(1, (width + 3) // 2):
-        if not (h := row[k - 1]):
-            break
-        minors.append(h)
-        square, shift, back = h_prev * h_prev, h_prev * h, h * h
-        mixed = h_prev * row[k] - h * older[k - 1]
-        new = [0] * (width + 1)
-        for l in range(k, width - k):
-            new[l], rem = divmod(shift * row[l + 1] - mixed * row[l] - back * older[l], square)
+def hankel_wall(seq: Sequence[int], depths: Mapping[int, int]) -> dict[int, list[int]]:
+    """Leading minors W(n, 1..depths[n]) of [seq[n + p + q]] (zero-padded),
+    through the first zero one, from one number wall: W(n, 0) = 1,
+    W(n, 1) = seq[n], W(n, k+1) W(n+2, k-1) = W(n, k) W(n+2, k) - W(n+1, k)^2
+    (Desnanot-Jacobi).  With seq[L-1] the last nonzero term, W(n, k) = 0 at
+    n + k > L and the anti-triangular (-1)^(k(k-1)/2) seq[L-1]^k at n + k = L.
+    An entry with divisor 0 is unknown (None), as is any computed from one; a
+    list stops before its first unknown minor.  Two rows are kept."""
+    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
+    width = max([size, *depths]) + 3
+    older, row = [1] * width, [seq[n] if n < size else 0 for n in range(width)]
+    minors: dict[int, list[int]] = {n: [] for n in depths}
+    live = {n for n, depth in depths.items() if depth > 0}
+    for k in range(1, max(depths.values(), default=0) + 1):
+        for n in live:
+            if row[n] is not None:
+                minors[n].append(row[n])
+        live = {n for n in live if row[n] not in (None, 0) and k < depths[n]}
+        new: list = [0] * width
+        for n in range(size - k - 1):
+            if not older[n + 2] or None in row[n : n + 3]:
+                new[n] = None
+                continue
+            new[n], rem = divmod(row[n] * row[n + 2] - row[n + 1] ** 2, older[n + 2])
             if rem:
-                raise ArithmeticError("Hankel minor recurrence: inexact division")
-        older, row, h_prev = row, new, h
+                raise ArithmeticError("number wall: inexact division")
+        if size > k:
+            new[size - k - 1] = (-1) ** (k * (k + 1) // 2) * seq[size - 1] ** (k + 1)
+        older, row = row, new
     return minors
-
-
-def det_cofactor(rows: Sequence[Sequence]) -> Fraction:
-    """Independent determinant oracle: recursive cofactor expansion.
-
-    Exponential; only for cross-checking small matrices in tests.
-    """
-    table = [[as_exact(e) for e in row] for row in rows]
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise ValueError("cofactor oracle requires a square matrix")
-    if n == 1:
-        return table[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in table[1:]]
-        term = table[0][j] * det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total

@@ -5,7 +5,7 @@ and East steps.  Row vertices sit on the main diagonal y = x, column
 vertices on the shifted diagonal y = x - (m - 1).  The degree-i weighted
 path matrix reproduces the degree-i pairing matrix of the dual generator
 (up to the factorial scale).  Its determinant, which the verdicts read off
-the Hankel minors of lefschetz.property_report, is recomputed here two
+the number wall of lefschetz.property_report, is recomputed here two
 independent ways: as a signed sum over vertex-disjoint path systems, and
 as a signed count of doubly-vertex-disjoint systems obtained after a
 sign-reversing cancellation.  Both counts come from one transfer sweep over
@@ -414,11 +414,6 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
     return states.get((), (0, 0))
 
 
-def lgv_signed_sum(m: int, i: int) -> int:
-    """Signed count of vertex-disjoint path systems (all path weights 1)."""
-    return transfer_counts(m, i)[0]
-
-
 # -- the sign-reversing involution ------------------------------------------
 
 
@@ -546,32 +541,32 @@ class DvdVerdict:
 
     @property
     def in_rule_range(self) -> bool:
-        return self.i <= self.m - 1
+        return self.m >= 2 and self.i <= self.m - 1
 
 
 def check_dvd_theorem(
-    m: int, i: int, mode: Literal["enumerate", "det_only"] = "enumerate"
+    m: int, i: int, mode: Literal["sweep", "det_only"] = "sweep"
 ) -> DvdVerdict:
     """Compare det(path matrix), the report's exact window determinant
-    (lefschetz.degree_verdict, off the Hankel minors), against
+    (lefschetz.degree_verdict, off the number wall), against
     (-1)^flo(h_i) * N(i, m), and record whether (det != 0) matches
     (2 h_i <= m).
 
     The nonvanishing rule can genuinely disagree with the determinant (it
     does at (m, i) = (5, 6), where det = -1 yet 2 h_i = 6 > 5); the verdict
     reports the disagreement instead of raising.  Computation shows the
-    rule reliable only for i <= m - 1, where the basis index range starts
-    at 0; ``in_rule_range`` exposes that region.  The enumerate mode reads
+    rule reliable only for m >= 2 and i <= m - 1, where the basis range
+    starts at 0; ``in_rule_range`` exposes that region.  The sweep mode reads
     N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep,
     so it compares the two routes with no elimination and no path matrix.
     """
-    if mode not in ("enumerate", "det_only"):
+    if mode not in ("sweep", "det_only"):
         raise ValueError(f"unknown mode {mode!r}")
     verdict = lefschetz.degree_verdict(m, i)
     h, det = verdict.h, verdict.det
     predicted_sign = -1 if flo(h) % 2 else 1
     signed = n_doubly = matches = None
-    if mode == "enumerate":
+    if mode == "sweep":
         signed, n_doubly = transfer_counts(m, i)
         matches = det == predicted_sign * n_doubly
     return DvdVerdict(

@@ -1,10 +1,10 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-property_report is the one reader of the Hankel kernel: each window's
-determinant, rank and signature come off the leading minors on its basis
-start (Bareiss only past a zero minor); degree_verdict, signature_crosscheck
-and the path route's checks read the report, and its cross-check ties the
-minors' moments to the path matrix.
+property_report is the one reader of the Hankel kernel: each window is
+[b_(p+q)] over one sequence b, one number wall over b gives the leading
+minors on every basis start, and each window's determinant, rank and
+signature come off them (Bareiss only where the wall cannot settle it);
+degree_verdict, signature_crosscheck and the path route read the report.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .algebra import hankel_moments, hankel_window
-from .exact import hankel_minors
+from .exact import hankel_wall
 from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed, socle_degree
 
 
@@ -80,9 +80,7 @@ class ClaimFlag:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Verdicts for A(m, 2), with the Hankel moments the kernel read: one
-    (degree, moments) pair per basis start, at that start's largest window,
-    whose leading blocks are the windows of every other degree on it."""
+    """Verdicts for A(m, 2), and the one Hankel sequence b their windows read."""
 
     m: int
     socle_degree: int
@@ -91,7 +89,7 @@ class PropertyReport:
     hlp: bool
     max_chrr_degree: int
     claim_flags: tuple[ClaimFlag, ...] = field(default_factory=tuple)
-    moments: tuple[tuple[int, tuple[int, ...]], ...] = field(default_factory=tuple)
+    moments: tuple[int, ...] = field(default_factory=tuple)
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
@@ -102,13 +100,14 @@ def degree_verdict(m: int, i: int) -> DegreeVerdict:
 
 
 def _verdict(m: int, i: int, hs: list[int], minors: list[int]) -> DegreeVerdict:
-    """From H_1..H_r != 0 on its basis start: an h x h window, h <= r+1, has
-    rank min(h, r), det H_h (0 at h = r+1, a zero Schur complement) and
-    signature sum_(k <= rank) sign(H_(k-1) H_k), H_0 = 1 (Sylvester-Jacobi);
-    a larger one takes all three from one Bareiss pass."""
-    h, r, window_min = hs[i], len(minors), min(hs[i : len(hs) - i])
-    if h <= r + 1:
-        det, rank = minors[h - 1] if h <= r else 0, min(h, r)
+    """From H_1, H_2, ... on its basis start, nonzero but maybe the last: an
+    h x h window, h <= len(minors), has det H_h, rank h (h-1 at H_h = 0, a
+    zero Schur complement) and signature sum_(k <= rank) sign(H_(k-1) H_k),
+    H_0 = 1 (Sylvester-Jacobi); a larger one takes all three from Bareiss."""
+    h, window_min = hs[i], min(hs[i : len(hs) - i])
+    if h <= len(minors):
+        det = minors[h - 1]
+        rank = h if det else h - 1
         jacobi = [_sign(x) for x in [1] + minors[:rank]]
         signature = sum(a * b for a, b in zip(jacobi, jacobi[1:]))
     else:
@@ -165,11 +164,11 @@ def _property_report(m: int) -> PropertyReport:
     d = socle_degree(m, 2)
     top = flo(d)
     ranges = [basis_range(m, i) for i in range(top + 1)]
-    largest = {ps.start: i for i, ps in sorted(enumerate(ranges), key=lambda e: len(e[1]))}
-    moments = tuple((i, tuple(hankel_moments(m, i))) for i in sorted(largest.values()))
-    minors = {ranges[i].start: hankel_minors(a) for i, a in moments}
+    b = hankel_moments(m)
+    # the last range on each start is its largest: stops grow with the degree
+    minors = hankel_wall(b, {2 * ps.start: len(ps) for ps in ranges})
     hs = [hilbert_m2_closed(m, j) for j in range(d + 1)]
-    verdicts = [_verdict(m, i, hs, minors[ps.start]) for i, ps in enumerate(ranges)]
+    verdicts = [_verdict(m, i, hs, minors[2 * ps.start]) for i, ps in enumerate(ranges)]
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)
@@ -217,7 +216,7 @@ def _property_report(m: int) -> PropertyReport:
         hlp=hlp,
         max_chrr_degree=max_chrr,
         claim_flags=tuple(flags),
-        moments=moments,
+        moments=b,
     )
 
 

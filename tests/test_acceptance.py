@@ -28,8 +28,8 @@ from lefpath.lattice import (
     check_dvd_theorem,
     enumerate_systems,
     involution_phi,
-    lgv_signed_sum,
     path_matrix,
+    transfer_counts,
 )
 from lefpath.lefschetz import complex_hrr_expected_sign, property_report
 from lefpath.partitions import (
@@ -88,18 +88,18 @@ def test_criterion_05_lgv_oracle():
     ok = True
     for m in range(2, 6):
         for i in range(flo(3 * (m - 1)) + 1):
-            ok &= lgv_signed_sum(m, i) == path_matrix(m, i).det()
+            ok &= transfer_counts(m, i)[0] == path_matrix(m, i).det()
     _verdict(5, "signed vertex-disjoint sum = determinant for m <= 5", ok)
 
 
 def test_criterion_06_doubly_disjoint_theorem():
-    v53 = check_dvd_theorem(5, 3, "enumerate")
-    v54 = check_dvd_theorem(5, 4, "enumerate")
+    v53 = check_dvd_theorem(5, 3, "sweep")
+    v54 = check_dvd_theorem(5, 4, "sweep")
     ok = (v53.n_doubly, v53.predicted_sign) == (125, -1) and v53.count_matches_det
     ok &= v54.n_doubly == 0 and v54.det == 0
     for m in range(2, 6):
         for i in range(flo(3 * (m - 1)) + 1):
-            ok &= check_dvd_theorem(m, i, "enumerate").count_matches_det
+            ok &= check_dvd_theorem(m, i, "sweep").count_matches_det
     for m, i in [(4, 2), (5, 4)]:
         n_set = {
             s

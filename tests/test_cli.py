@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from lefpath import algebra, cli, hilbert, lattice, lefschetz
+from lefpath import algebra, cli, hilbert, lattice
 from lefpath.exact import ExactMatrix
 
 
@@ -87,18 +87,21 @@ def test_lattice_lgv_check(capsys):
 
 
 def test_lattice_dvd_count_flags_rule_mismatch(capsys):
-    rule = "the rule (det != 0 <=> 2*h_i <= m) is only reliable for i <= m-1"
-    for m, i, first, h2 in [
-        ("5", "6", "N=1 sign=-1 det=-1", 6),
-        ("1", "0", "N=1 sign=+1 det=1", 2),
+    # the rule's range is m >= 2 and i <= m-1; at m = 1 the flag names both
+    # bounds, since (1, 0) has i <= m-1 but lies outside it
+    rule = "the rule (det != 0 <=> 2*h_i <= m) is only reliable for"
+    for m, i, first, h2, reach in [
+        ("5", "6", "N=1 sign=-1 det=-1", 6, "i <= m-1"),
+        ("1", "0", "N=1 sign=+1 det=1", 2, "m >= 2 and i <= m-1"),
     ]:
         code, out, _ = run(capsys, "lattice", m, i, "dvd-count")
         assert code == 0  # flags are findings, not failures
         assert out == (
             f"{first} OK (nonvanishing rule mismatch flagged)\n"
             f"FLAG: nonvanishing rule disagrees at (m,i)=({m},{i}): "
-            f"{first.split()[-1]} but 2*h_i={h2} vs m={m}; {rule}\n"
+            f"{first.split()[-1]} but 2*h_i={h2} vs m={m}; {rule} {reach}\n"
         ), m
+    assert not lattice.check_dvd_theorem(1, 0).in_rule_range
 
 
 def test_lattice_involution_check(capsys):
@@ -245,7 +248,7 @@ def test_lattice_scan_rows_equal_single_degree_verdicts(capsys):
         (m, i) for m in range(2, 6) for i in range(3 * (m - 1) // 2 + 1)
     ]
     for row in rows:
-        v = lattice.check_dvd_theorem(row["m"], row["i"], "enumerate")
+        v = lattice.check_dvd_theorem(row["m"], row["i"], "sweep")
         assert row == {
             "m": v.m,
             "i": v.i,
@@ -456,14 +459,12 @@ def test_bad_jobs_env_fails_only_scan(capsys, monkeypatch, value):
 
 
 def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
-    real = lattice.path_matrix
+    real = lattice.count_paths
 
-    def tampered(m, i):
-        rows = [list(row) for row in real(m, i).rows]
-        rows[0][0] += 1
-        return ExactMatrix(rows)
+    def tampered(source, target):
+        return real(source, target) + (source == (0, 0) and target == (8, 4))
 
-    monkeypatch.setattr(lattice, "path_matrix", tampered)
+    monkeypatch.setattr(lattice, "count_paths", tampered)
     code, out, _ = run(capsys, "report", "5")
     assert code == 1
     assert "MISMATCH: pairing matrix != path matrix" in out
@@ -523,41 +524,39 @@ def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("m", [5, 13])
 def test_crosscheck_reads_every_basis_start(capsys, monkeypatch, m):
-    # a path matrix off by one at any single basis start fails the report
-    real = lattice.path_matrix
+    # a path count off by one at the corner (p, q) = (start, start) of any
+    # single basis start's windows fails the report
+    real = lattice.count_paths
     starts = sorted({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)})
     for start in starts:
+        corner = ((start, start), (2 * m - 2 - start, m - 1 - start))
 
-        def tampered(mm, i, start=start):
-            matrix = real(mm, i)
-            if hilbert.basis_range(mm, i).start != start:
-                return matrix
-            rows = [list(row) for row in matrix.rows]
-            rows[-1][-1] += 1
-            return ExactMatrix(rows)
+        def tampered(source, target, corner=corner):
+            return real(source, target) + ((source, target) == corner)
 
-        monkeypatch.setattr(lattice, "path_matrix", tampered)
+        monkeypatch.setattr(lattice, "count_paths", tampered)
         code, out, _ = run(capsys, "report", str(m))
         assert code == 1, start
         assert "MISMATCH: pairing matrix != path matrix" in out
 
 
-@pytest.mark.parametrize("m, starts", [(55, 15), (56, 15)])
-def test_crosscheck_builds_one_path_matrix_per_basis_start(capsys, monkeypatch, m, starts):
-    # 82 and 83 path matrices, one per degree, before the per-start check
-    report = lefschetz.property_report(m)
-    monkeypatch.setattr(lefschetz, "property_report", lambda mm: report)
-    real, calls = lattice.path_matrix, []
+@pytest.mark.parametrize("m, pairs", [(55, 1499), (56, 1554)])
+def test_crosscheck_counts_each_window_pair_once(capsys, monkeypatch, m, pairs):
+    # one path count per distinct (p, q) of some degree's window and no path
+    # matrix, where one path matrix per basis start counted 11,705 and 11,760
+    real, calls, matrices = lattice.count_paths, [], []
 
-    def counted(mm, i):
-        calls.append(i)
-        return real(mm, i)
+    def counted(source, target):
+        calls.append((source[0], m - 1 - target[1]))
+        return real(source, target)
 
-    monkeypatch.setattr(lattice, "path_matrix", counted)
+    monkeypatch.setattr(lattice, "count_paths", counted)
+    monkeypatch.setattr(lattice, "path_matrix", lambda mm, i: matrices.append(i))
     code, _, _ = run(capsys, "report", str(m))
-    assert code == 0
-    assert len({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)}) == starts
-    assert calls == [i for i, _ in report.moments] and len(calls) == starts
+    assert code == 0 and matrices == []
+    windows = [hilbert.basis_range(m, i) for i in range(3 * (m - 1) // 2 + 1)]
+    expected = {(p, q) for ps in windows for p in ps for q in ps}
+    assert sorted(calls) == sorted(expected) and len(calls) == pairs
 
 
 def test_json_output_is_streamed_in_blocks(capsys, tmp_path):

@@ -1,9 +1,9 @@
-"""Exact kernel: binomials, determinant, rank, signature, Hankel minors.
+"""Exact kernel: binomials, determinant, rank, signature, the number wall.
 
 Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
 polynomial (sizes <= 3, where all symmetric matrices have real spectra).
-The Hankel minor recurrence and the verdicts read from it are checked
+The number wall's Hankel minors and the verdicts read from them are checked
 against Bareiss elimination.
 """
 
@@ -13,12 +13,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import det_cofactor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefpath import algebra, lefschetz
 from lefpath.algebra import hankel_window, hessian
-from lefpath.exact import ExactMatrix, binomial, det_cofactor, hankel_minors
+from lefpath.exact import ExactMatrix, binomial, hankel_wall
 from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import path_matrix
 
@@ -290,93 +291,169 @@ def test_hankel_window_equals_path_matrix():
             assert hankel_window(m, i) == path_matrix(m, i), (m, i)
 
 
-# -- Hankel minors ------------------------------------------------------------
+# -- number wall ---------------------------------------------------------------
 
 
 @st.composite
-def _hankel_moments(draw):
-    """Random entries, some forced to zero, or a sum of fewer than n geometric
-    sequences, whose n x n Hankel matrix has rank below n; the length is
-    2n - 1, or 2n with a last moment that the n x n matrix does not read."""
-    size = draw(st.integers(0, 14))
+def _wall_cases(draw):
+    """A sequence and a few (offset, depth) pairs.  The sequence has random
+    entries, small or some forced to zero, which put zero divisors inside
+    the wall, or is a sum of a few geometric sequences, whose Hankel
+    matrices have low rank.  An offset two below a forced zero divides by it
+    from W(n, 3) on."""
+    size, zeros = draw(st.integers(0, 14)), []
     if draw(st.booleans()):
-        moments = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
-        for t in draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=size)):
-            moments[t] = 0
-        return moments
-    n = (size + 1) // 2
-    terms = draw(
-        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=max(n - 1, 0))
-    )
-    return [sum(c * x**t for c, x in terms) for t in range(size)]
+        bound = draw(st.sampled_from([1, 9]))
+        seq = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+        places = st.integers(0, max(size - 1, 0))
+        zeros = draw(st.lists(places, min_size=min(size, 1), max_size=min(size, 3)))
+        for t in zeros:
+            seq[t] = 0
+    else:
+        terms = draw(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=max(size // 2, 0))
+        )
+        seq = [sum(c * x**t for c, x in terms) for t in range(size)]
+    offsets = draw(st.lists(st.integers(0, size + 1), unique=True, min_size=1, max_size=3))
+    return seq, {n: draw(st.integers(1, 7)) for n in offsets + [t - 2 for t in zeros if t >= 2]}
+
+
+def _hankel_block(seq, n, h):
+    return [[seq[n + p + q] if n + p + q < len(seq) else 0 for q in range(h)] for p in range(h)]
 
 
 @settings(max_examples=300)
-@given(_hankel_moments())
-def test_hankel_minors_match_elimination(moments):
-    # minors up to the first zero; at size h <= r the rank is h, at r+1 it is
-    # r, and through r+1 Sylvester-Jacobi on the first min(h, r) minors gives
-    # the signature
-    minors = hankel_minors(moments)
-    r = len(minors)
-    assert r <= (len(moments) + 1) // 2
-    for h in range(1, (len(moments) + 1) // 2 + 1):
-        rows = [[moments[p + q] for q in range(h)] for p in range(h)]
-        block = ExactMatrix(rows)
-        det = block.det()
-        if h <= r:
-            assert det == minors[h - 1] != 0
-            assert block.rank() == h
-        elif h == r + 1:
-            assert det == 0
-            assert block.rank() == r
-        if h <= r + 1:
-            jacobi = [1] + minors[: min(h, r)]
+@given(_wall_cases())
+def test_hankel_minors_match_elimination(case):
+    # each list holds true minors, nonzero but perhaps the last; at size
+    # h <= len the rank is h (h-1 at a zero minor), and Sylvester-Jacobi on
+    # the nonzero minors gives the signature
+    seq, depths = case
+    minors = hankel_wall(seq, depths)
+    assert set(minors) == set(depths)
+    for n, found in minors.items():
+        assert len(found) <= depths[n] and None not in found and 0 not in found[:-1]
+        for h in range(1, len(found) + 1):
+            rows = _hankel_block(seq, n, h)
+            block = ExactMatrix(rows)
+            assert block.det() == found[h - 1], (n, h)
+            rank = h if found[h - 1] else h - 1
+            assert block.rank() == rank
+            jacobi = [1] + found[:rank]
             assert block.signature() == sum(
                 1 if a * b > 0 else -1 for a, b in zip(jacobi, jacobi[1:])
             )
-        if h <= 5:
-            assert det_cofactor(rows) == det
+            if h <= 5:
+                assert det_cofactor(rows) == found[h - 1]
 
 
-def _fallback_verdict(monkeypatch, moments):
-    """The same moments on both basis starts of m = 5: the degree-4 verdict,
-    and the degrees whose windows went to the Bareiss fallback."""
+@settings(max_examples=300)
+@given(_wall_cases())
+def test_wall_stops_early_only_behind_a_zero_divisor(case):
+    # a list short of its depth with no zero at its end stops before a minor
+    # the wall could not compute: one whose recurrence divides, at some
+    # level, by a zero minor W(n', j), n' >= n+2, inside the computed region
+    seq, depths = case
+    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
+    for n, found in hankel_wall(seq, depths).items():
+        r = len(found)
+        if r == depths[n] or found[-1:] == [0]:
+            continue
+        divisors = [
+            ExactMatrix(_hankel_block(seq, m, j)).det()
+            for j in range(1, r)
+            for m in range(n + 2, n + 2 * (r + 1 - j) + 1)
+            if m + j < size
+        ]
+        assert 0 in divisors, (n, found)
+
+
+def test_wall_examples():
+    # the structural tail: past seq's trailing zeros W(0, 2) = -2^2 and
+    # W(0, 3) = 0, with no division at all
+    assert hankel_wall([1, 2, 0, 0, 0], {0: 3}) == {0: [1, -4, 0]}
+    # W(0, 3) divides by W(2, 1) = 0: offset 0 stops before it, and offset 2
+    # at its zero W(2, 1); the true W(0, 3) is -2
+    assert hankel_wall([1, 1, 0, 1, 1], {0: 3, 2: 3}) == {0: [1, -1], 2: [0]}
+    assert ExactMatrix(_hankel_block([1, 1, 0, 1, 1], 0, 3)).det() == -2
+    # twice the exchange matrix, one entry past the other lists' first zeros
+    assert hankel_wall([0, 0, 2, 0, 0], {0: 3, 1: 2, 2: 3}) == {0: [0], 1: [0], 2: [2, 0]}
+    assert hankel_wall([], {0: 2, 3: 1}) == {0: [0], 3: [0]}
+
+
+def _fallback_report(monkeypatch, moments):
+    """The report of m = 5 over a patched sequence b, padded with zeros to the
+    7 terms its windows read (offsets 0 and 2 are its two basis starts), and
+    the degrees whose windows went to Bareiss."""
     called = []
 
     def spy(m, i):
         called.append((m, i))
         return hankel_window(m, i)
 
-    def patched(m, i):
-        return list(moments)
+    def patched(m):
+        return tuple(moments) + (0,) * (7 - len(moments))
 
     monkeypatch.setattr(algebra, "hankel_moments", patched)
     monkeypatch.setattr(lefschetz, "hankel_moments", patched)
     monkeypatch.setattr(lefschetz, "hankel_window", spy)
     assert len(basis_range(5, 4)) == 3
-    return lefschetz.degree_verdict(5, 4), called
+    return lefschetz.property_report(5), called
 
 
 def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
-    # all-ones moments: H_1 = 1, H_2 = 0, so the rank rules stop at size 2
-    # and the size-3 windows (degrees 4 and 6) go to Bareiss, whose one
-    # elimination also gives the signature
-    assert hankel_minors([1] * 5) == [1]
-    v, fallback = _fallback_verdict(monkeypatch, [1] * 5)
+    # all-ones sequence: H_1 = 1, H_2 = 0 on both starts, so the rank rules
+    # stop at size 2 and the size-3 windows (degrees 4 and 6) go to Bareiss,
+    # whose one elimination also gives the signature
+    assert hankel_wall([1] * 5, {0: 3, 2: 3}) == {0: [1, 0], 2: [1, 0]}
+    report, fallback = _fallback_report(monkeypatch, [1] * 5)
+    v = report.verdicts[4]
     assert fallback == [(5, 4), (5, 6)]
     assert (v.det, v.det_sign, v.rank) == (0, 0, 1)
     assert v.signature == 1
 
 
 def test_fallback_keeps_the_exact_determinant(monkeypatch):
-    # H_1 = 0: every window of size 2 or more goes to Bareiss, and twice the
-    # 3 x 3 exchange matrix keeps its integer determinant -8, not only its sign
-    assert hankel_minors([0, 0, 2, 0, 0]) == []
-    v, fallback = _fallback_verdict(monkeypatch, [0, 0, 2, 0, 0])
-    assert fallback == [(5, 2), (5, 3), (5, 4), (5, 5), (5, 6)]
+    # H_1 = 0 on start 0: its windows of size 2 or more go to Bareiss, and
+    # twice the 3 x 3 exchange matrix keeps its integer determinant -8, not
+    # only its sign; start 1 reads [[2, 0], [0, 0]] at degree 5, settled by
+    # H_1 = 2, H_2 = 0, and its size-3 window at degree 6 goes to Bareiss
+    report, fallback = _fallback_report(monkeypatch, [0, 0, 2, 0, 0])
+    v = report.verdicts[4]
+    assert fallback == [(5, 2), (5, 3), (5, 4), (5, 6)]
     assert (v.det, v.det_sign, v.rank, v.signature) == (-8, -1, 3, 1)
     assert type(v.det) is int
+
+
+def test_zero_divisor_sends_the_start_to_elimination(monkeypatch):
+    # b = (1, 1, 0, 1, 1): W(0, 3) divides by W(2, 1) = 0, so the degree-4
+    # window (size 3 on start 0) goes to Bareiss, as does every window of
+    # size 2 or more on start 1, where H_1 = 0; every verdict equals
+    # elimination's, the degree-4 determinant -2 among them
+    report, fallback = _fallback_report(monkeypatch, [1, 1, 0, 1, 1])
+    assert fallback == [(5, 4), (5, 5), (5, 6)]
+    assert report.verdicts[4].det == -2
+    for v in report.verdicts:
+        assert v == _elimination_verdict(v, hankel_window(5, v.i)), v.i
+
+
+def _elimination_verdict(v, window):
+    """v with every field that depends on det, rank and signature recomputed
+    by one Bareiss elimination of its window."""
+    det, rank = window.det(), window.rank()
+    sign = (det > 0) - (det < 0)
+    assert type(v.det) is int and det.denominator == 1, v.i
+    return dataclasses.replace(
+        v,
+        det=det.numerator,
+        det_sign=sign,
+        rank=rank,
+        signature=window.signature(),
+        sl_pass=det != 0,
+        hlp_pass=rank == v.window_min,
+        chrr_pass=det != 0 and sign == v.chrr_expected_sign,
+        hrr_pass=det != 0 and sign == v.hrr_expected_sign,
+    )
 
 
 def test_report_verdicts_equal_elimination_verdicts():
@@ -387,18 +464,4 @@ def test_report_verdicts_equal_elimination_verdicts():
         for v in lefschetz.property_report(m).verdicts:
             if v.i == 0 or basis_range(m, v.i) != basis_range(m, v.i - 1):
                 window = hankel_window(m, v.i)
-                det, rank = window.det(), window.rank()
-            sign = (det > 0) - (det < 0)
-            assert type(v.det) is int and det.denominator == 1, (m, v.i)
-            expected = dataclasses.replace(
-                v,
-                det=det.numerator,
-                det_sign=sign,
-                rank=rank,
-                signature=window.signature(),
-                sl_pass=det != 0,
-                hlp_pass=rank == v.window_min,
-                chrr_pass=det != 0 and sign == v.chrr_expected_sign,
-                hrr_pass=det != 0 and sign == v.hrr_expected_sign,
-            )
-            assert v == expected, (m, v.i)
+            assert v == _elimination_verdict(v, window), (m, v.i)

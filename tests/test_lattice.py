@@ -19,7 +19,6 @@ from lefpath.lattice import (
     flip,
     involution_phi,
     is_upper,
-    lgv_signed_sum,
     path_matrix,
     primitive_segments,
     reflect,
@@ -220,15 +219,15 @@ def test_unique_doubly_system_at_5_6():
 
 
 def test_lgv_examples():
-    assert lgv_signed_sum(5, 3) == -125
-    assert lgv_signed_sum(5, 4) == 0
-    assert lgv_signed_sum(2, 0) == 2
+    assert transfer_counts(5, 3)[0] == -125
+    assert transfer_counts(5, 4)[0] == 0
+    assert transfer_counts(2, 0)[0] == 2
 
 
 def test_lgv_matches_determinant_exhaustively():
     for m, i in all_instances(5):
         det = path_matrix(m, i).det()
-        assert lgv_signed_sum(m, i) == det
+        assert transfer_counts(m, i)[0] == det
 
 
 def test_doubly_systems_reverse_order():
@@ -243,7 +242,7 @@ def test_doubly_systems_reverse_order():
 
 def test_dvd_theorem_exhaustively():
     for m, i in all_instances(5):
-        verdict = check_dvd_theorem(m, i, "enumerate")
+        verdict = check_dvd_theorem(m, i, "sweep")
         assert verdict.count_matches_det
         assert verdict.det == verdict.predicted_sign * verdict.n_doubly or (
             verdict.det == 0 and verdict.n_doubly == 0
@@ -251,16 +250,20 @@ def test_dvd_theorem_exhaustively():
 
 
 def test_dvd_verdict_fields():
-    v = check_dvd_theorem(5, 3, "enumerate")
+    v = check_dvd_theorem(5, 3, "sweep")
     assert (v.det, v.predicted_sign, v.n_doubly) == (-125, -1, 125)
     assert v.count_matches_det and v.nonvanishing_rule_agrees
-    v = check_dvd_theorem(5, 4, "enumerate")
+    v = check_dvd_theorem(5, 4, "sweep")
     assert (v.det, v.n_doubly) == (0, 0)
     assert v.nonvanishing_rule_agrees
-    v = check_dvd_theorem(5, 6, "enumerate")
+    v = check_dvd_theorem(5, 6, "sweep")
     assert (v.det, v.n_doubly, v.count_matches_det) == (-1, 1, True)
     assert not v.nonvanishing_rule_agrees  # det != 0 yet 2*h = 6 > 5
     assert not v.in_rule_range
+    # the rule's range starts at m = 2: at (1, 0), det = 1 yet 2*h = 2 > 1
+    v = check_dvd_theorem(1, 0, "sweep")
+    assert not v.nonvanishing_rule_agrees and not v.in_rule_range
+    assert check_dvd_theorem(2, 1, "sweep").in_rule_range
 
 
 def test_det_only_mode():

@@ -3,9 +3,8 @@
 import pytest
 
 from lefpath import lefschetz
-from lefpath.algebra import hankel_moments
-from lefpath.hilbert import basis_range, flo
-from lefpath.lattice import path_matrix
+from lefpath.algebra import dual_numerator, hankel_moments
+from lefpath.hilbert import flo
 from lefpath.lefschetz import (
     complex_hrr_expected_sign,
     degree_verdict,
@@ -61,15 +60,21 @@ def test_report_verdicts_equal_single_degree_verdicts(m):
 
 @pytest.mark.parametrize("m", [26, 27])
 def test_a_degree_sweep_builds_one_report(monkeypatch, m):
-    # every degree's crosscheck and verdict read one report: one kernel pass
-    # per basis start, where a report per degree made one per degree and start
-    real, passes = lefschetz.hankel_minors, []
-    monkeypatch.setattr(lefschetz, "hankel_minors", lambda a: passes.append(a) or real(a))
+    # every degree's crosscheck and verdict read one report, and the report
+    # runs one number wall over its one sequence, where a report per degree
+    # ran one kernel pass per degree and basis start
+    real, walls = lefschetz.hankel_wall, []
+
+    def counted(seq, depths):
+        walls.append(seq)
+        return real(seq, depths)
+
+    monkeypatch.setattr(lefschetz, "hankel_wall", counted)
     for i in range(flo(3 * (m - 1)) + 1):
         signature_crosscheck(m, i)
         degree_verdict(m, i)
     assert lefschetz._property_report.cache_info().misses == 1
-    assert len(passes) == len(property_report(m).moments)
+    assert walls == [property_report(m).moments]
 
 
 def test_report_m4():
@@ -94,16 +99,16 @@ def test_report_m5():
 
 def test_report_m1():
     # A(1, 2) is the field: one moment, one 1 x 1 window, det = rank = 1
-    assert hankel_moments(1, 0) == [1]
+    assert hankel_moments(1) == (1,)
     report = property_report(1)
-    assert report.socle_degree == 0 and report.moments == ((0, (1,)),)
+    assert report.socle_degree == 0 and report.moments == (1,)
     (v,) = report.verdicts
     assert (v.i, v.h, v.det, v.det_sign, v.rank, v.signature) == (0, 1, 1, 1, 1, 1)
     assert report.max_sl_degree == 0 and report.hlp
     with pytest.raises(ValueError):
         property_report(0)
     with pytest.raises(ValueError):
-        hankel_moments(0, 0)
+        hankel_moments(0)
 
 
 def test_report_m2():
@@ -204,33 +209,12 @@ def test_primitive_dims_at_most_one_under_strong_lefschetz():
                 assert v.primitive_dim in (0, 1)
 
 
-def _starts(m):
-    """{basis start: degrees on it} over the lower half of A(m, 2)."""
-    starts = {}
-    for i in range(flo(3 * (m - 1)) + 1):
-        starts.setdefault(basis_range(m, i).start, []).append(i)
-    return starts
-
-
-def test_report_moments_are_one_largest_window_per_start():
-    for m in range(2, 41):
+def test_report_moments_are_the_one_sequence():
+    # b_s = a_(m-1-s), 0 for s >= m, through 2 flo(flo(3(m-1))), the largest
+    # p + q of any degree's window: the windows of every degree read this tuple
+    for m in range(1, 41):
         report = property_report(m)
-        moments, starts = report.moments, _starts(m)
-        degrees = [i for i, _ in moments]
-        assert sorted(basis_range(m, i).start for i in degrees) == sorted(starts), m
-        for i, a in moments:
-            on_start = starts[basis_range(m, i).start]
-            assert len(basis_range(m, i)) == max(len(basis_range(m, j)) for j in on_start)
-            assert a == tuple(hankel_moments(m, i)), (m, i)
+        b = report.moments
+        assert b == hankel_moments(m) and len(b) == 2 * flo(flo(3 * (m - 1))) + 1, m
+        assert b == tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(len(b)))
         hash(report)  # the frozen report stays hashable
-
-
-def test_each_path_matrix_is_a_leading_block_of_its_starts_largest():
-    # what lets the report cross-check read one path matrix per basis start
-    for m in range(2, 41):
-        largest = {basis_range(m, i).start: path_matrix(m, i).rows
-                   for i, _ in property_report(m).moments}
-        for i in range(flo(3 * (m - 1)) + 1):
-            ps = basis_range(m, i)
-            block = tuple(row[: len(ps)] for row in largest[ps.start][: len(ps)])
-            assert path_matrix(m, i).rows == block, (m, i)
