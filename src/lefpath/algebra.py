@@ -294,8 +294,9 @@ def verify_power_sum(m: int) -> bool:
 def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     """Degree-i pairing matrix of the dual generator, entries evaluated at a point.
 
-    Entry (p, q) is (e1^(2i-2p-2q) e2^(p+q) o F_m) evaluated at
-    (E1, E2) = eval_point, over the degree-i monomial basis.  The Lefschetz
+    Entry (p, q) is (e1^(2i-2s) e2^s o F_m), s = p + q, evaluated at
+    (E1, E2) = eval_point, over the degree-i monomial basis: one contraction
+    per anti-diagonal s, shared by its entries.  The Lefschetz
     evaluation point is (c1, 0): the degree-1 component is spanned by e1
     alone, so linear forms are c1*e1.  A nonzero second coordinate is
     allowed for experimentation but is not a Lefschetz evaluation.
@@ -306,14 +307,11 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
     c1, c2 = eval_point
     F = dual_generator(m)
     ps = basis_range(m, i)
-    rows = []
-    for p in ps:
-        row = []
-        for q in ps:
-            op = GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * p - 2 * q, p + q)
-            row.append(contract(op, F).evaluate(c1, c2))
-        rows.append(row)
-    return ExactMatrix(rows)
+    anti_diagonal = {
+        s: contract(GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * s, s), F).evaluate(c1, c2)
+        for s in range(2 * ps.start, 2 * ps.stop - 1)
+    }
+    return ExactMatrix([[anti_diagonal[p + q] for q in ps] for p in ps])
 
 
 def hankel_moments(m: int) -> tuple[int, ...]:

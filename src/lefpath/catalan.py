@@ -18,14 +18,15 @@ from .algebra import c_coeff, dual_numerator
 
 
 class TruncatedSeries:
-    """Power series truncated at a fixed order, exact coefficients."""
+    """Power series truncated at a fixed order, exact coefficients: int
+    coefficients stay int, Fraction ones stay Fraction, floats are rejected."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs = tuple(as_exact(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else as_exact(c) for c in coeffs)
 
     @property
     def order(self) -> int:
@@ -37,13 +38,13 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Product truncated to the smaller order."""
         order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
+        out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a == 0:
                 continue
@@ -53,22 +54,26 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the same order (constant term != 0)."""
-        if self.coeffs[0] == 0:
+        c0 = self.coeffs[0]
+        if c0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = 1 / self.coeffs[0]
+        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0  # an int stays int at +-1
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = sum(
-                (self.coeffs[k] * out[n - k] for k in range(1, n + 1)),
-                Fraction(0),
-            )
+            acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
             out.append(-inv0 * acc)
         return TruncatedSeries(out)
 
     def pow(self, exponent: int) -> "TruncatedSeries":
-        result = TruncatedSeries([1] + [0] * self.order)
-        for _ in range(exponent):
-            result = result.mul(self)
+        """self^exponent by repeated squaring."""
+        if exponent < 0:
+            raise ValueError(f"need exponent >= 0, got {exponent}")
+        result, square = TruncatedSeries([1] + [0] * self.order), self
+        while exponent:
+            if exponent & 1:
+                result = result.mul(square)
+            exponent >>= 1
+            square = square.mul(square)
         return result
 
 

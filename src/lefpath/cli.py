@@ -363,9 +363,10 @@ def cmd_report(args) -> int:
 
 def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     m, n = key
-    (record,) = hilbert.scan_unimodality([m], [n])
-    closed_ok = n != 2 or hilbert.hilbert_series(m, 2).coeffs == tuple(
-        hilbert.hilbert_m2_closed(m, i) for i in range(record.socle_degree + 1)
+    h = hilbert.hilbert_series(m, n)
+    record = hilbert.unimodality_record(h)
+    closed_ok = n != 2 or h.coeffs == tuple(
+        hilbert.hilbert_m2_closed(m, i) for i in range(h.socle_degree + 1)
     )
     return {"rows": [list(dataclasses.astuple(record))], "ok": closed_ok, "flags": []}
 

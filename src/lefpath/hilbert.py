@@ -1,6 +1,7 @@
 """Hilbert series of the two-parameter algebras A(m, n) and unimodality scans.
 
-The series is the polynomial product prod_{i=1..n} (1 + t^i + ... + t^{(m-1)i}).
+The series is the polynomial product prod_{i=1..n} (1 + t^i + ... + t^{(m-1)i}),
+built one factor at a time as the telescoped quotient (1 - t^{mi}) / (1 - t^i).
 For n = 2 there is also a closed form built from halved floors; both routes
 are kept separate so they can cross-check each other.
 """
@@ -40,17 +41,18 @@ class HilbertFunction:
 
 
 def hilbert_series(m: int, n: int) -> HilbertFunction:
-    """Hilbert function of A(m, n) by exact polynomial multiplication."""
+    """Hilbert function of A(m, n), exact: each factor 1 + t^i + ... + t^{(m-1)i}
+    multiplies in telescoped, as (1 - t^{mi}) / (1 - t^i), so that
+    new[d] = old[d] - old[d - mi] + new[d - i]: O(len) per factor."""
     if m < 1 or n < 1:
         raise ValueError(f"hilbert_series needs m, n >= 1, got ({m}, {n})")
     coeffs = [1]
     for i in range(1, n + 1):
-        factor_degree = (m - 1) * i
-        out = [0] * (len(coeffs) + factor_degree)
-        for d, c in enumerate(coeffs):
-            for step in range(0, factor_degree + 1, i):
-                out[d + step] += c
-        coeffs = out
+        coeffs += [0] * ((m - 1) * i)
+        for d in range(len(coeffs) - 1, m * i - 1, -1):  # times 1 - t^{mi}
+            coeffs[d] -= coeffs[d - m * i]
+        for d in range(i, len(coeffs)):  # over 1 - t^i
+            coeffs[d] += coeffs[d - i]
     return HilbertFunction(m, n, tuple(coeffs))
 
 
@@ -96,11 +98,16 @@ def first_violation_index(seq: Sequence[int]) -> Optional[int]:
     """Index of the first dip that rises again later; None if unimodal.
 
     A "dip" at j means seq[j] < seq[j-1] with some seq[k] > seq[j] for k > j.
+    One pass from the right, against the largest term seen so far.
     """
-    for j in range(1, len(seq)):
-        if seq[j] < seq[j - 1] and any(seq[k] > seq[j] for k in range(j + 1, len(seq))):
-            return j
-    return None
+    found, top = None, seq[-1] if seq else None  # top: the largest of seq[j + 1:]
+    for j in range(len(seq) - 2, 0, -1):
+        x = seq[j]
+        if x < top and x < seq[j - 1]:
+            found = j
+        if x > top:
+            top = x
+    return found
 
 
 @dataclass(frozen=True)
@@ -112,21 +119,14 @@ class UnimodalityRecord:
     first_violation_index: Optional[int]
 
 
+def unimodality_record(h: HilbertFunction) -> UnimodalityRecord:
+    return UnimodalityRecord(
+        h.m, h.n, h.socle_degree, is_unimodal(h.coeffs), first_violation_index(h.coeffs)
+    )
+
+
 def scan_unimodality(
     m_range: Iterable[int], n_range: Iterable[int]
 ) -> list[UnimodalityRecord]:
     """One record per (m, n), in row-major (m, n) order."""
-    records = []
-    for m in m_range:
-        for n in n_range:
-            h = hilbert_series(m, n)
-            records.append(
-                UnimodalityRecord(
-                    m=m,
-                    n=n,
-                    socle_degree=h.socle_degree,
-                    unimodal=is_unimodal(h.coeffs),
-                    first_violation_index=first_violation_index(h.coeffs),
-                )
-            )
-    return records
+    return [unimodality_record(hilbert_series(m, n)) for m in m_range for n in n_range]

@@ -1,12 +1,16 @@
-"""Shared fixtures and the cofactor determinant oracle."""
+"""Shared fixtures and the test-side oracles: the cofactor determinant, the
+Hilbert series by direct multiplication, the quadratic violation scan and
+the per-entry contraction Hessian."""
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import pytest
 
 from lefpath import lefschetz
-from lefpath.exact import as_exact
+from lefpath.algebra import OPERATOR_SIDE, GradedPoly, contract, dual_generator
+from lefpath.exact import ExactMatrix, as_exact
+from lefpath.hilbert import basis_range
 
 
 @pytest.fixture(autouse=True)
@@ -35,3 +39,38 @@ def det_cofactor(rows: Sequence[Sequence]) -> Fraction:
         term = table[0][j] * det_cofactor(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def hilbert_series_product(m: int, n: int) -> tuple[int, ...]:
+    """Independent Hilbert-series oracle: multiply out each factor
+    1 + t^i + ... + t^{(m-1)i} term by term, O(len * m) per factor."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        factor_degree = (m - 1) * i
+        out = [0] * (len(coeffs) + factor_degree)
+        for d, c in enumerate(coeffs):
+            for step in range(0, factor_degree + 1, i):
+                out[d + step] += c
+        coeffs = out
+    return tuple(coeffs)
+
+
+def first_violation_rescan(seq: Sequence[int]) -> Optional[int]:
+    """Independent violation oracle: at every dip, rescan the rest for a rise."""
+    for j in range(1, len(seq)):
+        if seq[j] < seq[j - 1] and any(seq[k] > seq[j] for k in range(j + 1, len(seq))):
+            return j
+    return None
+
+
+def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
+    """Independent Hessian oracle: one contraction of the dual generator per
+    entry (p, q), by the operator e1^(2i-2p-2q) e2^(p+q)."""
+    c1, c2 = eval_point
+    F, ps = dual_generator(m), basis_range(m, i)
+
+    def entry(p: int, q: int) -> Fraction:
+        op = GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * p - 2 * q, p + q)
+        return contract(op, F).evaluate(c1, c2)
+
+    return ExactMatrix([[entry(p, q) for q in ps] for p in ps])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefpath import algebra
 from lefpath.algebra import (
     DUAL_SIDE,
     OPERATOR_SIDE,
@@ -24,6 +25,8 @@ from lefpath.algebra import (
 )
 from lefpath.exact import ExactMatrix
 from lefpath.hilbert import basis_range, check_degree, flo, hilbert_m2_closed
+
+from conftest import hessian_per_entry
 
 
 def test_c_coeff_values():
@@ -194,6 +197,30 @@ def test_hessian_scaling_covariance(c):
             scaled = hessian(m, i, (c, 0))
             base = hessian(m, i, (1, 0))
             assert scaled == base.scaled(Fraction(c) ** (3 * m - 3 - 2 * i))
+
+
+@pytest.mark.parametrize("point", [(1, 0), (2, -1), (1, 1)])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_hessian_matches_per_entry_contraction(m, point):
+    # (1, 1) puts E2 != 0, so every term of each contraction counts
+    for i in range(flo(3 * (m - 1)) + 1):
+        assert hessian(m, i, point) == hessian_per_entry(m, i, point)
+
+
+def test_hessian_contracts_once_per_anti_diagonal(monkeypatch):
+    operators = []
+
+    def counted(op, dual):
+        operators.append(next(iter(op.terms)))
+        return contract(op, dual)
+
+    monkeypatch.setattr(algebra, "contract", counted)
+    for m in (5, 9):
+        for i in range(flo(3 * (m - 1)) + 1):
+            operators.clear()
+            h = len(basis_range(m, i))
+            assert hessian(m, i, (1, 1)).nrows == h
+            assert len(operators) == len(set(operators)) == 2 * h - 1
 
 
 _small_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))

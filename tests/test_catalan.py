@@ -47,6 +47,47 @@ def test_power_closed_form_equals_repeated_product(m):
     assert catalan_power(m, 20) == catalan_series(20).pow(m)
 
 
+def test_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        catalan_series(5).pow(-1)
+    with pytest.raises(ValueError):
+        TruncatedSeries([1, 1]).pow(-3)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [catalan_series(12), TruncatedSeries([2, -1, 0, 3]), TruncatedSeries([Fraction(1, 2), 1, 0])],
+)
+def test_pow_equals_repeated_mul(series):
+    product = TruncatedSeries([1] + [0] * series.order)
+    for e in range(13):
+        assert series.pow(e).coeffs == product.coeffs
+        product = product.mul(series)
+
+
+def test_integer_series_stay_integer():
+    assert all(type(c) is int for c in catalan_series(20).pow(40).coeffs)
+    assert all(type(c) is int for c in catalan_power(7, 20).mul(catalan_series(20)).coeffs)
+    half = TruncatedSeries([Fraction(1, 2), 3])
+    assert [type(c) for c in half.coeffs] == [Fraction, int]
+    assert [type(c) for c in half.mul(half).coeffs] == [Fraction, Fraction]
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 0.5])
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_reciprocal_holds_no_float(m):
+    # the constant term is 1, so every coefficient stays an int
+    assert all(type(c) is int for c in catalan_power_reciprocal(m, 20).coeffs)
+
+
+def test_reciprocal_of_a_non_unit_constant_is_rational():
+    recip = TruncatedSeries([2, 1]).reciprocal()
+    assert recip.coeffs == (Fraction(1, 2), Fraction(-1, 4))
+    assert all(type(c) is Fraction for c in recip.coeffs)
+    assert TruncatedSeries([-1, 1]).reciprocal().coeffs == (-1, -1)
+
+
 def test_reciprocal_heads():
     assert catalan_power_reciprocal(5, 2).coeffs == (1, -5, 5)
     assert catalan_power_reciprocal(2, 1).coeffs == (1, -2)

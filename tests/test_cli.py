@@ -170,6 +170,21 @@ def test_scan_hilbert_csv(capsys):
     assert unimodal == {"3": "False", "4": "True", "5": "False", "6": "True", "7": "False"}
 
 
+def test_scan_hilbert_builds_each_series_once(capsys, monkeypatch):
+    calls, series = [], hilbert.hilbert_series
+
+    def counted(m, n):
+        calls.append((m, n))
+        return series(m, n)
+
+    monkeypatch.setattr(hilbert, "hilbert_series", counted)
+    code, _, _ = run(
+        capsys, "scan", "--mode", "hilbert", "--m", "2..5", "--n", "1..3", "--jobs", "1"
+    )
+    assert code == 0
+    assert sorted(calls) == [(m, n) for m in range(2, 6) for n in range(1, 4)]
+
+
 def test_scan_lefschetz_counts_blocks(capsys):
     code, out, _ = run(
         capsys, "scan", "--m", "2..6", "--mode", "lefschetz", "--format", "csv"

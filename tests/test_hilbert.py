@@ -1,6 +1,8 @@
 """Hilbert series, the n = 2 closed form, and unimodality."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lefpath.hilbert import (
     first_violation_index,
@@ -10,7 +12,10 @@ from lefpath.hilbert import (
     is_unimodal,
     scan_unimodality,
     socle_degree,
+    unimodality_record,
 )
+
+from conftest import first_violation_rescan, hilbert_series_product
 
 
 def test_series_m5():
@@ -24,6 +29,14 @@ def test_series_m1():
 def test_series_m3_hand_expansion():
     # (1 + t + t^2)(1 + t^2 + t^4) expanded by hand
     assert hilbert_series(3, 2).coeffs == (1, 1, 2, 1, 2, 1, 1)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_series_matches_direct_product(m, n):
+    h = hilbert_series(m, n)
+    assert h.coeffs == hilbert_series_product(m, n)
+    assert all(type(c) is int for c in h.coeffs)
 
 
 def test_series_rejects_zero():
@@ -118,6 +131,33 @@ def test_violation_index_consistency():
         coeffs = hilbert_series(m, 2).coeffs
         violation = first_violation_index(coeffs)
         assert (violation is None) == is_unimodal(coeffs)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=10))
+@example([3])  # length 1
+@example([2, 2, 2])  # one plateau
+@example([1, 3, 3, 2, 2, 3])  # a dip onto a plateau that rises again
+@example([1, 2, 3, 1])  # a dip at the last index
+@example([3, 1, 2, 1])  # a dip at the last index after a violation
+@example([3, 2, 1, 2])  # the first dip never recovers, the second does
+def test_violation_index_matches_rescan(seq):
+    found = first_violation_index(seq)
+    assert found == first_violation_rescan(seq)
+    assert (found is None) == is_unimodal(seq)
+
+
+def test_violation_index_examples():
+    assert first_violation_index([]) is None
+    assert first_violation_index([3, 2, 1, 2]) == 2
+    assert first_violation_index([2, 1, 1, 2]) == 1
+
+
+def test_unimodality_record_reads_one_series():
+    record = unimodality_record(hilbert_series(3, 2))
+    assert record == scan_unimodality([3], [2])[0]
+    assert (record.m, record.n, record.socle_degree) == (3, 2, 6)
+    assert (record.unimodal, record.first_violation_index) == (False, 3)
 
 
 def test_flo_helpers():
