@@ -40,7 +40,6 @@ from .lattice import (
     flip,
     involution_phi,
     path_matrix,
-    primitive_segments,
     vertex_sets,
 )
 from .catalan import (

@@ -3,9 +3,10 @@
 Conventions shared by all subcommands:
 
 * rationals print exactly as "p/q" (plain "p" for integers), never decimal;
-* exit 0: every verified equality held; 1: one was violated; 2: bad input
-  or an over-budget transfer sweep, on one "error:" line.  "FLAG:" lines
-  report findings (claim/computation mismatches), never the exit code;
+* exit 0: every verified equality held; 1: one was violated; 2: bad input,
+  an over-budget transfer sweep or an unwritable --output, on one "error:"
+  line.  "FLAG:" lines report findings (claim/computation mismatches),
+  never the exit code;
 * scans partition work across --jobs workers (default from LEFPATH_JOBS)
   and merge results in key order, so output bytes are identical for any
   worker count.
@@ -91,8 +92,20 @@ def _map_tasks(func, tasks, jobs: int):
 _JSON_BLOCK = 4096  # encoder chunks per write; stdout may be unbuffered
 
 
+class OutputError(Exception):
+    """The --output file could not be opened or written."""
+
+
+@contextlib.contextmanager
 def _open_output(output: Optional[str]):
-    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    if not output:
+        yield sys.stdout
+        return
+    try:
+        with open(output, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write --output {output}: {exc.strerror}") from None
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -625,7 +638,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except lattice.BudgetExceeded as exc:
+    except (lattice.BudgetExceeded, OutputError) as exc:
         print(f"lefpath {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

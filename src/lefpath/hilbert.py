@@ -120,9 +120,8 @@ class UnimodalityRecord:
 
 
 def unimodality_record(h: HilbertFunction) -> UnimodalityRecord:
-    return UnimodalityRecord(
-        h.m, h.n, h.socle_degree, is_unimodal(h.coeffs), first_violation_index(h.coeffs)
-    )
+    violation = first_violation_index(h.coeffs)
+    return UnimodalityRecord(h.m, h.n, h.socle_degree, violation is None, violation)
 
 
 def scan_unimodality(

@@ -10,7 +10,10 @@ independent ways: as a signed sum over vertex-disjoint path systems, and
 as a signed count of doubly-vertex-disjoint systems obtained after a
 sign-reversing cancellation.  Both counts come from one transfer sweep over
 the anti-diagonals x + y = s, holding at most STATE_BUDGET states; the
-involution check still enumerates the systems one by one.
+involution check still enumerates the systems one by one.  A path carries
+its vertex set as one integer mask, so the enumeration, the disjointness
+predicates and the involution's crossings are bitwise ANDs of path masks
+and of the masks of their (memoised) flips.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Iterator, Literal, Optional
 
 from . import lefschetz
@@ -26,7 +30,7 @@ from .hilbert import basis_range, check_degree, flo
 
 Point = tuple[int, int]
 
-SystemFilter = Literal["all", "vertex_disjoint", "doubly_vertex_disjoint"]
+_SWAP = str.maketrans("NE", "EN")
 
 
 def reflect(point: Point, m: int) -> Point:
@@ -44,28 +48,35 @@ def shifted_offset(point: Point, m: int) -> int:
 class LatticePath:
     """NE lattice path staying weakly below the main diagonal.
 
-    Immutable; ``steps`` is a string over {"N", "E"}.
+    Immutable; ``steps`` is a string over {"N", "E"}.  ``mask`` holds one
+    bit per vertex: (x, y), 0 <= y <= x, is bit x(x+1)/2 + y, so an E step
+    moves the bit up by the new x and an N step by 1.
     """
 
     def __init__(self, start: Point, steps: str):
         x, y = start
-        if y > x:
-            raise ValueError(f"start {start} lies above the diagonal")
+        if not 0 <= y <= x:
+            raise ValueError(f"start {start} lies outside the subdiagonal region")
         verts = [start]
+        bit = x * (x + 1) // 2 + y
+        mask = 1 << bit
         for s in steps:
             if s == "E":
                 x += 1
+                bit += x
             elif s == "N":
                 y += 1
+                bit += 1
                 if y > x:
                     raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
             else:
                 raise ValueError(f"invalid step {s!r}")
             verts.append((x, y))
+            mask |= 1 << bit
         self.start = start
         self.steps = steps
         self._vertices = tuple(verts)
-        self.vertex_set = frozenset(verts)
+        self.mask = mask
 
     @property
     def end(self) -> Point:
@@ -180,66 +191,39 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
 # -- flips ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Split of a path at its shifted-diagonal touches.
-
-    ``initial`` runs from the start to the first touch; each later piece
-    touches the shifted diagonal exactly at its two endpoints and is tagged
-    "upper" or "lower" by where its interior lies.
-    """
-
-    initial: LatticePath
-    segments: tuple[tuple[LatticePath, str], ...]
-
-
-def _touch_indices(path: LatticePath, m: int) -> list[int]:
-    return [
-        k for k, v in enumerate(path.vertices()) if shifted_offset(v, m) == 0
-    ]
-
-
-def primitive_segments(path: LatticePath, m: int) -> PathDecomposition:
-    """Decompose a path ending on the shifted diagonal y = x - (m - 1)."""
-    if shifted_offset(path.end, m) != 0:
-        raise ValueError(
-            f"path must end on the shifted diagonal y = x - {m - 1}, ends at {path.end}"
-        )
-    touches = _touch_indices(path, m)
-    first = touches[0]
-    verts = path.vertices()
-    initial = LatticePath(path.start, path.steps[:first])
-    segments = []
-    for lo, hi in zip(touches, touches[1:]):
-        piece = LatticePath(verts[lo], path.steps[lo:hi])
-        # one step off the line decides the side; interiors never re-touch
-        side = "upper" if path.steps[lo] == "N" else "lower"
-        segments.append((piece, side))
-    return PathDecomposition(initial, tuple(segments))
-
-
 def is_upper(path: LatticePath, m: int) -> bool:
     """True iff no vertex lies strictly below the shifted diagonal."""
     return all(shifted_offset(v, m) >= 0 for v in path.vertices())
 
 
-def _swap_steps(steps: str) -> str:
-    return steps.translate(str.maketrans("NE", "EN"))
-
-
 def flip(path: LatticePath, m: int) -> LatticePath:
     """Reflect every lower primitive segment across the shifted diagonal.
 
-    Reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment endpoints
-    and swaps N and E steps, so the result is an upper path with the same
-    endpoints.  Upper paths are fixed points; applying flip twice returns
-    the once-flipped path.
+    The path splits at its touches of the shifted diagonal into an initial
+    piece, which starts on the main diagonal and never goes below the line,
+    and primitive segments, each wholly above or wholly below it.  The steps
+    with an end strictly below the line are exactly those of the lower
+    segments; reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment
+    endpoints and swaps N and E, so the result is an upper path with the
+    same endpoints.  Upper paths are fixed points; applying flip twice
+    returns the once-flipped path.
     """
-    decomposition = primitive_segments(path, m)
-    rebuilt = [decomposition.initial.steps]
-    for piece, side in decomposition.segments:
-        rebuilt.append(_swap_steps(piece.steps) if side == "lower" else piece.steps)
-    return LatticePath(path.start, "".join(rebuilt))
+    if shifted_offset(path.end, m) != 0:
+        raise ValueError(
+            f"path must end on the shifted diagonal y = x - {m - 1}, ends at {path.end}"
+        )
+    below = [shifted_offset(v, m) < 0 for v in path.vertices()]
+    steps = "".join(
+        s.translate(_SWAP) if below[k] or below[k + 1] else s
+        for k, s in enumerate(path.steps)
+    )
+    return LatticePath(path.start, steps)
+
+
+@lru_cache(maxsize=2**12)
+def _flipped(path: LatticePath, m: int) -> LatticePath:
+    """flip(path, m), once per path: the systems and their images share paths."""
+    return flip(path, m)
 
 
 # -- path systems -----------------------------------------------------------
@@ -266,62 +250,39 @@ class PathSystem:
     sign: int
 
     def flipped_paths(self) -> tuple[LatticePath, ...]:
-        return tuple(flip(p, self.m) for p in self.paths)
+        return tuple(_flipped(p, self.m) for p in self.paths)
 
     def is_vertex_disjoint(self) -> bool:
-        return _pairwise_disjoint(self.paths)
+        return _pairwise_disjoint(p.mask for p in self.paths)
 
     def is_doubly_vertex_disjoint(self) -> bool:
-        return self.is_vertex_disjoint() and _pairwise_disjoint(self.flipped_paths())
+        return self.is_vertex_disjoint() and _pairwise_disjoint(
+            p.mask for p in self.flipped_paths()
+        )
 
 
-def _pairwise_disjoint(paths) -> bool:
-    seen: set[Point] = set()
-    for p in paths:
-        if not seen.isdisjoint(p.vertex_set):
+def _pairwise_disjoint(masks) -> bool:
+    seen = 0
+    for mask in masks:
+        if seen & mask:
             return False
-        seen |= p.vertex_set
+        seen |= mask
     return True
 
 
-def _flipped_vertices(path: LatticePath, m: int) -> list[Point]:
-    """The vertices of flip(path, m), in order: the flip reflects exactly those
-    strictly below the shifted diagonal (the initial piece starts on the main
-    diagonal and stays above it; every later piece lies on one side)."""
-    return [reflect(v, m) if shifted_offset(v, m) < 0 else v for v in path.vertices()]
-
-
-def _vertex_mask(vertices) -> int:
-    """One bit per subdiagonal vertex: (x, y), 0 <= y <= x, is bit x(x+1)/2 + y."""
-    mask = 0
-    for x, y in vertices:
-        mask |= 1 << (x * (x + 1) // 2 + y)
-    return mask
-
-
-def _path_cells(m: int, i: int) -> list[list[dict[LatticePath, tuple[int, int]]]]:
-    """cells[k][q] maps each path from source k to target q, in lex order, to
-    the vertex masks of the path and of its flip."""
+def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
+    """Stream the vertex-disjoint path systems of degree i, in deterministic
+    order: built one source at a time, targets ascending and paths in lex
+    order.  A path joins a partial system only if its mask misses the
+    occupied vertices, so each collision prunes the whole subtree below it.
+    """
     vs = vertex_sets(m, i)
-
-    def masks(p: LatticePath) -> tuple[int, int]:
-        return _vertex_mask(p.vertices()), _vertex_mask(_flipped_vertices(p, m))
-
-    return [
-        [{p: masks(p) for p in enumerate_paths(s, t)} for t in vs.targets]
-        for s in vs.sources
-    ]
-
-
-def _systems(m: int, i: int, cells, system_filter: SystemFilter) -> Iterator[PathSystem]:
-    """enumerate_systems over prebuilt cells."""
+    cells = [[enumerate_paths(s, t) for t in vs.targets] for s in vs.sources]
     h = len(cells)
-    disjoint = system_filter != "all"
-    doubly = system_filter == "doubly_vertex_disjoint"
     chosen: list[LatticePath] = []
     used: list[int] = []
 
-    def extend(k: int, occupied: int, flipped: int) -> Iterator[PathSystem]:
+    def extend(k: int, occupied: int) -> Iterator[PathSystem]:
         if k == h:
             perm = tuple(used)
             yield PathSystem(m, i, tuple(chosen), perm, perm_sign(perm))
@@ -330,32 +291,15 @@ def _systems(m: int, i: int, cells, system_filter: SystemFilter) -> Iterator[Pat
             if q in used:
                 continue
             used.append(q)
-            for path, (mask, flipped_mask) in cells[k][q].items():
-                if disjoint and mask & occupied or doubly and flipped_mask & flipped:
+            for path in cells[k][q]:
+                if path.mask & occupied:
                     continue
                 chosen.append(path)
-                yield from extend(k + 1, occupied | mask, flipped | flipped_mask)
+                yield from extend(k + 1, occupied | path.mask)
                 chosen.pop()
             used.pop()
 
-    return extend(0, 0, 0)
-
-
-def enumerate_systems(
-    m: int, i: int, system_filter: SystemFilter = "vertex_disjoint"
-) -> Iterator[PathSystem]:
-    """Stream all path systems passing the filter, in deterministic order.
-
-    Systems are built one source at a time (targets ascending, paths in lex
-    order) from a table holding, for every path of each (source, target)
-    cell, integer masks of its vertices and of its flip's.  A path joins a
-    partial system only if its mask misses the occupied vertices (and, for
-    the doubly-disjoint filter, its flip's mask the flipped ones), so each
-    collision prunes the whole subtree below it.
-    """
-    if system_filter not in ("all", "vertex_disjoint", "doubly_vertex_disjoint"):
-        raise ValueError(f"unknown filter {system_filter!r}")
-    return _systems(m, i, _path_cells(m, i), system_filter)
+    return extend(0, 0)
 
 
 # Live states a transfer sweep may hold: every window of m <= 16 fits (the
@@ -417,11 +361,14 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
 # -- the sign-reversing involution ------------------------------------------
 
 
-@lru_cache(maxsize=2**12)
-def _flip_data(path: LatticePath, m: int) -> tuple[frozenset, tuple[int, ...]]:
-    """The vertex set of flip(path, m) and the indices where path touches the
-    shifted diagonal, once per path: the systems and their images share paths."""
-    return frozenset(_flipped_vertices(path, m)), tuple(_touch_indices(path, m))
+def _set_bits(mask: int) -> Iterator[tuple[int, int, int]]:
+    """(y, x, bit) for each vertex (x, y) whose bit is set in mask."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        b = bit.bit_length() - 1
+        x = (isqrt(8 * b + 1) - 1) // 2
+        yield b - x * (x + 1) // 2, x, bit
 
 
 def involution_phi(system: PathSystem) -> PathSystem:
@@ -435,39 +382,36 @@ def involution_phi(system: PathSystem) -> PathSystem:
     m = system.m
     if not system.is_vertex_disjoint():
         raise ValueError("involution defined only on vertex-disjoint systems")
-    data = [_flip_data(path, m) for path in system.paths]
-    crossings = set().union(*(a[0] & b[0] for a, b in combinations(data, 2)))
+    flips = [p.mask for p in system.flipped_paths()]
+    crossings = 0
+    for a, b in combinations(flips, 2):
+        crossings |= a & b
     if not crossings:
         raise ValueError("system is doubly vertex disjoint; involution undefined")
-    c = max(crossings, key=lambda v: (v[1], v[0]))
-    meeting = [k for k, (flipped, _) in enumerate(data) if c in flipped]
+    y, x, bit = max(_set_bits(crossings))
+    meeting = [k for k, mask in enumerate(flips) if mask & bit]
     if len(meeting) != 2:
-        raise ValueError(f"more than two paths meet at {c}; system outside the domain")
-    k1, k2 = meeting
-
-    c_mirror = reflect(c, m)
-    through_mirror = [k for k in (k1, k2) if c_mirror in system.paths[k].vertex_set]
-    through_point = [k for k in (k1, k2) if c in system.paths[k].vertex_set]
-    if len(through_mirror) != 1 or len(through_point) != 1:
-        raise ValueError(
-            f"crossing at {c} is not a lower/upper pair; system outside the domain"
-        )
-    lo, up = through_mirror[0], through_point[0]
+        raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
+    # a flip passes (x, y) where its path does, or where its path passes the
+    # mirror point below the line; the paths are disjoint, so one of each
+    up, lo = meeting if system.paths[meeting[0]].mask & bit else meeting[::-1]
     p_lo, p_up = system.paths[lo], system.paths[up]
 
-    # each path meets the anti-diagonal of c and c_mirror once: cut there, and
-    # again at the path's next touch of the shifted diagonal
-    j_lo, j_up = sum(c) - sum(p_lo.start), sum(c) - sum(p_up.start)
-    e_lo = next(t for t in data[lo][1] if t > j_lo)
-    e_up = next(t for t in data[up][1] if t > j_up)
+    # each path meets the anti-diagonal of the crossing and its mirror once:
+    # cut there, and again at the path's next touch of the shifted diagonal
+    def cuts(path: LatticePath) -> tuple[int, int]:
+        j = x + y - sum(path.start)
+        verts = path.vertices()
+        return j, next(t for t in range(j + 1, len(verts)) if shifted_offset(verts[t], m) == 0)
 
+    (j_lo, e_lo), (j_up, e_up) = cuts(p_lo), cuts(p_up)
     new_lo = LatticePath(
         p_lo.start,
-        p_lo.steps[:j_lo] + _swap_steps(p_up.steps[j_up:e_up]) + p_up.steps[e_up:],
+        p_lo.steps[:j_lo] + p_up.steps[j_up:e_up].translate(_SWAP) + p_up.steps[e_up:],
     )
     new_up = LatticePath(
         p_up.start,
-        p_up.steps[:j_up] + _swap_steps(p_lo.steps[j_lo:e_lo]) + p_lo.steps[e_lo:],
+        p_up.steps[:j_up] + p_lo.steps[j_lo:e_lo].translate(_SWAP) + p_lo.steps[e_lo:],
     )
 
     paths = list(system.paths)
@@ -480,34 +424,16 @@ def involution_phi(system: PathSystem) -> PathSystem:
     return PathSystem(m, system.i, tuple(paths), tuple(perm), -system.sign)
 
 
-def _doubly_flag(cells, system: PathSystem) -> Optional[bool]:
-    """Whether the system is doubly vertex disjoint, read from the cell masks;
-    None unless it is a vertex-disjoint system of the cells' paths."""
-    if not len(system.paths) == len(system.permutation) == len(cells):
-        return None
-    occupied = flipped = 0
-    doubly = True
-    for row, q, path in zip(cells, system.permutation, system.paths):
-        masks = row[q].get(path)
-        if masks is None or masks[0] & occupied:
-            return None
-        doubly = doubly and not masks[1] & flipped
-        occupied |= masks[0]
-        flipped |= masks[1]
-    return doubly
-
-
 def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     """Stream the vertex-disjoint systems of degree i and check involution_phi
     on the set N of those not doubly vertex disjoint: (|N|, signed sum over
     N, ok), where ok says every image is in N with the opposite sign, that
     of its permutation, and maps back.  Past a failure, systems are only counted.
     """
-    cells = _path_cells(m, i)
     size = signed = 0
     ok = True
-    for system in _systems(m, i, cells, "vertex_disjoint"):
-        if _doubly_flag(cells, system):
+    for system in enumerate_systems(m, i):
+        if system.is_doubly_vertex_disjoint():
             continue
         size += 1
         signed += system.sign
@@ -516,7 +442,8 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
             ok = (
                 image.sign == -system.sign
                 and image.sign == perm_sign(image.permutation)
-                and _doubly_flag(cells, image) is False
+                and image.is_vertex_disjoint()
+                and not image.is_doubly_vertex_disjoint()
                 and involution_phi(image) == system
             )
     return size, signed, ok

@@ -1,9 +1,10 @@
 """Shared fixtures and the test-side oracles: the cofactor determinant, the
-Hilbert series by direct multiplication, the quadratic violation scan and
-the per-entry contraction Hessian."""
+Hilbert series by direct multiplication, the quadratic violation scan, the
+per-entry contraction Hessian, the flip by primitive-segment surgery and the
+unpruned system enumeration."""
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
@@ -11,6 +12,14 @@ from lefpath import lefschetz
 from lefpath.algebra import OPERATOR_SIDE, GradedPoly, contract, dual_generator
 from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range
+from lefpath.lattice import (
+    LatticePath,
+    PathSystem,
+    enumerate_paths,
+    perm_sign,
+    shifted_offset,
+    vertex_sets,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -74,3 +83,58 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
         return contract(op, F).evaluate(c1, c2)
 
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
+
+
+class PathDecomposition(NamedTuple):
+    """Split of a path at its shifted-diagonal touches.
+
+    ``initial`` runs from the start to the first touch; each later piece
+    touches the shifted diagonal exactly at its two endpoints and is tagged
+    "upper" or "lower" by where its interior lies.
+    """
+
+    initial: LatticePath
+    segments: tuple[tuple[LatticePath, str], ...]
+
+
+def primitive_segments(path: LatticePath, m: int) -> PathDecomposition:
+    """Decompose a path ending on the shifted diagonal y = x - (m - 1)."""
+    if shifted_offset(path.end, m) != 0:
+        raise ValueError(f"path must end on the shifted diagonal, ends at {path.end}")
+    verts = path.vertices()
+    touches = [k for k, v in enumerate(verts) if shifted_offset(v, m) == 0]
+    segments = tuple(
+        # one step off the line decides the side; interiors never re-touch
+        (LatticePath(verts[lo], path.steps[lo:hi]), "upper" if path.steps[lo] == "N" else "lower")
+        for lo, hi in zip(touches, touches[1:])
+    )
+    return PathDecomposition(LatticePath(path.start, path.steps[: touches[0]]), segments)
+
+
+def flip_by_segments(path: LatticePath, m: int) -> LatticePath:
+    """Independent flip oracle: the paper's surgery, swapping N and E on each
+    lower primitive segment and keeping every other piece."""
+    decomposition = primitive_segments(path, m)
+    swap = str.maketrans("NE", "EN")
+    rebuilt = [decomposition.initial.steps]
+    for piece, side in decomposition.segments:
+        rebuilt.append(piece.steps.translate(swap) if side == "lower" else piece.steps)
+    return LatticePath(path.start, "".join(rebuilt))
+
+
+def all_systems(m: int, i: int) -> Iterator[PathSystem]:
+    """Every path system of degree i, unpruned, in enumerate_systems order:
+    source k takes each unused target ascending, then each path in lex order."""
+    vs = vertex_sets(m, i)
+
+    def extend(paths: tuple, perm: tuple) -> Iterator[PathSystem]:
+        k = len(perm)
+        if k == len(vs):
+            yield PathSystem(m, i, paths, perm, perm_sign(perm))
+            return
+        for q in range(len(vs)):
+            if q not in perm:
+                for path in enumerate_paths(vs.sources[k], vs.targets[q]):
+                    yield from extend(paths + (path,), perm + (q,))
+
+    return extend((), ())

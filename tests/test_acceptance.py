@@ -103,7 +103,7 @@ def test_criterion_06_doubly_disjoint_theorem():
     for m, i in [(4, 2), (5, 4)]:
         n_set = {
             s
-            for s in enumerate_systems(m, i, "vertex_disjoint")
+            for s in enumerate_systems(m, i)
             if not s.is_doubly_vertex_disjoint()
         }
         for system in n_set:

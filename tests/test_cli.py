@@ -5,6 +5,7 @@ import json
 import time
 
 import pytest
+from conftest import all_systems
 
 from lefpath import algebra, cli, hilbert, lattice
 from lefpath.exact import ExactMatrix
@@ -287,6 +288,27 @@ def test_scan_output_file(tmp_path, capsys):
     assert target.read_text().startswith("m,n,socle_degree")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "3"],
+        ["scan", "--m", "2..3", "--mode", "hilbert"],
+        ["poly", "3", "--format", "json"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir/out.txt", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, where):
+    # exit 1 means a violated equality; an output file that cannot be opened
+    # is reported on one error line, with no traceback
+    target = tmp_path / where
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    reason = "Is a directory" if where == "." else "No such file or directory"
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"lefpath {argv[0]}: error: cannot write --output {target}: {reason}"
+    ]
+
+
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(lattice, "transfer_counts", lambda m, i: (999, 0))
     code, out, _ = run(capsys, "lattice", "5", "3", "lgv-check")
@@ -382,13 +404,13 @@ def _pairs_with_crossing_systems(phi):
     # involution, but two images leave the vertex-disjoint systems
     first = next(
         s
-        for s in lattice.enumerate_systems(4, 2, "vertex_disjoint")
+        for s in lattice.enumerate_systems(4, 2)
         if not s.is_doubly_vertex_disjoint()
     )
     partner = phi(first)
     crossing = [
         s
-        for s in lattice.enumerate_systems(4, 2, "all")
+        for s in all_systems(4, 2)
         if not s.is_vertex_disjoint()
         and not dataclasses.replace(s, paths=s.flipped_paths()).is_vertex_disjoint()
     ]

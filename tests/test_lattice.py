@@ -4,13 +4,14 @@ import dataclasses
 import time
 
 import pytest
+from conftest import all_systems, flip_by_segments, primitive_segments
 
 from lefpath import lattice
 
 from lefpath.hilbert import flo, hilbert_m2_closed
 from lefpath.lattice import (
     LatticePath,
-    _flipped_vertices,
+    PathSystem,
     check_dvd_theorem,
     check_involution,
     count_paths,
@@ -20,8 +21,8 @@ from lefpath.lattice import (
     involution_phi,
     is_upper,
     path_matrix,
-    primitive_segments,
     reflect,
+    shifted_offset,
     transfer_counts,
     vertex_sets,
 )
@@ -31,6 +32,21 @@ def all_instances(max_m):
     for m in range(2, max_m + 1):
         for i in range(flo(3 * (m - 1)) + 1):
             yield m, i
+
+
+def all_paths(max_m):
+    """(m, path) for every path of every window of m <= max_m."""
+    for m, i in all_instances(max_m):
+        vs = vertex_sets(m, i)
+        for s in vs.sources:
+            for t in vs.targets:
+                for p in enumerate_paths(s, t):
+                    yield m, p
+
+
+def vertex_disjoint(paths):
+    """Set-based disjointness, independent of the path masks."""
+    return len({v for p in paths for v in p.vertices()}) == sum(len(p.vertices()) for p in paths)
 
 
 # -- paths and counting ---------------------------------------------------------
@@ -45,7 +61,18 @@ def test_path_validation():
     with pytest.raises(ValueError):
         LatticePath((0, 1), "")
     with pytest.raises(ValueError):
+        LatticePath((3, -1), "")  # below the x-axis: no vertex bit
+    with pytest.raises(ValueError):
         LatticePath((0, 0), "X")
+
+
+def test_mask_has_one_bit_per_vertex():
+    for _, p in all_paths(5):
+        assert bin(p.mask).count("1") == len(p.vertices())
+        bits = 0
+        for x, y in p.vertices():
+            bits |= 1 << (x * (x + 1) // 2 + y)
+        assert p.mask == bits
 
 
 def test_count_examples():
@@ -169,16 +196,17 @@ def test_flip_reflects_lower_segment():
 
 
 def test_flip_is_idempotent_and_fixes_exactly_uppers():
-    for m, i in all_instances(4):
-        vs = vertex_sets(m, i)
-        for s in vs.sources:
-            for t in vs.targets:
-                for p in enumerate_paths(s, t):
-                    once = flip(p, m)
-                    assert is_upper(once, m)
-                    assert flip(once, m) == once
-                    assert (once == p) == is_upper(p, m)
-                    assert once.start == p.start and once.end == p.end
+    for m, p in all_paths(4):
+        once = flip(p, m)
+        assert is_upper(once, m)
+        assert flip(once, m) == once
+        assert (once == p) == is_upper(p, m)
+        assert once.start == p.start and once.end == p.end
+
+
+def test_flip_needs_endpoint_on_line():
+    with pytest.raises(ValueError):
+        flip(LatticePath((0, 0), "ENENEENN"), 5)
 
 
 def test_reflection_is_an_involution():
@@ -210,7 +238,7 @@ def test_doubly_counts_match_worked_example():
 
 
 def test_unique_doubly_system_at_5_6():
-    (system,) = list(enumerate_systems(5, 6, "doubly_vertex_disjoint"))
+    (system,) = [s for s in enumerate_systems(5, 6) if s.is_doubly_vertex_disjoint()]
     # three horizontal paths at y = 1, 2, 3, pairing sources to reversed targets
     assert [p.start for p in system.paths] == [(1, 1), (2, 2), (3, 3)]
     assert [p.steps for p in system.paths] == ["EEEE", "EEEE", "EEEE"]
@@ -235,7 +263,9 @@ def test_doubly_systems_reverse_order():
         h = hilbert_m2_closed(m, i)
         reversal = tuple(reversed(range(h)))
         expected_sign = -1 if flo(h) % 2 else 1
-        for system in enumerate_systems(m, i, "doubly_vertex_disjoint"):
+        for system in enumerate_systems(m, i):
+            if not system.is_doubly_vertex_disjoint():
+                continue
             assert system.permutation == reversal
             assert system.sign == expected_sign
 
@@ -273,24 +303,28 @@ def test_det_only_mode():
 
 
 def test_pruned_enumeration_equals_filtered_brute_force():
-    # the frozenset oracle on every unpruned system, same systems, same order;
-    # the transfer sweep gives the oracle's signed sum and doubly count
+    # set-based disjointness on every unpruned system, same systems, same
+    # order; the mask predicates agree with it, and the transfer sweep gives
+    # the oracle's signed sum and doubly count
     for m, i in all_instances(5):
-        everything = list(enumerate_systems(m, i, "all"))
-        disjoint = [s for s in everything if s.is_vertex_disjoint()]
-        doubly = [s for s in disjoint if s.is_doubly_vertex_disjoint()]
-        assert list(enumerate_systems(m, i, "vertex_disjoint")) == disjoint
-        assert list(enumerate_systems(m, i, "doubly_vertex_disjoint")) == doubly
+        everything = list(all_systems(m, i))
+        disjoint = [s for s in everything if vertex_disjoint(s.paths)]
+        doubly = [s for s in disjoint if vertex_disjoint(s.flipped_paths())]
+        assert [s.is_vertex_disjoint() for s in everything] == [
+            vertex_disjoint(s.paths) for s in everything
+        ]
+        assert list(enumerate_systems(m, i)) == disjoint
+        assert [s for s in enumerate_systems(m, i) if s.is_doubly_vertex_disjoint()] == doubly
         assert transfer_counts(m, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
 def test_transfer_counts_equal_the_enumeration_oracle_at_m6():
     # past m = 5 the unpruned enumeration is too large; the pruned one,
-    # checked system by system with the frozenset predicates, is the oracle
+    # checked system by system with set-based disjointness, is the oracle
     for i in range(flo(3 * 5) + 1):
-        disjoint = list(enumerate_systems(6, i, "vertex_disjoint"))
-        assert all(s.is_vertex_disjoint() for s in disjoint)
-        doubly = [s for s in disjoint if s.is_doubly_vertex_disjoint()]
+        disjoint = list(enumerate_systems(6, i))
+        assert all(vertex_disjoint(s.paths) for s in disjoint)
+        doubly = [s for s in disjoint if vertex_disjoint(s.flipped_paths())]
         assert transfer_counts(6, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
@@ -328,30 +362,27 @@ def test_transfer_sweep_stops_at_its_state_budget(monkeypatch):
 
 def test_check_involution_counts_n_and_cancels():
     for m, i in all_instances(5):
-        systems = list(enumerate_systems(m, i, "vertex_disjoint"))
+        systems = list(enumerate_systems(m, i))
         n_set = [s for s in systems if not s.is_doubly_vertex_disjoint()]
         assert check_involution(m, i) == (len(n_set), 0, True)
 
 
 def test_flipped_vertices_are_those_of_the_flip():
-    for m, i in all_instances(5):
-        vs = vertex_sets(m, i)
-        for s in vs.sources:
-            for t in vs.targets:
-                for p in enumerate_paths(s, t):
-                    assert tuple(_flipped_vertices(p, m)) == flip(p, m).vertices()
+    # the flip is the paper's segment surgery, and it reflects exactly the
+    # vertices strictly below the shifted diagonal
+    for m, p in all_paths(5):
+        flipped = flip(p, m)
+        assert flipped == flip_by_segments(p, m)
+        assert flipped.vertices() == tuple(
+            reflect(v, m) if shifted_offset(v, m) < 0 else v for v in p.vertices()
+        )
 
 
 def test_enumerate_systems_all_filter():
     # raw count is the permanent-style sum of products of path counts
-    total = sum(1 for _ in enumerate_systems(3, 2, "all"))
+    total = sum(1 for _ in all_systems(3, 2))
     w = path_matrix(3, 2)
     assert total == w[0, 0] * w[1, 1] + w[0, 1] * w[1, 0]
-
-
-def test_enumerate_systems_rejects_bad_filter():
-    with pytest.raises(ValueError):
-        list(enumerate_systems(3, 2, "bogus"))
 
 
 # -- the involution ---------------------------------------------------------------
@@ -359,7 +390,7 @@ def test_enumerate_systems_rejects_bad_filter():
 
 @pytest.mark.parametrize("m,i", [(4, 2), (5, 4)])
 def test_involution_on_all_of_n(m, i):
-    systems = list(enumerate_systems(m, i, "vertex_disjoint"))
+    systems = list(enumerate_systems(m, i))
     n_set = {s for s in systems if not s.is_doubly_vertex_disjoint()}
     assert sum(s.sign for s in n_set) == 0
     for system in n_set:
@@ -370,14 +401,14 @@ def test_involution_on_all_of_n(m, i):
 
 
 def test_involution_rejects_doubly_disjoint():
-    (system,) = list(enumerate_systems(5, 6, "doubly_vertex_disjoint"))
+    (system,) = [s for s in enumerate_systems(5, 6) if s.is_doubly_vertex_disjoint()]
     with pytest.raises(ValueError):
         involution_phi(system)
 
 
 def test_involution_rejects_non_disjoint():
     crossing = next(
-        s for s in enumerate_systems(5, 4, "all") if not s.is_vertex_disjoint()
+        s for s in all_systems(5, 4) if not s.is_vertex_disjoint()
     )
     with pytest.raises(ValueError):
         involution_phi(crossing)
@@ -388,9 +419,31 @@ def test_involution_rejects_a_wrong_permutation():
     # rejection is an error, not an assert that python -O would drop
     system = next(
         s
-        for s in enumerate_systems(4, 2, "vertex_disjoint")
+        for s in enumerate_systems(4, 2)
         if not s.is_doubly_vertex_disjoint()
     )
     reversed_system = dataclasses.replace(system, permutation=system.permutation[::-1])
     with pytest.raises(ValueError, match="outside the domain"):
         involution_phi(reversed_system)
+
+
+def test_involution_cuts_at_the_northern_most_crossing():
+    # the flips meet at (6, 1)..(6, 5) and (7, 2): the cut is at (6, 5), the
+    # northern-most crossing, not at (7, 2), the eastern-most
+    starts = [(0, 0), (1, 1), (2, 2), (3, 3)]
+    steps = ["EEEEEEEEEEEENNNNNN", "EEEEEEEEENNN", "EEEEEEEN", "EEENNEEEEE"]
+    perm = (0, 2, 3, 1)
+    system = PathSystem(
+        7, 6, tuple(map(LatticePath, starts, steps)), perm, lattice.perm_sign(perm)
+    )
+    flips = [p.vertices() for p in system.flipped_paths()]
+    crossings = {v for a in range(4) for b in range(a) for v in set(flips[a]) & set(flips[b])}
+    assert crossings == {(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 2)}
+    image = involution_phi(system)
+    assert [p.steps for p in image.paths] == [
+        "EEEEEEEEEEENNNNN",
+        "EEEEEEEEENNN",
+        "EEEEEEEN",
+        "EEENNNEEEEEE",
+    ]
+    assert (image.permutation, image.sign) == ((1, 2, 3, 0), -1)
