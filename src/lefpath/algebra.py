@@ -69,9 +69,6 @@ class GradedPoly:
         degrees = {a + 2 * b for a, b in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedPoly)
@@ -233,11 +230,7 @@ def contract(op: GradedPoly, dual: GradedPoly) -> GradedPoly:
             if a > A or b > B:
                 continue
             key = (A - a, B - b)
-            factor = (
-                math.factorial(A)
-                // math.factorial(A - a)
-                * (math.factorial(B) // math.factorial(B - b))
-            )
+            factor = math.perm(A, a) * math.perm(B, b)
             terms[key] = terms.get(key, Fraction(0)) + c_op * c_dual * factor
     return GradedPoly(DUAL_SIDE, terms)
 

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import algebra, catalan, hilbert, lattice, lefschetz, partitions
@@ -85,6 +84,8 @@ class _DegreeArg(argparse.Action):
 def _map_tasks(func, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [func(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel scan pays for it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, tasks))
 
@@ -97,29 +98,42 @@ class OutputError(Exception):
 
 
 @contextlib.contextmanager
-def _open_output(output: Optional[str]):
-    if not output:
-        yield sys.stdout
-        return
+def _output_errors(output: str):
     try:
-        with open(output, "w") as fh:
-            yield fh
+        yield
     except OSError as exc:
         raise OutputError(f"cannot write --output {output}: {exc.strerror}") from None
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    with _open_output(output) as fh:
-        fh.write(text)
+@contextlib.contextmanager
+def _open_output(output: Optional[str]):
+    """Yield the write function of stdout or of the --output file.  main opens
+    the file before the command computes, so that an unwritable path fails
+    first; only opening, writing and closing it raise OutputError."""
+    if not output:
+        yield sys.stdout.write
+        return
+    with _output_errors(output):
+        fh = open(output, "w")
+
+    def write(text: str) -> None:
+        with _output_errors(output):
+            fh.write(text)
+            fh.flush()  # a failed write stops the command at that write
+
+    try:
+        yield write
+    finally:
+        with _output_errors(output):
+            fh.close()
 
 
-def _emit_json(payload: dict, output: Optional[str]) -> None:
+def _emit_json(payload: dict, write) -> None:
     """json.dumps(payload, indent=2) + "\\n", written a block of chunks at a time."""
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    with _open_output(output) as fh:
-        while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
-            fh.write(block)
-        fh.write("\n")
+    while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
+        write(block)
+    write("\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -170,11 +184,10 @@ def cmd_poly(args) -> int:
                 "dual_generator": dual.to_json_terms(),
             },
         }
-        _emit_json(payload, args.output)
+        _emit_json(payload, args.write)
     else:
-        _emit(
-            f"relation: {relation.to_text()}\ndual generator: {dual.to_text()}\n",
-            args.output,
+        args.write(
+            f"relation: {relation.to_text()}\ndual generator: {dual.to_text()}\n"
         )
     return 0
 
@@ -253,36 +266,24 @@ def cmd_lattice(args) -> int:
 
 # -- report -------------------------------------------------------------------
 
-_REPORT_COLUMNS = [
-    "i",
-    "h",
-    "det_sign",
-    "rank",
-    "window_min",
-    "sl",
-    "hlp",
-    "chrr_expected",
-    "chrr",
-    "hrr_expected",
-    "hrr",
-]
+# the report's columns, each mapped to the lefschetz.DegreeVerdict attribute it reads
+_REPORT_COLUMNS = {
+    "i": "i",
+    "h": "h",
+    "det_sign": "det_sign",
+    "rank": "rank",
+    "window_min": "window_min",
+    "sl": "sl_pass",
+    "hlp": "hlp_pass",
+    "chrr_expected": "chrr_expected_sign",
+    "chrr": "chrr_pass",
+    "hrr_expected": "hrr_expected_sign",
+    "hrr": "hrr_pass",
+}
 
 
-def _verdict_row(m: int, v: lefschetz.DegreeVerdict) -> list:
-    return [
-        m,
-        v.i,
-        v.h,
-        v.det_sign,
-        v.rank,
-        v.window_min,
-        v.sl_pass,
-        v.hlp_pass,
-        v.chrr_expected_sign,
-        v.chrr_pass,
-        v.hrr_expected_sign,
-        v.hrr_pass,
-    ]
+def _verdict_row(v: lefschetz.DegreeVerdict) -> list:
+    return [getattr(v, attr) for attr in _REPORT_COLUMNS.values()]
 
 
 def _report_table(report: lefschetz.PropertyReport) -> str:
@@ -314,7 +315,7 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
         "m": report.m,
         "socle_degree": report.socle_degree,
         "degrees": [
-            dict(zip(_REPORT_COLUMNS, _verdict_row(report.m, v)[1:]))
+            dict(zip(_REPORT_COLUMNS, _verdict_row(v)))
             for v in report.verdicts
         ],
         "max_sl_degree": report.max_sl_degree,
@@ -362,12 +363,12 @@ def cmd_report(args) -> int:
             "results": _report_json(report),
             "verified_hessian_equals_path_matrix": verified,
         }
-        _emit_json(payload, args.output)
+        _emit_json(payload, args.write)
     else:
         text = _report_table(report)
         if not verified:
             text += "MISMATCH: pairing matrix != path matrix\n"
-        _emit(text, args.output)
+        args.write(text)
     return 0 if verified else 1
 
 
@@ -392,7 +393,7 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
         for f in report.claim_flags
         if not f.agrees
     ]
-    rows = [_verdict_row(m, v) for v in report.verdicts]
+    rows = [[m, *_verdict_row(v)] for v in report.verdicts]
     return {"rows": rows, "ok": _verify_hessian_path_equivalence(report), "flags": flags}
 
 
@@ -463,7 +464,7 @@ _SCAN_MODES = {
         ["m", "n", "socle_degree", "unimodal", "first_violation_index"],
         True,
     ),
-    "lefschetz": (_scan_lefschetz_task, ["m"] + _REPORT_COLUMNS, False),
+    "lefschetz": (_scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False),
     "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False),
     "catalan": (
         _scan_catalan_task,
@@ -497,8 +498,7 @@ def cmd_scan(args) -> int:
     all_ok = all(result["ok"] for result in results)
 
     if args.format == "csv":
-        text = _csv_text(header, rows)
-        _emit(text, args.output)
+        args.write(_csv_text(header, rows))
         for flag in flags:
             print(flag, file=sys.stderr)
     elif args.format == "json":
@@ -510,7 +510,7 @@ def cmd_scan(args) -> int:
             "flags": flags,
             "all_checks_pass": all_ok,
         }
-        _emit_json(payload, args.output)
+        _emit_json(payload, args.write)
     else:
         widths = [
             max(len(str(h)), max((len(str(r[k])) for r in rows), default=0))
@@ -524,7 +524,7 @@ def cmd_scan(args) -> int:
                 )
             )
         lines.extend(flags)
-        _emit("\n".join(lines) + "\n", args.output)
+        args.write("\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 
@@ -637,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _open_output(getattr(args, "output", None)) as args.write:
+            return args.func(args)
     except (lattice.BudgetExceeded, OutputError) as exc:
         print(f"lefpath {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Hilbert series of the two-parameter algebras A(m, n) and unimodality scans.
+"""Hilbert series of the two-parameter algebras A(m, n) and their unimodality.
 
 The series is the polynomial product prod_{i=1..n} (1 + t^i + ... + t^{(m-1)i}),
 built one factor at a time as the telescoped quotient (1 - t^{mi}) / (1 - t^i).
@@ -9,7 +9,7 @@ are kept separate so they can cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def flo(x: int) -> int:
@@ -123,9 +123,3 @@ def unimodality_record(h: HilbertFunction) -> UnimodalityRecord:
     violation = first_violation_index(h.coeffs)
     return UnimodalityRecord(h.m, h.n, h.socle_degree, violation is None, violation)
 
-
-def scan_unimodality(
-    m_range: Iterable[int], n_range: Iterable[int]
-) -> list[UnimodalityRecord]:
-    """One record per (m, n), in row-major (m, n) order."""
-    return [unimodality_record(hilbert_series(m, n)) for m in m_range for n in n_range]

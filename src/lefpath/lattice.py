@@ -33,12 +33,6 @@ Point = tuple[int, int]
 _SWAP = str.maketrans("NE", "EN")
 
 
-def reflect(point: Point, m: int) -> Point:
-    """Reflection across the shifted diagonal y = x - (m - 1)."""
-    x, y = point
-    return (y + m - 1, x - m + 1)
-
-
 def shifted_offset(point: Point, m: int) -> int:
     """y - (x - (m - 1)): zero on the shifted diagonal, positive above."""
     x, y = point
@@ -84,9 +78,6 @@ class LatticePath:
 
     def vertices(self) -> tuple[Point, ...]:
         return self._vertices
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,11 +180,6 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
 
 
 # -- flips ------------------------------------------------------------------
-
-
-def is_upper(path: LatticePath, m: int) -> bool:
-    """True iff no vertex lies strictly below the shifted diagonal."""
-    return all(shifted_offset(v, m) >= 0 for v in path.vertices())
 
 
 def flip(path: LatticePath, m: int) -> LatticePath:

@@ -1,7 +1,7 @@
 """Shared fixtures and the test-side oracles: the cofactor determinant, the
 Hilbert series by direct multiplication, the quadratic violation scan, the
-per-entry contraction Hessian, the flip by primitive-segment surgery and the
-unpruned system enumeration."""
+per-entry contraction Hessian, the reflection across the shifted diagonal, the
+flip by primitive-segment surgery and the unpruned system enumeration."""
 
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -15,6 +15,7 @@ from lefpath.hilbert import basis_range
 from lefpath.lattice import (
     LatticePath,
     PathSystem,
+    Point,
     enumerate_paths,
     perm_sign,
     shifted_offset,
@@ -83,6 +84,17 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
         return contract(op, F).evaluate(c1, c2)
 
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
+
+
+def reflect(point: Point, m: int) -> Point:
+    """Reflection across the shifted diagonal y = x - (m - 1)."""
+    x, y = point
+    return (y + m - 1, x - m + 1)
+
+
+def is_upper(path: LatticePath, m: int) -> bool:
+    """True iff no vertex lies strictly below the shifted diagonal."""
+    return all(shifted_offset(v, m) >= 0 for v in path.vertices())
 
 
 class PathDecomposition(NamedTuple):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -159,6 +162,22 @@ def test_report_json_schema(capsys):
     assert payload["verified_hessian_equals_path_matrix"] is True
 
 
+REPORT_COLUMNS = [
+    "i", "h", "det_sign", "rank", "window_min", "sl", "hlp",
+    "chrr_expected", "chrr", "hrr_expected", "hrr",
+]
+
+
+def test_report_column_names_are_pinned(capsys):
+    code, out, _ = run(capsys, "report", "5", "--format", "json")
+    assert code == 0
+    for degree in json.loads(out)["results"]["degrees"]:
+        assert list(degree) == REPORT_COLUMNS
+    code, out, _ = run(capsys, "scan", "--mode", "lefschetz", "--m", "2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0].split(",") == ["m", *REPORT_COLUMNS]
+
+
 def test_scan_hilbert_csv(capsys):
     code, out, _ = run(
         capsys, "scan", "--m", "3..7", "--mode", "hilbert", "--n", "2..2",
@@ -307,6 +326,39 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, where):
     assert err.splitlines() == [
         f"lefpath {argv[0]}: error: cannot write --output {target}: {reason}"
     ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_failed_write_exits_2_before_the_flag_lines(capsys):
+    argv = ["scan", "--mode", "lattice", "--m", "2..5", "--format", "csv"]
+    code, out, err = run(capsys, *argv, "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "lefpath scan: error: cannot write --output /dev/full: No space left on device"
+    ]
+
+
+def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def refuse(m):
+        raise AssertionError("property_report ran")
+
+    monkeypatch.setattr(cli.lefschetz, "property_report", refuse)
+    target = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, "report", "150", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"lefpath report: error: cannot write --output {target}: No such file or directory"
+    ]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a scan with --jobs above 1 loads concurrent.futures.process
+    probe = "import sys, lefpath.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):

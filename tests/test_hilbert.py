@@ -10,7 +10,6 @@ from lefpath.hilbert import (
     hilbert_m2_closed,
     hilbert_series,
     is_unimodal,
-    scan_unimodality,
     socle_degree,
     unimodality_record,
 )
@@ -111,7 +110,7 @@ def test_middle_plateau_structure(m):
 
 
 def test_scan_unimodality():
-    records = scan_unimodality(range(2, 7), [2])
+    records = [unimodality_record(hilbert_series(m, 2)) for m in range(2, 7)]
     assert [(r.m, r.unimodal) for r in records] == [
         (2, True),
         (3, False),
@@ -122,8 +121,8 @@ def test_scan_unimodality():
     m3 = next(r for r in records if r.m == 3)
     assert m3.first_violation_index == 3
     assert m3.socle_degree == 6
-    for r in scan_unimodality([2], range(1, 11)):
-        assert r.unimodal
+    for n in range(1, 11):
+        assert unimodality_record(hilbert_series(2, n)).unimodal
 
 
 def test_violation_index_consistency():
@@ -155,7 +154,6 @@ def test_violation_index_examples():
 
 def test_unimodality_record_reads_one_series():
     record = unimodality_record(hilbert_series(3, 2))
-    assert record == scan_unimodality([3], [2])[0]
     assert (record.m, record.n, record.socle_degree) == (3, 2, 6)
     assert (record.unimodal, record.first_violation_index) == (False, 3)
 

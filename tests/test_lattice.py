@@ -4,7 +4,7 @@ import dataclasses
 import time
 
 import pytest
-from conftest import all_systems, flip_by_segments, primitive_segments
+from conftest import all_systems, flip_by_segments, is_upper, primitive_segments, reflect
 
 from lefpath import lattice
 
@@ -19,9 +19,7 @@ from lefpath.lattice import (
     enumerate_systems,
     flip,
     involution_phi,
-    is_upper,
     path_matrix,
-    reflect,
     shifted_offset,
     transfer_counts,
     vertex_sets,
