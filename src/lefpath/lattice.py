@@ -9,18 +9,18 @@ the number wall of lefschetz.property_report, is recomputed here two
 independent ways: as a signed sum over vertex-disjoint path systems, and
 as a signed count of doubly-vertex-disjoint systems obtained after a
 sign-reversing cancellation.  Both counts come from one transfer sweep over
-the anti-diagonals x + y = s, holding at most STATE_BUDGET states; the
-involution check still enumerates the systems one by one.  A path carries
-its vertex set as one integer mask, so the enumeration, the disjointness
-predicates and the involution's crossings are bitwise ANDs of path masks
-and of the masks of their (memoised) flips.
+the anti-diagonals x + y = s, holding at most STATE_BUDGET states.  The
+involution check enumerates the systems one by one, at most SYSTEM_BUDGET,
+from one table of cell paths that its surgery also reads, and checks each
+pair of systems once.  A path carries its vertex set as one integer mask
+and keeps its flip, so disjointness, pruning and crossings are bitwise ANDs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import isqrt
 from typing import Iterator, Literal, Optional
 
@@ -39,20 +39,28 @@ def shifted_offset(point: Point, m: int) -> int:
     return y - x + m - 1
 
 
+def _bit(point: Point) -> int:
+    """Mask bit of a vertex (x, y), 0 <= y <= x: x(x+1)/2 + y."""
+    x, y = point
+    return x * (x + 1) // 2 + y
+
+
 class LatticePath:
     """NE lattice path staying weakly below the main diagonal.
 
     Immutable; ``steps`` is a string over {"N", "E"}.  ``mask`` holds one
-    bit per vertex: (x, y), 0 <= y <= x, is bit x(x+1)/2 + y, so an E step
-    moves the bit up by the new x and an N step by 1.
+    bit per vertex (see _bit), so an E step moves the bit up by the new x and
+    an N step by 1.  The flip and the touches of the shifted diagonal are
+    filled in by _fold on first use.
     """
+
+    __slots__ = ("start", "steps", "end", "mask", "_hash", "_flipped", "_touches")
 
     def __init__(self, start: Point, steps: str):
         x, y = start
         if not 0 <= y <= x:
             raise ValueError(f"start {start} lies outside the subdiagonal region")
-        verts = [start]
-        bit = x * (x + 1) // 2 + y
+        bit = _bit(start)
         mask = 1 << bit
         for s in steps:
             if s == "E":
@@ -65,32 +73,34 @@ class LatticePath:
                     raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
             else:
                 raise ValueError(f"invalid step {s!r}")
-            verts.append((x, y))
             mask |= 1 << bit
-        self.start = start
-        self.steps = steps
-        self._vertices = tuple(verts)
-        self.mask = mask
-
-    @property
-    def end(self) -> Point:
-        return self._vertices[-1]
+        self.start, self.steps, self.end, self.mask = start, steps, (x, y), mask
+        self._hash, self._flipped = hash((start, steps)), None
 
     def vertices(self) -> tuple[Point, ...]:
-        return self._vertices
+        x, y = self.start
+        norths = accumulate((s == "N" for s in self.steps), initial=0)
+        return tuple((x + k - n, y + n) for k, n in enumerate(norths))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticePath)
-            and self.start == other.start
-            and self.steps == other.steps
-        )
+        return isinstance(other, LatticePath) and (self.start, self.steps) == (other.start, other.steps)
 
     def __hash__(self):
-        return hash((self.start, self.steps))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LatticePath({self.start}, {self.steps!r})"
+
+
+def _reachable(source: Point, target: Point) -> bool:
+    """Whether any path joins a source on y = x to a target below it."""
+    a, a2 = source
+    if a != a2:
+        raise ValueError(f"source {source} must lie on the diagonal y = x")
+    b, c = target
+    if c > b:
+        raise ValueError(f"target {target} lies above the diagonal")
+    return c >= a and b >= a
 
 
 def count_paths(source: Point, target: Point) -> int:
@@ -99,14 +109,9 @@ def count_paths(source: Point, target: Point) -> int:
     Closed form ((b - c + 1)/(b + c - 2a + 1)) * C(b + c - 2a + 1, c - a);
     zero when the target is unreachable (c < a or b < a).
     """
-    a, a2 = source
-    if a != a2:
-        raise ValueError(f"source {source} must lie on the diagonal y = x")
-    b, c = target
-    if c > b:
-        raise ValueError(f"target {target} lies above the diagonal")
-    if c < a or b < a:
+    if not _reachable(source, target):
         return 0
+    (a, _), (b, c) = source, target
     n = b + c - 2 * a + 1
     count, remainder = divmod((b - c + 1) * binomial(n, c - a), n)
     if remainder:
@@ -118,31 +123,20 @@ def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
     """All subdiagonal NE paths from source to target, steps in lex order
     (E before N).  There are count_paths(source, target) of them; the system
     enumeration tabulates one list per (source, target) cell."""
-    a, a2 = source
-    if a != a2:
-        raise ValueError(f"source {source} must lie on the diagonal y = x")
-    b, c = target
-    if c > b:
-        raise ValueError(f"target {target} lies above the diagonal")
     found: list[LatticePath] = []
-    if c < a or b < a:
+    if not _reachable(source, target):
         return found
-    acc: list[str] = []
+    (a, _), (b, c) = source, target
 
-    def walk(x: int, y: int) -> None:
-        if x == b and y == c:
-            found.append(LatticePath(source, "".join(acc)))
-            return
+    def walk(x: int, y: int, steps: str) -> None:
+        if (x, y) == (b, c):
+            found.append(LatticePath(source, steps))
         if x < b:
-            acc.append("E")
-            walk(x + 1, y)
-            acc.pop()
-        if y < c and y + 1 <= x:
-            acc.append("N")
-            walk(x, y + 1)
-            acc.pop()
+            walk(x + 1, y, steps + "E")
+        if y < min(c, x):
+            walk(x, y + 1, steps + "N")
 
-    walk(a, a)
+    walk(a, a, "")
     return found
 
 
@@ -198,45 +192,47 @@ def flip(path: LatticePath, m: int) -> LatticePath:
         raise ValueError(
             f"path must end on the shifted diagonal y = x - {m - 1}, ends at {path.end}"
         )
-    below = [shifted_offset(v, m) < 0 for v in path.vertices()]
-    steps = "".join(
-        s.translate(_SWAP) if below[k] or below[k + 1] else s
-        for k, s in enumerate(path.steps)
-    )
-    return LatticePath(path.start, steps)
+    return _fold(path)
 
 
-@lru_cache(maxsize=2**12)
-def _flipped(path: LatticePath, m: int) -> LatticePath:
-    """flip(path, m), once per path: the systems and their images share paths."""
-    return flip(path, m)
+def _fold(path: LatticePath) -> LatticePath:
+    """flip(path, m), kept on the path with the indices of its vertices on the
+    shifted diagonal (its end fixes m = x - y + 1).  Reflected vertices land
+    strictly above the line, so the flip touches it at the same indices."""
+    if path._flipped is None:
+        first = shifted_offset(path.start, path.end[0] - path.end[1] + 1)
+        offsets = list(accumulate((1 if s == "N" else -1 for s in path.steps), initial=first))
+        pairs = zip(path.steps, offsets, offsets[1:])
+        steps = "".join(s.translate(_SWAP) if min(a, b) < 0 else s for s, a, b in pairs)
+        flipped = path if steps == path.steps else LatticePath(path.start, steps)
+        flipped._flipped = path._flipped = flipped
+        flipped._touches = path._touches = tuple(k for k, d in enumerate(offsets) if d == 0)
+    return path._flipped
 
 
 # -- path systems -----------------------------------------------------------
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for k in range(len(perm))
-        for l in range(k + 1, len(perm))
-        if perm[k] > perm[l]
-    )
+    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
     return -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Paths joining each source k to target permutation[k], with sign."""
+    """Paths joining each source k to target permutation[k]."""
 
     m: int
     i: int
     paths: tuple[LatticePath, ...]
     permutation: tuple[int, ...]
-    sign: int
+
+    @property
+    def sign(self) -> int:
+        return perm_sign(self.permutation)
 
     def flipped_paths(self) -> tuple[LatticePath, ...]:
-        return tuple(_flipped(p, self.m) for p in self.paths)
+        return tuple(flip(p, self.m) for p in self.paths)
 
     def is_vertex_disjoint(self) -> bool:
         return _pairwise_disjoint(p.mask for p in self.paths)
@@ -256,36 +252,50 @@ def _pairwise_disjoint(masks) -> bool:
     return True
 
 
+@lru_cache(maxsize=2)
+def _cells(m: int, i: int) -> list[list[dict[str, LatticePath]]]:
+    """Per (source, target) cell, its paths keyed by steps in lex order: the
+    enumeration walks them and the involution's surgery looks its paths up."""
+    vs = vertex_sets(m, i)
+    return [[{p.steps: p for p in enumerate_paths(s, t)} for t in vs.targets] for s in vs.sources]
+
+
+# Systems an involution check may visit: every degree of m <= 7 fits (the most
+# is 338,884 at (7, 4)); past it the check stops.
+SYSTEM_BUDGET = 2**19
+
+
 def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
     """Stream the vertex-disjoint path systems of degree i, in deterministic
     order: built one source at a time, targets ascending and paths in lex
-    order.  A path joins a partial system only if its mask misses the
-    occupied vertices, so each collision prunes the whole subtree below it.
-    """
+    order.  Every source and target vertex starts occupied, and a path joins
+    only if it misses the occupied vertices other than its own two ends, so a
+    collision, or a later source or unused target on it, prunes its subtree."""
     vs = vertex_sets(m, i)
-    cells = [[enumerate_paths(s, t) for t in vs.targets] for s in vs.sources]
+    cells = _cells(m, i)
+    ends = [[1 << _bit(s) | 1 << _bit(t) for t in vs.targets] for s in vs.sources]
     h = len(cells)
     chosen: list[LatticePath] = []
     used: list[int] = []
 
     def extend(k: int, occupied: int) -> Iterator[PathSystem]:
         if k == h:
-            perm = tuple(used)
-            yield PathSystem(m, i, tuple(chosen), perm, perm_sign(perm))
+            yield PathSystem(m, i, tuple(chosen), tuple(used))
             return
         for q in range(h):
             if q in used:
                 continue
             used.append(q)
-            for path in cells[k][q]:
-                if path.mask & occupied:
+            blocked = occupied ^ ends[k][q]
+            for path in cells[k][q].values():
+                if path.mask & blocked:
                     continue
                 chosen.append(path)
                 yield from extend(k + 1, occupied | path.mask)
                 chosen.pop()
             used.pop()
 
-    return extend(0, 0)
+    return extend(0, sum(ends[k][k] for k in range(h)))
 
 
 # Live states a transfer sweep may hold: every window of m <= 16 fits (the
@@ -294,7 +304,7 @@ STATE_BUDGET = 2**14
 
 
 class BudgetExceeded(RuntimeError):
-    """A transfer sweep needed more than STATE_BUDGET live states."""
+    """A transfer sweep or an involution check ran past its budget."""
 
 
 def transfer_counts(m: int, i: int) -> tuple[int, int]:
@@ -347,16 +357,6 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
 # -- the sign-reversing involution ------------------------------------------
 
 
-def _set_bits(mask: int) -> Iterator[tuple[int, int, int]]:
-    """(y, x, bit) for each vertex (x, y) whose bit is set in mask."""
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        b = bit.bit_length() - 1
-        x = (isqrt(8 * b + 1) - 1) // 2
-        yield b - x * (x + 1) // 2, x, bit
-
-
 def involution_phi(system: PathSystem) -> PathSystem:
     """Sign-reversing involution on vertex-disjoint, not doubly-disjoint systems.
 
@@ -374,7 +374,9 @@ def involution_phi(system: PathSystem) -> PathSystem:
         crossings |= a & b
     if not crossings:
         raise ValueError("system is doubly vertex disjoint; involution undefined")
-    y, x, bit = max(_set_bits(crossings))
+    bits = [b for b, c in enumerate(bin(crossings)[:1:-1]) if c == "1"]
+    y, x = max((b - x * (x + 1) // 2, x) for b in bits for x in [(isqrt(8 * b + 1) - 1) // 2])
+    bit = 1 << _bit((x, y))
     meeting = [k for k, mask in enumerate(flips) if mask & bit]
     if len(meeting) != 2:
         raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
@@ -385,54 +387,57 @@ def involution_phi(system: PathSystem) -> PathSystem:
 
     # each path meets the anti-diagonal of the crossing and its mirror once:
     # cut there, and again at the path's next touch of the shifted diagonal
-    def cuts(path: LatticePath) -> tuple[int, int]:
-        j = x + y - sum(path.start)
-        verts = path.vertices()
-        return j, next(t for t in range(j + 1, len(verts)) if shifted_offset(verts[t], m) == 0)
-
-    (j_lo, e_lo), (j_up, e_up) = cuts(p_lo), cuts(p_up)
-    new_lo = LatticePath(
-        p_lo.start,
-        p_lo.steps[:j_lo] + p_up.steps[j_up:e_up].translate(_SWAP) + p_up.steps[e_up:],
-    )
-    new_up = LatticePath(
-        p_up.start,
-        p_up.steps[:j_up] + p_lo.steps[j_lo:e_lo].translate(_SWAP) + p_lo.steps[e_lo:],
-    )
-
-    paths = list(system.paths)
-    paths[lo], paths[up] = new_lo, new_up
+    # (the flips above filled in the touches)
+    j_lo, j_up = x + y - sum(p_lo.start), x + y - sum(p_up.start)
+    e_lo, e_up = (next(t for t in p._touches if t > j) for p, j in ((p_lo, j_lo), (p_up, j_up)))
     perm = list(system.permutation)
     perm[lo], perm[up] = perm[up], perm[lo]
-    targets = vertex_sets(m, system.i).targets
-    if new_lo.end != targets[perm[lo]] or new_up.end != targets[perm[up]]:
+    # both new paths run from a source to a target: look them up in their cells
+    cells = _cells(m, system.i)
+    new_lo = cells[lo][perm[lo]].get(
+        p_lo.steps[:j_lo] + p_up.steps[j_up:e_up].translate(_SWAP) + p_up.steps[e_up:]
+    )
+    new_up = cells[up][perm[up]].get(
+        p_up.steps[:j_up] + p_lo.steps[j_lo:e_lo].translate(_SWAP) + p_lo.steps[e_lo:]
+    )
+    if new_lo is None or new_up is None:
         raise ValueError("surgery misses the swapped targets; system outside the domain")
-    return PathSystem(m, system.i, tuple(paths), tuple(perm), -system.sign)
+    paths = list(system.paths)
+    paths[lo], paths[up] = new_lo, new_up
+    return PathSystem(m, system.i, tuple(paths), tuple(perm))
 
 
 def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     """Stream the vertex-disjoint systems of degree i and check involution_phi
     on the set N of those not doubly vertex disjoint: (|N|, signed sum over
-    N, ok), where ok says every image is in N with the opposite sign, that
-    of its permutation, and maps back.  Past a failure, systems are only counted.
+    N, ok), where ok says every image has the permutation its paths' ends
+    give and the opposite sign, is in N, and maps back.  Each pair is checked
+    once, from its first member; the image waits, keyed by its paths (which
+    fix it), until the enumeration reaches it.  Past a failure, only counts.
     """
-    size = signed = 0
-    ok = True
-    for system in enumerate_systems(m, i):
-        if system.is_doubly_vertex_disjoint():
+    ends = {t: q for q, t in enumerate(vertex_sets(m, i).targets)}
+    size, signed, ok = 0, 0, True
+    pending: set[tuple[LatticePath, ...]] = set()
+    for visited, system in enumerate(enumerate_systems(m, i), 1):
+        if visited > SYSTEM_BUDGET:
+            raise BudgetExceeded(f"budget exceeded: over {SYSTEM_BUDGET} systems at ({m}, {i})")
+        if _pairwise_disjoint(_fold(p).mask for p in system.paths):  # doubly disjoint
             continue
         size += 1
         signed += system.sign
-        if ok:
+        if system.paths in pending:
+            pending.remove(system.paths)
+        elif ok:
             image = involution_phi(system)
             ok = (
-                image.sign == -system.sign
-                and image.sign == perm_sign(image.permutation)
+                image.permutation == tuple(ends.get(p.end) for p in image.paths)
+                and image.sign == -system.sign
                 and image.is_vertex_disjoint()
                 and not image.is_doubly_vertex_disjoint()
                 and involution_phi(image) == system
             )
-    return size, signed, ok
+            pending.add(image.paths)
+    return size, signed, ok and not pending
 
 
 # -- determinant adjudication -------------------------------------------------
@@ -483,13 +488,7 @@ def check_dvd_theorem(
         signed, n_doubly = transfer_counts(m, i)
         matches = det == predicted_sign * n_doubly
     return DvdVerdict(
-        m=m,
-        i=i,
-        h=h,
-        det=det,
-        predicted_sign=predicted_sign,
-        signed_sum=signed,
-        n_doubly=n_doubly,
-        count_matches_det=matches,
+        m=m, i=i, h=h, det=det, predicted_sign=predicted_sign, signed_sum=signed,
+        n_doubly=n_doubly, count_matches_det=matches,
         nonvanishing_rule_agrees=(det != 0) == (2 * h <= m),
     )

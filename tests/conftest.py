@@ -1,14 +1,15 @@
 """Shared fixtures and the test-side oracles: the cofactor determinant, the
 Hilbert series by direct multiplication, the quadratic violation scan, the
 per-entry contraction Hessian, the reflection across the shifted diagonal, the
-flip by primitive-segment surgery and the unpruned system enumeration."""
+flip by primitive-segment surgery, the unpruned and the collision-pruned system
+enumerations, and the involution check from both members of every pair."""
 
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
-from lefpath import lefschetz
+from lefpath import lattice, lefschetz
 from lefpath.algebra import OPERATOR_SIDE, GradedPoly, contract, dual_generator
 from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range
@@ -17,7 +18,6 @@ from lefpath.lattice import (
     PathSystem,
     Point,
     enumerate_paths,
-    perm_sign,
     shifted_offset,
     vertex_sets,
 )
@@ -142,7 +142,7 @@ def all_systems(m: int, i: int) -> Iterator[PathSystem]:
     def extend(paths: tuple, perm: tuple) -> Iterator[PathSystem]:
         k = len(perm)
         if k == len(vs):
-            yield PathSystem(m, i, paths, perm, perm_sign(perm))
+            yield PathSystem(m, i, paths, perm)
             return
         for q in range(len(vs)):
             if q not in perm:
@@ -150,3 +150,55 @@ def all_systems(m: int, i: int) -> Iterator[PathSystem]:
                     yield from extend(paths + (path,), perm + (q,))
 
     return extend((), ())
+
+
+def collision_pruned_systems(m: int, i: int) -> Iterator[PathSystem]:
+    """The vertex-disjoint systems in enumerate_systems order, with fresh
+    paths per cell and pruned on collisions with the chosen paths only: a
+    path through a later source or an unused target still opens a subtree."""
+    vs = vertex_sets(m, i)
+    cells = [[enumerate_paths(s, t) for t in vs.targets] for s in vs.sources]
+    chosen: list[LatticePath] = []
+    used: list[int] = []
+
+    def extend(k: int, occupied: int) -> Iterator[PathSystem]:
+        if k == len(cells):
+            yield PathSystem(m, i, tuple(chosen), tuple(used))
+            return
+        for q in range(len(cells)):
+            if q in used:
+                continue
+            used.append(q)
+            for path in cells[k][q]:
+                if path.mask & occupied:
+                    continue
+                chosen.append(path)
+                yield from extend(k + 1, occupied | path.mask)
+                chosen.pop()
+            used.pop()
+
+    return extend(0, 0)
+
+
+def involution_both_sides(m: int, i: int) -> tuple[int, int, bool]:
+    """Involution oracle: (|N|, signed sum over N, ok) from the collision-pruned
+    enumeration, running involution_phi from both members of every pair (four
+    calls a pair), with ok as in check_involution."""
+    ends = {t: q for q, t in enumerate(vertex_sets(m, i).targets)}
+    size = signed = 0
+    ok = True
+    for system in collision_pruned_systems(m, i):
+        if system.is_doubly_vertex_disjoint():
+            continue
+        size += 1
+        signed += system.sign
+        if ok:
+            image = lattice.involution_phi(system)
+            ok = (
+                image.permutation == tuple(ends.get(p.end) for p in image.paths)
+                and image.sign == -system.sign
+                and image.is_vertex_disjoint()
+                and not image.is_doubly_vertex_disjoint()
+                and lattice.involution_phi(image) == system
+            )
+    return size, signed, ok

@@ -438,16 +438,32 @@ def test_transfer_sweep_past_its_budget_exits_2_fast(capsys, action):
     ]
 
 
+def test_involution_check_past_its_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "SYSTEM_BUDGET", 10)
+    code, out, err = run(capsys, "lattice", "4", "2", "involution-check")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "lefpath lattice: error: budget exceeded: over 10 systems at (4, 2)"
+    ]
+
+
 def _identity(phi):
     return lambda system: system
 
 
 def _wrong_sign_image(phi):
-    return lambda system: dataclasses.replace(phi(system), sign=system.sign)
+    # the image's paths under the system's own, unswapped permutation
+    return lambda system: dataclasses.replace(phi(system), permutation=system.permutation)
 
 
 def _same_paths_negated(phi):
-    return lambda system: dataclasses.replace(system, sign=-system.sign)
+    # the system's own paths under a transposed permutation: the opposite
+    # sign, but not the permutation the paths' ends give
+    def fake(system):
+        perm = system.permutation
+        return dataclasses.replace(system, permutation=(perm[1], perm[0]) + perm[2:])
+
+    return fake
 
 
 def _pairs_with_crossing_systems(phi):
@@ -472,9 +488,35 @@ def _pairs_with_crossing_systems(phi):
     return lambda system: swap.get(system) or phi(system)
 
 
+def _later_member_elsewhere(phi):
+    # agrees with phi except on the later member of the first pair, which it
+    # sends to another system of N: the pair is checked from its first member
+    # only, so that check must call phi on the later member
+    n_set = [s for s in lattice.enumerate_systems(4, 2) if not s.is_doubly_vertex_disjoint()]
+    later = phi(n_set[0])
+    other = next(s for s in n_set if s not in (n_set[0], later))
+    return lambda system: other if system == later else phi(system)
+
+
+def _pairs_of_equal_sign(phi):
+    # two systems of N of one sign swapped, and their true partners swapped:
+    # images in N that map back, but without the sign reversal
+    n_set = [s for s in lattice.enumerate_systems(4, 2) if not s.is_doubly_vertex_disjoint()]
+    first, second = [s for s in n_set if s.sign == n_set[0].sign][:2]
+    swap = {first: second, second: first, phi(first): phi(second), phi(second): phi(first)}
+    return lambda system: swap.get(system) or phi(system)
+
+
 @pytest.mark.parametrize(
     "fake",
-    [_identity, _wrong_sign_image, _same_paths_negated, _pairs_with_crossing_systems],
+    [
+        _identity,
+        _wrong_sign_image,
+        _same_paths_negated,
+        _pairs_with_crossing_systems,
+        _later_member_elsewhere,
+        _pairs_of_equal_sign,
+    ],
 )
 def test_involution_check_catches_a_broken_involution(capsys, monkeypatch, fake):
     monkeypatch.setattr(lattice, "involution_phi", fake(lattice.involution_phi))

@@ -4,7 +4,15 @@ import dataclasses
 import time
 
 import pytest
-from conftest import all_systems, flip_by_segments, is_upper, primitive_segments, reflect
+from conftest import (
+    all_systems,
+    collision_pruned_systems,
+    flip_by_segments,
+    involution_both_sides,
+    is_upper,
+    primitive_segments,
+    reflect,
+)
 
 from lefpath import lattice
 
@@ -54,6 +62,9 @@ def test_path_validation():
     p = LatticePath((0, 0), "EEN")
     assert p.end == (2, 1)
     assert p.vertices() == ((0, 0), (1, 0), (2, 0), (2, 1))
+    p = LatticePath((2, 1), "ENNE")  # off the diagonal
+    assert (p.end, p.vertices()) == ((4, 3), ((2, 1), (3, 1), (3, 2), (3, 3), (4, 3)))
+    assert LatticePath((3, 3), "").vertices() == ((3, 3),)
     with pytest.raises(ValueError):
         LatticePath((0, 0), "N")
     with pytest.raises(ValueError):
@@ -365,6 +376,65 @@ def test_check_involution_counts_n_and_cancels():
         assert check_involution(m, i) == (len(n_set), 0, True)
 
 
+def test_check_involution_equals_the_both_sides_oracle():
+    # each pair checked once, from its first member, gives what checking it
+    # from both members gives, at every degree of m <= 6
+    for m, i in all_instances(6):
+        assert check_involution(m, i) == involution_both_sides(m, i), (m, i)
+
+
+def test_dead_vertex_pruning_keeps_the_systems_and_their_order():
+    for i in range(flo(3 * 5) + 1):
+        assert list(enumerate_systems(6, i)) == list(collision_pruned_systems(6, i)), i
+
+
+def test_involution_check_stops_at_its_system_budget(monkeypatch):
+    # (4, 2) visits 24 vertex-disjoint systems
+    monkeypatch.setattr(lattice, "SYSTEM_BUDGET", 23)
+    with pytest.raises(lattice.BudgetExceeded, match="over 23 systems at \\(4, 2\\)"):
+        check_involution(4, 2)
+    monkeypatch.setattr(lattice, "SYSTEM_BUDGET", 24)
+    assert check_involution(4, 2) == involution_both_sides(4, 2)
+
+
+def test_check_involution_needs_every_image_reached(monkeypatch):
+    # an enumeration that never reaches the image of the first system of N
+    # leaves that image pending, and the check fails
+    systems = list(enumerate_systems(4, 2))
+    image = involution_phi(next(s for s in systems if not s.is_doubly_vertex_disjoint()))
+    monkeypatch.setattr(lattice, "enumerate_systems", lambda m, i: (s for s in systems if s != image))
+    assert check_involution(4, 2)[2] is False
+
+
+def test_check_involution_needs_the_permutation_the_ends_give(monkeypatch):
+    # images under a 3-cycle of the true permutation keep the sign and map
+    # back: only the check of the permutation against the paths' ends, which
+    # makes the pending key exact, sees them
+    phi = involution_phi
+    targets = vertex_sets(5, 4).targets
+
+    def fake(system):
+        true = dataclasses.replace(
+            system, permutation=tuple(targets.index(p.end) for p in system.paths)
+        )
+        if system != true:
+            return phi(true)
+        image = phi(system)
+        perm = image.permutation
+        return dataclasses.replace(image, permutation=perm[1:] + perm[:1])
+
+    monkeypatch.setattr(lattice, "involution_phi", fake)
+    assert check_involution(5, 4)[2] is False
+
+
+def test_surgery_returns_the_enumerated_paths():
+    # the involution's new paths are the cell paths the enumeration walks
+    cell_paths = {id(p) for s in enumerate_systems(5, 4) for p in s.paths}
+    for system in enumerate_systems(5, 4):
+        if not system.is_doubly_vertex_disjoint():
+            assert {id(p) for p in involution_phi(system).paths} <= cell_paths
+
+
 def test_flipped_vertices_are_those_of_the_flip():
     # the flip is the paper's segment surgery, and it reflects exactly the
     # vertices strictly below the shifted diagonal
@@ -431,9 +501,7 @@ def test_involution_cuts_at_the_northern_most_crossing():
     starts = [(0, 0), (1, 1), (2, 2), (3, 3)]
     steps = ["EEEEEEEEEEEENNNNNN", "EEEEEEEEENNN", "EEEEEEEN", "EEENNEEEEE"]
     perm = (0, 2, 3, 1)
-    system = PathSystem(
-        7, 6, tuple(map(LatticePath, starts, steps)), perm, lattice.perm_sign(perm)
-    )
+    system = PathSystem(7, 6, tuple(map(LatticePath, starts, steps)), perm)
     flips = [p.vertices() for p in system.flipped_paths()]
     crossings = {v for a in range(4) for b in range(a) for v in set(flips[a]) & set(flips[b])}
     assert crossings == {(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 2)}
