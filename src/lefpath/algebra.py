@@ -9,7 +9,9 @@ with weighted degree a + 2b:
   polynomial whose annihilator presents the algebra A(m, 2).
 
 The degree-i pairing matrices (higher Hessians) of the dual polynomial are
-what the Lefschetz verdicts are read from.
+what the Lefschetz verdicts are read from.  Coefficients are exact: ``int``
+or ``Fraction``, an int staying int through sums, products and contractions,
+so the Hessian oracle runs over integers and divides once per anti-diagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ _VAR_NAMES = {OPERATOR_SIDE: ("e1", "e2"), DUAL_SIDE: ("E1", "E2")}
 class GradedPoly:
     """Sparse polynomial in two variables of weights 1 and 2.
 
-    ``terms`` maps exponent pairs (a, b) to nonzero rational coefficients;
+    ``terms`` maps exponent pairs (a, b) to nonzero exact coefficients, int
+    coefficients kept int and Fraction ones Fraction (floats are rejected);
     the weighted degree of a term is a + 2b.
     """
 
@@ -38,11 +41,11 @@ class GradedPoly:
     def __init__(self, side: str, terms: Mapping[tuple[int, int], object]):
         if side not in _VAR_NAMES:
             raise ValueError(f"unknown side {side!r}")
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], int | Fraction] = {}
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in term ({a}, {b})")
-            c = as_exact(coeff)
+            c = _exact(coeff)
             if c != 0:
                 cleaned[(a, b)] = c
         self.side = side
@@ -58,16 +61,6 @@ class GradedPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def weighted_degree(self) -> int:
-        """Largest weighted degree among the terms (-1 for the zero poly)."""
-        if not self.terms:
-            return -1
-        return max(a + 2 * b for a, b in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {a + 2 * b for a, b in self.terms}
-        return len(degrees) <= 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -89,34 +82,32 @@ class GradedPoly:
         self._require_same_side(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return GradedPoly(self.side, terms)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "GradedPoly":
-        c = as_exact(factor)
+        c = _exact(factor)
         return GradedPoly(self.side, {key: c * v for key, v in self.terms.items()})
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
         self._require_same_side(other)
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 key = (a1 + a2, b1 + b2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms.get(key, 0) + c1 * c2
         return GradedPoly(self.side, terms)
 
     def evaluate(self, c1, c2) -> Fraction:
-        x, y = as_exact(c1), as_exact(c2)
-        return sum(
-            (c * x**a * y**b for (a, b), c in self.terms.items()), Fraction(0)
-        )
+        x, y = _exact(c1), _exact(c2)
+        return as_exact(sum(c * x**a * y**b for (a, b), c in self.terms.items()))
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
         """Terms ordered by decreasing first exponent, then increasing second."""
         return iter(sorted(self.terms.items(), key=lambda kv: (-kv[0][0], kv[0][1])))
 
@@ -156,6 +147,11 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.side!r}, {self.to_text()})"
+
+
+def _exact(value) -> int | Fraction:
+    """An int stays int; anything else goes through as_exact (floats raise)."""
+    return value if type(value) is int else as_exact(value)
 
 
 def format_rational(value: Fraction) -> str:
@@ -224,64 +220,15 @@ def contract(op: GradedPoly, dual: GradedPoly) -> GradedPoly:
     """
     if op.side != OPERATOR_SIDE or dual.side != DUAL_SIDE:
         raise ValueError("contract expects (operator side, dual side)")
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], int | Fraction] = {}
     for (a, b), c_op in op.terms.items():
         for (A, B), c_dual in dual.terms.items():
             if a > A or b > B:
                 continue
             key = (A - a, B - b)
             factor = math.perm(A, a) * math.perm(B, b)
-            terms[key] = terms.get(key, Fraction(0)) + c_op * c_dual * factor
+            terms[key] = terms.get(key, 0) + c_op * c_dual * factor
     return GradedPoly(DUAL_SIDE, terms)
-
-
-def annihilator_check(m: int) -> bool:
-    """True iff both defining relations kill the dual generator.
-
-    Checks f_m(e1, e2) o F = 0 and e2^m o F = 0 as full symbolic
-    contractions, not just point evaluations.
-    """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    F = dual_generator(m)
-    e2_power = GradedPoly.monomial(OPERATOR_SIDE, 0, m)
-    return contract(f_m(m), F).is_zero() and contract(e2_power, F).is_zero()
-
-
-def verify_f_recursion(m: int) -> bool:
-    """Check f_{m+2} = (e1^2 - 2 e2) f_m - e2^2 f_{m-2}, plus the equivalent
-    coefficient recursion c_{m+2,k} = c_{m,k} + 2 c_{m,k-1} - c_{m-2,k-2}."""
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    lhs = f_m(m + 2)
-    multiplier = GradedPoly(OPERATOR_SIDE, {(2, 0): 1, (0, 1): -2})
-    e2_sq = GradedPoly.monomial(OPERATOR_SIDE, 0, 2)
-    rhs = multiplier * f_m(m) - e2_sq * f_m(m - 2)
-    if lhs != rhs:
-        return False
-    return all(
-        c_coeff(m + 2, k) == c_coeff(m, k) + 2 * c_coeff(m, k - 1) - c_coeff(m - 2, k - 2)
-        for k in range(flo(m + 2) + 1)
-    )
-
-
-def _roots_substitution(f: GradedPoly) -> dict[tuple[int, int], Fraction]:
-    """Expand f(e1, e2) at e1 = x + y, e2 = x y as a dict {(i, j): coeff}."""
-    result: dict[tuple[int, int], Fraction] = {}
-    for (a, b), c in f.terms.items():
-        # (x + y)^a * (xy)^b
-        for t in range(a + 1):
-            key = (t + b, a - t + b)
-            result[key] = result.get(key, Fraction(0)) + c * binomial(a, t)
-    return {key: v for key, v in result.items() if v != 0}
-
-
-def verify_power_sum(m: int) -> bool:
-    """True iff f_m(x + y, x y) = x^m + y^m as an exact bivariate identity."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    expanded = _roots_substitution(f_m(m))
-    return expanded == {(m, 0): Fraction(1), (0, m): Fraction(1)}
 
 
 def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
@@ -289,7 +236,9 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
 
     Entry (p, q) is (e1^(2i-2s) e2^s o F_m), s = p + q, evaluated at
     (E1, E2) = eval_point, over the degree-i monomial basis: one contraction
-    per anti-diagonal s, shared by its entries.  The Lefschetz
+    per anti-diagonal s, shared by its entries.  The contraction and the
+    evaluation run over integers on D * F_m, D = (3m-3)!, a multiple of every
+    term's a! b!, and each anti-diagonal divides by D once.  The Lefschetz
     evaluation point is (c1, 0): the degree-1 component is spanned by e1
     alone, so linear forms are c1*e1.  A nonzero second coordinate is
     allowed for experimentation but is not a Lefschetz evaluation.
@@ -298,10 +247,14 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
         raise ValueError(f"need m >= 2, got {m}")
     check_degree(m, i)
     c1, c2 = eval_point
-    F = dual_generator(m)
+    D = math.factorial(3 * m - 3)
+    F = GradedPoly(DUAL_SIDE, {
+        key: _exact_quotient(c.numerator * D, c.denominator, "(3m-3)! * F_m")
+        for key, c in dual_generator(m).terms.items()
+    })
     ps = basis_range(m, i)
     anti_diagonal = {
-        s: contract(GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * s, s), F).evaluate(c1, c2)
+        s: contract(GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * s, s), F).evaluate(c1, c2) / D
         for s in range(2 * ps.start, 2 * ps.stop - 1)
     }
     return ExactMatrix([[anti_diagonal[p + q] for q in ps] for p in ps])

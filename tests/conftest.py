@@ -1,6 +1,8 @@
 """Shared fixtures and the test-side oracles: the cofactor determinant, the
 Hilbert series by direct multiplication, the quadratic violation scan, the
-per-entry contraction Hessian, the reflection across the shifted diagonal, the
+weighted degree and the presentation checks (annihilation, the f_m recursion,
+the power-sum identity), the per-entry contraction Hessian, the reflection
+across the shifted diagonal, the
 flip by primitive-segment surgery, the unpruned and the collision-pruned system
 enumerations, and the involution check from both members of every pair."""
 
@@ -10,9 +12,9 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import pytest
 
 from lefpath import lattice, lefschetz
-from lefpath.algebra import OPERATOR_SIDE, GradedPoly, contract, dual_generator
-from lefpath.exact import ExactMatrix, as_exact
-from lefpath.hilbert import basis_range
+from lefpath.algebra import OPERATOR_SIDE, GradedPoly, c_coeff, contract, dual_generator, f_m
+from lefpath.exact import ExactMatrix, as_exact, binomial
+from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import (
     LatticePath,
     PathSystem,
@@ -71,6 +73,64 @@ def first_violation_rescan(seq: Sequence[int]) -> Optional[int]:
         if seq[j] < seq[j - 1] and any(seq[k] > seq[j] for k in range(j + 1, len(seq))):
             return j
     return None
+
+
+def weighted_degree(poly: GradedPoly) -> int:
+    """Largest weighted degree a + 2b among the terms (-1 for the zero poly)."""
+    return max((a + 2 * b for a, b in poly.terms), default=-1)
+
+
+def is_homogeneous(poly: GradedPoly) -> bool:
+    return len({a + 2 * b for a, b in poly.terms}) <= 1
+
+
+def annihilator_check(m: int) -> bool:
+    """True iff both defining relations kill the dual generator.
+
+    Checks f_m(e1, e2) o F = 0 and e2^m o F = 0 as full symbolic
+    contractions, not just point evaluations.
+    """
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    F = dual_generator(m)
+    e2_power = GradedPoly.monomial(OPERATOR_SIDE, 0, m)
+    return contract(f_m(m), F).is_zero() and contract(e2_power, F).is_zero()
+
+
+def verify_f_recursion(m: int) -> bool:
+    """Check f_{m+2} = (e1^2 - 2 e2) f_m - e2^2 f_{m-2}, plus the equivalent
+    coefficient recursion c_{m+2,k} = c_{m,k} + 2 c_{m,k-1} - c_{m-2,k-2}."""
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    lhs = f_m(m + 2)
+    multiplier = GradedPoly(OPERATOR_SIDE, {(2, 0): 1, (0, 1): -2})
+    e2_sq = GradedPoly.monomial(OPERATOR_SIDE, 0, 2)
+    rhs = multiplier * f_m(m) - e2_sq * f_m(m - 2)
+    if lhs != rhs:
+        return False
+    return all(
+        c_coeff(m + 2, k) == c_coeff(m, k) + 2 * c_coeff(m, k - 1) - c_coeff(m - 2, k - 2)
+        for k in range(flo(m + 2) + 1)
+    )
+
+
+def _roots_substitution(f: GradedPoly) -> dict[tuple[int, int], Fraction]:
+    """Expand f(e1, e2) at e1 = x + y, e2 = x y as a dict {(i, j): coeff}."""
+    result: dict[tuple[int, int], Fraction] = {}
+    for (a, b), c in f.terms.items():
+        # (x + y)^a * (xy)^b
+        for t in range(a + 1):
+            key = (t + b, a - t + b)
+            result[key] = result.get(key, Fraction(0)) + c * binomial(a, t)
+    return {key: v for key, v in result.items() if v != 0}
+
+
+def verify_power_sum(m: int) -> bool:
+    """True iff f_m(x + y, x y) = x^m + y^m as an exact bivariate identity."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    expanded = _roots_substitution(f_m(m))
+    return expanded == {(m, 0): Fraction(1), (0, m): Fraction(1)}
 
 
 def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:

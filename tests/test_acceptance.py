@@ -7,14 +7,7 @@ per criterion.
 import math
 from fractions import Fraction
 
-from lefpath.algebra import (
-    annihilator_check,
-    dual_numerator,
-    f_m,
-    hessian,
-    verify_f_recursion,
-    verify_power_sum,
-)
+from lefpath.algebra import dual_numerator, f_m, hessian
 from lefpath.catalan import (
     catalan_power,
     catalan_power_reciprocal,
@@ -37,6 +30,8 @@ from lefpath.partitions import (
     enumerate_restricted,
     gf_matches_hilbert,
 )
+
+from conftest import annihilator_check, verify_f_recursion, verify_power_sum
 
 
 def _verdict(num: int, description: str, ok: bool) -> None:

@@ -12,7 +12,6 @@ from lefpath.algebra import (
     DUAL_SIDE,
     OPERATOR_SIDE,
     GradedPoly,
-    annihilator_check,
     c_coeff,
     contract,
     dual_generator,
@@ -20,13 +19,19 @@ from lefpath.algebra import (
     f_m,
     hankel_window,
     hessian,
-    verify_f_recursion,
-    verify_power_sum,
 )
 from lefpath.exact import ExactMatrix
 from lefpath.hilbert import basis_range, check_degree, flo, hilbert_m2_closed
+from lefpath.lefschetz import property_report
 
-from conftest import hessian_per_entry
+from conftest import (
+    annihilator_check,
+    hessian_per_entry,
+    is_homogeneous,
+    verify_f_recursion,
+    verify_power_sum,
+    weighted_degree,
+)
 
 
 def test_c_coeff_values():
@@ -61,8 +66,8 @@ def test_dual_generator_m2():
 def test_dual_generator_is_homogeneous():
     for m in range(2, 10):
         F = dual_generator(m)
-        assert F.is_homogeneous()
-        assert F.weighted_degree() == 3 * (m - 1)
+        assert is_homogeneous(F)
+        assert weighted_degree(F) == 3 * (m - 1)
         assert len(F.terms) == m
 
 
@@ -199,10 +204,12 @@ def test_hessian_scaling_covariance(c):
             assert scaled == base.scaled(Fraction(c) ** (3 * m - 3 - 2 * i))
 
 
-@pytest.mark.parametrize("point", [(1, 0), (2, -1), (1, 1)])
+@pytest.mark.parametrize("point", [(1, 0), (2, -1), (1, 1), (Fraction(1, 2), Fraction(-3, 7))])
 @pytest.mark.parametrize("m", range(2, 8))
 def test_hessian_matches_per_entry_contraction(m, point):
-    # (1, 1) puts E2 != 0, so every term of each contraction counts
+    # (1, 1) puts E2 != 0, so every term of each contraction counts; the
+    # oracle contracts the unscaled Fraction generator, so it also checks
+    # the (3m-3)! scaling, at a rational point too
     for i in range(flo(3 * (m - 1)) + 1):
         assert hessian(m, i, point) == hessian_per_entry(m, i, point)
 
@@ -221,6 +228,36 @@ def test_hessian_contracts_once_per_anti_diagonal(monkeypatch):
             h = len(basis_range(m, i))
             assert hessian(m, i, (1, 1)).nrows == h
             assert len(operators) == len(set(operators)) == 2 * h - 1
+
+
+def test_graded_poly_keeps_ints_and_rejects_floats():
+    ints = GradedPoly(DUAL_SIDE, {(2, 1): 3, (0, 2): -1})
+    fractions = GradedPoly(DUAL_SIDE, {(2, 1): Fraction(3), (0, 2): Fraction(-1)})
+    assert all(type(c) is int for c in ints.terms.values())
+    assert all(type(c) is Fraction for c in fractions.terms.values())
+    assert ints == fractions and hash(ints) == hash(fractions)
+    op = GradedPoly(OPERATOR_SIDE, {(1, 0): 2, (0, 1): 5})
+    contracted = contract(op, ints)
+    assert contracted == GradedPoly(DUAL_SIDE, {(1, 1): 12, (2, 0): 15, (0, 1): -10})
+    assert all(type(c) is int for c in contracted.terms.values())
+    assert ints.evaluate(2, -1) == Fraction(-13)
+    assert type(ints.evaluate(2, -1)) is Fraction
+    for point in ((1.0, 0), (1, 0.0)):
+        with pytest.raises(TypeError):
+            ints.evaluate(*point)
+        with pytest.raises(TypeError):
+            hessian(5, 3, point)
+
+
+@pytest.mark.parametrize("m", [13, 24, 40])
+def test_hessian_matches_report_past_the_crosscheck(m):
+    # the report cross-check compares Hessians with the windows only for
+    # m <= 12; past it, each scaled determinant against the report's
+    verdicts = property_report(m).verdicts
+    for i in range(flo(3 * (m - 1)) + 1):
+        h = len(basis_range(m, i))
+        scale = math.factorial(3 * m - 3 - 2 * i) ** h
+        assert hessian(m, i).det() * scale == verdicts[i].det
 
 
 _small_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -245,8 +282,8 @@ def test_contract_is_bilinear(f, g, F, alpha, beta):
 def test_contract_degree_drop(op):
     F = dual_generator(5)
     result = contract(op, F)
-    if not result.is_zero() and op.is_homogeneous() and not op.is_zero():
-        assert result.weighted_degree() == F.weighted_degree() - op.weighted_degree()
+    if not result.is_zero() and is_homogeneous(op) and not op.is_zero():
+        assert weighted_degree(result) == weighted_degree(F) - weighted_degree(op)
 
 
 def test_json_terms_rendering():
