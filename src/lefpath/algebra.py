@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .exact import ExactMatrix, as_exact, binomial
+from .exact import ExactMatrix, as_exact, as_int_or_fraction, binomial
 from .hilbert import basis_range, check_degree, flo
 
 OPERATOR_SIDE = "op"
@@ -45,7 +45,7 @@ class GradedPoly:
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in term ({a}, {b})")
-            c = _exact(coeff)
+            c = as_int_or_fraction(coeff)
             if c != 0:
                 cleaned[(a, b)] = c
         self.side = side
@@ -89,7 +89,7 @@ class GradedPoly:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "GradedPoly":
-        c = _exact(factor)
+        c = as_int_or_fraction(factor)
         return GradedPoly(self.side, {key: c * v for key, v in self.terms.items()})
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
@@ -102,7 +102,7 @@ class GradedPoly:
         return GradedPoly(self.side, terms)
 
     def evaluate(self, c1, c2) -> Fraction:
-        x, y = _exact(c1), _exact(c2)
+        x, y = as_int_or_fraction(c1), as_int_or_fraction(c2)
         return as_exact(sum(c * x**a * y**b for (a, b), c in self.terms.items()))
 
     # -- rendering ---------------------------------------------------------
@@ -147,11 +147,6 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.side!r}, {self.to_text()})"
-
-
-def _exact(value) -> int | Fraction:
-    """An int stays int; anything else goes through as_exact (floats raise)."""
-    return value if type(value) is int else as_exact(value)
 
 
 def format_rational(value: Fraction) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import as_exact, binomial
+from .exact import as_int_or_fraction, binomial
 from .hilbert import flo
 from .algebra import c_coeff, dual_numerator
 
@@ -26,7 +26,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence):
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs = tuple(c if type(c) is int else as_exact(c) for c in coeffs)
+        self.coeffs = tuple(as_int_or_fraction(c) for c in coeffs)
 
     @property
     def order(self) -> int:

@@ -1,10 +1,12 @@
-"""Exact integer/rational helpers and dense exact linear algebra.
+"""Exact integer/rational helpers and exact symmetric matrices.
 
-Matrices are immutable tuples of tuples of ``fractions.Fraction``.  Their
-determinant, rank and signature are read off one fraction-free (Bareiss)
-elimination of an integer copy, cleared by the lcm of the denominators and
-memoised.  hankel_wall gives the leading minors of every Hankel window of
-one integer sequence instead, one exact division per number-wall entry.
+Every matrix the workbench builds is a symmetric pairing form, so an
+ExactMatrix is a square symmetric tuple of tuples of ``fractions.Fraction``;
+other input raises ValueError.  Its det, rank and signature come from one
+memoised fraction-free (Bareiss) elimination by congruences of an integer
+copy, cleared by the lcm of the denominators.  hankel_wall gives the leading
+minors of every Hankel window of one integer sequence, one exact division
+per number-wall entry.
 """
 
 from __future__ import annotations
@@ -35,18 +37,22 @@ def as_exact(value) -> Fraction:
     raise TypeError(f"exact arithmetic only: got {type(value).__name__}")
 
 
+def as_int_or_fraction(value) -> int | Fraction:
+    """An int stays int; anything else goes through as_exact (floats raise)."""
+    return value if type(value) is int else as_exact(value)
+
+
 class ExactMatrix:
-    """Dense matrix over the rationals with exact det / rank / signature."""
+    """Square symmetric matrix over the rationals with exact det / rank / signature."""
 
     __slots__ = ("rows", "_elimination")
 
     def __init__(self, rows: Iterable[Iterable]):
         table = tuple(tuple(as_exact(e) for e in row) for row in rows)
-        if not table:
-            raise ValueError("matrix needs at least one row")
-        width = len(table[0])
-        if width == 0 or any(len(row) != width for row in table):
-            raise ValueError("matrix rows must be nonempty and equal length")
+        if not table or any(len(row) != len(table) for row in table):
+            raise ValueError("matrix must be square with at least one row")
+        if tuple(zip(*table)) != table:
+            raise ValueError("matrix must be symmetric")
         self.rows = table
         self._elimination = None
 
@@ -54,9 +60,7 @@ class ExactMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
+    ncols = nrows  # square
 
     def __getitem__(self, key):
         i, j = key
@@ -78,98 +82,73 @@ class ExactMatrix:
         c = as_exact(factor)
         return ExactMatrix(tuple(tuple(c * e for e in row) for row in self.rows))
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
-    def _pivots(self) -> tuple[tuple[int, ...], int, int]:
-        """One fraction-free (Bareiss) elimination, memoised: (pivots, sign, L).
+    def _pivots(self) -> tuple[tuple[int, ...], int]:
+        """One fraction-free (Bareiss) elimination, memoised: (pivots, L).
 
         The entries are cleared by the matrix-wide lcm L of their
-        denominators.  Pivot k is then the (k+1)-th leading principal minor
-        of a row-and-column permutation of L * self (for a symmetric matrix,
-        of a congruent matrix), and sign is the sign of that permutation.
-        A symmetric matrix is reduced by congruences only: symmetric swaps
-        and, when the remaining diagonal is zero, row_r += row_c with
-        col_r += col_c, whose new diagonal entry is 2 * a_rc != 0.
+        denominators.  The elimination applies congruences A -> E^T A E with
+        det E = +-1 only: a symmetric swap of row and column k with those of
+        the first later nonzero diagonal entry, or, when the remaining
+        diagonal is zero, row_r += row_c with col_r += col_c, whose new
+        diagonal entry is 2 * a_rc != 0.  So pivot k is the (k+1)-th leading
+        principal minor of a matrix congruent to L * self with its determinant.
         """
         if self._elimination is not None:
             return self._elimination
         L = math.lcm(*(e.denominator for row in self.rows for e in row))
         m = [[e.numerator * (L // e.denominator) for e in row] for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        symmetric = self.is_symmetric()
+        n = len(m)
         pivots: list[int] = []
-        sign = 1
         prev = 1
-        for k in range(min(nr, nc)):
-            diagonal = [i for i in range(k, nr) if m[i][i]] if symmetric else []
-            if diagonal:
-                r = c = diagonal[0]
-            else:
+        for k in range(n):
+            r = next((i for i in range(k, n) if m[i][i]), None)
+            if r is None:
                 cell = next(
-                    ((i, j) for j in range(k, nc) for i in range(k, nr) if m[i][j]),
+                    ((i, j) for j in range(k, n) for i in range(k, n) if m[i][j]),
                     None,
                 )
                 if cell is None:
                     break
                 r, c = cell
-                if symmetric:
-                    for j in range(k, nc):
-                        m[r][j] += m[c][j]
-                    for row in m[k:]:
-                        row[r] += row[c]
-                    c = r
+                for j in range(k, n):
+                    m[r][j] += m[c][j]
+                for row in m[k:]:
+                    row[r] += row[c]
             if r != k:
                 m[k], m[r] = m[r], m[k]
-                sign = -sign
-            if c != k:
                 for row in m[k:]:
-                    row[k], row[c] = row[c], row[k]
-                sign = -sign
+                    row[k], row[r] = row[r], row[k]
             pivot = m[k][k]
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
                     q, rem = divmod(m[i][j] * pivot - m[i][k] * m[k][j], prev)
                     if rem:
                         raise ArithmeticError("Bareiss exact division failed")
                     m[i][j] = q
             pivots.append(pivot)
             prev = pivot
-        self._elimination = (tuple(pivots), sign, L)
+        self._elimination = (tuple(pivots), L)
         return self._elimination
 
     def det(self) -> Fraction:
-        """Exact determinant: sign * last pivot / L^n at full rank, else 0."""
-        if not self.is_square():
-            raise ValueError("determinant requires a square matrix")
-        pivots, sign, L = self._pivots()
+        """Exact determinant: last pivot / L^n at full rank, else 0."""
+        pivots, L = self._pivots()
         if len(pivots) < self.nrows:
             return Fraction(0)
-        return Fraction(sign * pivots[-1], L**self.nrows)
+        return Fraction(pivots[-1], L**self.nrows)
 
     def rank(self) -> int:
         """Exact rank over the rationals: the number of pivots."""
         return len(self._pivots()[0])
 
     def signature(self) -> int:
-        """(#positive - #negative eigenvalues) of a symmetric matrix.
+        """(#positive - #negative eigenvalues).
 
         The pivots are the nonzero leading principal minors d_1, ..., d_r of
         a matrix congruent to L * self whose remaining Schur complement is
         zero, so the Sylvester-Jacobi count sum_k sign(d_{k-1} * d_k), with
         d_0 = 1, is the signature; no eigenvalues are ever computed.
         """
-        if not self.is_symmetric():
-            raise ValueError("signature requires a symmetric matrix")
         minors = (1,) + self._pivots()[0]
         return sum(1 if a * b > 0 else -1 for a, b in zip(minors, minors[1:]))
 

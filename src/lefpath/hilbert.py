@@ -82,18 +82,6 @@ def hilbert_m2_closed(m: int, i: int) -> int:
     return flo(i + 2) - flo_star(i + 2 - m) - flo_star(i + 2 - 2 * m)
 
 
-def is_unimodal(seq: Sequence[int]) -> bool:
-    """True iff seq weakly increases to some peak, then weakly decreases."""
-    if len(seq) == 0:
-        raise ValueError("empty sequence")
-    k = 0
-    while k + 1 < len(seq) and seq[k + 1] >= seq[k]:
-        k += 1
-    while k + 1 < len(seq) and seq[k + 1] <= seq[k]:
-        k += 1
-    return k == len(seq) - 1
-
-
 def first_violation_index(seq: Sequence[int]) -> Optional[int]:
     """Index of the first dip that rises again later; None if unimodal.
 

@@ -3,43 +3,18 @@
 Members of the family P(m, n) have parts of size at most n, each size
 repeated at most m-1 times.  Encoding a partition by its multiplicity
 vector (j_1, ..., j_n), 0 <= j_k <= m-1, makes the m^n count and the
-generating-function identity structural.  The degree formula for the socle
-pairing cross-checks the single entry of the degree-0 path matrix.
+generating-function identity structural: partition_gf counts the family
+by size one multiplicity vector at a time, and the partitions scan compares
+it with hilbert_series.  The degree formula for the socle pairing
+cross-checks the single entry of the degree-0 path matrix.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 
-from .hilbert import hilbert_series
 from .lattice import path_matrix
-
-Partition = tuple[int, ...]
-
-
-def _from_multiplicities(mults: tuple[int, ...]) -> Partition:
-    """Partition with mults[k-1] parts of size k, parts decreasing."""
-    parts: list[int] = []
-    for size in range(len(mults), 0, -1):
-        parts.extend([size] * mults[size - 1])
-    return tuple(parts)
-
-
-def enumerate_restricted(m: int, n: int) -> list[Partition]:
-    """All partitions with parts <= n, each part repeated < m times.
-
-    Ordered by size, then by decreasing-lexicographic part tuples; the
-    count is exactly m^n.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    members = [
-        _from_multiplicities(mults) for mults in product(range(m), repeat=n)
-    ]
-    members.sort(key=lambda parts: (sum(parts), tuple(-p for p in parts)))
-    return members
 
 
 def partition_gf(m: int, n: int) -> tuple[int, ...]:
@@ -89,7 +64,3 @@ def degree_formula_matches_hessian(m: int) -> bool:
         raise ValueError(f"need m >= 2, got {m}")
     return degree_formula(m, 2) == path_matrix(m, 0)[0, 0]
 
-
-def gf_matches_hilbert(m: int, n: int) -> bool:
-    """True iff the partition generating function equals the Hilbert series."""
-    return partition_gf(m, n) == hilbert_series(m, n).coeffs

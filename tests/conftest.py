@@ -1,12 +1,14 @@
 """Shared fixtures and the test-side oracles: the cofactor determinant, the
 Hilbert series by direct multiplication, the quadratic violation scan, the
-weighted degree and the presentation checks (annihilation, the f_m recursion,
-the power-sum identity), the per-entry contraction Hessian, the reflection
-across the shifted diagonal, the
-flip by primitive-segment surgery, the unpruned and the collision-pruned system
-enumerations, and the involution check from both members of every pair."""
+unimodality test, the restricted partition family listed member by member,
+the weighted degree and the presentation checks (annihilation, the f_m
+recursion, the power-sum identity), the per-entry contraction Hessian, the
+reflection across the shifted diagonal, the flip by primitive-segment
+surgery, the unpruned and the collision-pruned system enumerations, and the
+involution check from both members of every pair."""
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
@@ -73,6 +75,41 @@ def first_violation_rescan(seq: Sequence[int]) -> Optional[int]:
         if seq[j] < seq[j - 1] and any(seq[k] > seq[j] for k in range(j + 1, len(seq))):
             return j
     return None
+
+
+def is_unimodal(seq: Sequence[int]) -> bool:
+    """True iff seq weakly increases to some peak, then weakly decreases."""
+    if len(seq) == 0:
+        raise ValueError("empty sequence")
+    k = 0
+    while k + 1 < len(seq) and seq[k + 1] >= seq[k]:
+        k += 1
+    while k + 1 < len(seq) and seq[k + 1] <= seq[k]:
+        k += 1
+    return k == len(seq) - 1
+
+
+def _from_multiplicities(mults: tuple[int, ...]) -> tuple[int, ...]:
+    """Partition with mults[k-1] parts of size k, parts decreasing."""
+    parts: list[int] = []
+    for size in range(len(mults), 0, -1):
+        parts.extend([size] * mults[size - 1])
+    return tuple(parts)
+
+
+def enumerate_restricted(m: int, n: int) -> list[tuple[int, ...]]:
+    """All partitions with parts <= n, each part repeated < m times.
+
+    Ordered by size, then by decreasing-lexicographic part tuples; the
+    count is exactly m^n.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got ({m}, {n})")
+    members = [
+        _from_multiplicities(mults) for mults in product(range(m), repeat=n)
+    ]
+    members.sort(key=lambda parts: (sum(parts), tuple(-p for p in parts)))
+    return members
 
 
 def weighted_degree(poly: GradedPoly) -> int:

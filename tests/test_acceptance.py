@@ -16,7 +16,7 @@ from lefpath.catalan import (
 )
 from lefpath.algebra import c_coeff
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import flo, hilbert_m2_closed, hilbert_series, is_unimodal
+from lefpath.hilbert import flo, hilbert_m2_closed, hilbert_series
 from lefpath.lattice import (
     check_dvd_theorem,
     enumerate_systems,
@@ -25,13 +25,15 @@ from lefpath.lattice import (
     transfer_counts,
 )
 from lefpath.lefschetz import complex_hrr_expected_sign, property_report
-from lefpath.partitions import (
-    degree_formula_matches_hessian,
-    enumerate_restricted,
-    gf_matches_hilbert,
-)
+from lefpath.partitions import degree_formula_matches_hessian, partition_gf
 
-from conftest import annihilator_check, verify_f_recursion, verify_power_sum
+from conftest import (
+    annihilator_check,
+    enumerate_restricted,
+    is_unimodal,
+    verify_f_recursion,
+    verify_power_sum,
+)
 
 
 def _verdict(num: int, description: str, ok: bool) -> None:
@@ -224,7 +226,7 @@ def test_criterion_10_partitions():
     ]
     for m in range(1, 9):
         for n in range(1, 9):
-            ok &= gf_matches_hilbert(m, n)
+            ok &= partition_gf(m, n) == hilbert_series(m, n).coeffs
     for m in range(2, 31):
         ok &= degree_formula_matches_hessian(m)
     _verdict(10, "partition family list/GF identity; degree-formula crosscheck", ok)

@@ -2,7 +2,7 @@
 
 Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
-polynomial (sizes <= 3, where all symmetric matrices have real spectra).
+polynomial (a symmetric matrix has an all-real spectrum).
 The number wall's Hankel minors and the verdicts read from them are checked
 against Bareiss elimination.
 """
@@ -64,26 +64,53 @@ def test_det_cofactor_last_row():
 
 
 def test_det_rational_entries():
-    m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]])
-    assert m.det() == Fraction(1, 10) - Fraction(1, 12)
+    m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]])
+    assert m.det() == Fraction(1, 10) - Fraction(1, 9)
 
 
-def test_det_requires_square():
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 2, 3], [2, 4, 6]],
+        [],
+        [[]],
+        [[1, 2], [3, 4]],
+    ],
+    ids=["non_square", "rectangular_rank_1", "empty", "empty_row", "non_symmetric"],
+)
+def test_rejects_all_but_square_symmetric_rows(rows):
     with pytest.raises(ValueError):
-        ExactMatrix([[1, 2, 3], [4, 5, 6]]).det()
+        ExactMatrix(rows)
+
+
+def _mirror(upper: list[list[int]], zero_diagonal: bool = False) -> list[list[int]]:
+    """The symmetric table whose upper triangle is upper's."""
+    n = len(upper)
+    return [
+        [0 if i == j and zero_diagonal else upper[min(i, j)][max(i, j)] for j in range(n)]
+        for i in range(n)
+    ]
 
 
 @settings(max_examples=150)
 @given(
     st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.booleans(),
         )
     )
 )
-def test_det_matches_cofactor_oracle(rows):
+def test_det_matches_cofactor_oracle(case):
+    # half the draws have a zero diagonal, whose first pivot comes from the
+    # row_r += row_c congruence
+    upper, zero_diagonal = case
+    rows = _mirror(upper, zero_diagonal)
     assert ExactMatrix(rows).det() == det_cofactor(rows)
 
 
@@ -100,45 +127,26 @@ def test_rank_examples():
     assert ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)]).rank() == 4
 
 
-def test_rank_rectangular():
-    assert ExactMatrix([[1, 2, 3], [2, 4, 6]]).rank() == 1
-
-
-@settings(max_examples=100)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-            min_size=1,
-            max_size=4,
-        )
-    )
-)
-def test_rank_equals_rank_of_transpose(rows):
-    m = ExactMatrix(rows)
-    assert m.rank() == ExactMatrix(zip(*rows)).rank()
-
-
 # -- signature ----------------------------------------------------------------
 
 
 def _char_poly_coeffs(m: ExactMatrix) -> list[Fraction]:
-    """[1, -tr, m2, -det][:n+1]: char poly of a matrix of size <= 3."""
-    n = m.nrows
-    tr = sum((m[i, i] for i in range(n)), Fraction(0))
-    if n == 1:
-        return [Fraction(1), -tr]
-    if n == 2:
-        return [Fraction(1), -tr, m.det()]
-    m2 = sum(
-        (
-            m[i, i] * m[j, j] - m[i, j] * m[j, i]
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ),
-        Fraction(0),
-    )
-    return [Fraction(1), -tr, m2, -m.det()]
+    """Coefficients of det(t I - m), leading first, by Faddeev-LeVerrier:
+    M_k = m M_(k-1) + c_(k-1) I and c_k = -tr(m M_k) / k, from M_0 = 0 and
+    c_0 = 1; no determinant is taken."""
+    a, n = m.rows, m.nrows
+    coeffs = [Fraction(1)]
+    power = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        power = [
+            [
+                sum(a[i][l] * power[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        coeffs.append(-sum(a[i][l] * power[l][i] for i in range(n) for l in range(n)) / k)
+    return coeffs
 
 
 def _sign_changes(coeffs) -> int:
@@ -147,8 +155,8 @@ def _sign_changes(coeffs) -> int:
 
 
 def signature_descartes(m: ExactMatrix) -> int:
-    """Descartes-rule signature oracle; valid because symmetric matrices of
-    this size have all-real spectra."""
+    """Descartes-rule signature oracle; exact because a symmetric matrix has
+    an all-real spectrum."""
     coeffs = _char_poly_coeffs(m)
     pos = _sign_changes(coeffs)
     neg = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
@@ -162,20 +170,27 @@ def test_signature_examples():
     assert ExactMatrix([[0, 1], [1, 0]]).signature() == 0
 
 
+def test_zero_diagonal_congruence_keeps_the_signature():
+    # the first pivot comes from row_r += row_c with col_r += col_c; adding
+    # the rows alone keeps det and rank, but gives signature -2 here
+    rows = [
+        [0, 0, -3, 2, 3],
+        [0, 0, 3, -2, 1],
+        [-3, 3, 0, 0, 1],
+        [2, -2, 0, 0, -3],
+        [3, 1, 1, -3, 0],
+    ]
+    m = ExactMatrix(rows)
+    assert m.signature() == signature_descartes(m) == 0
+    assert m.rank() == 4
+
+
 def test_signature_zero_matrix():
     assert ExactMatrix([[0, 0], [0, 0]]).signature() == 0
 
 
-def test_signature_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        ExactMatrix([[1, 2], [3, 4]]).signature()
-
-
 def _symmetric(entries: list[list[int]]) -> ExactMatrix:
-    n = len(entries)
-    return ExactMatrix(
-        [[entries[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    )
+    return ExactMatrix(_mirror(entries))
 
 
 @settings(max_examples=200)

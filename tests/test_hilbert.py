@@ -9,12 +9,11 @@ from lefpath.hilbert import (
     flo,
     hilbert_m2_closed,
     hilbert_series,
-    is_unimodal,
     socle_degree,
     unimodality_record,
 )
 
-from conftest import first_violation_rescan, hilbert_series_product
+from conftest import first_violation_rescan, hilbert_series_product, is_unimodal
 
 
 def test_series_m5():
