@@ -18,22 +18,30 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import algebra, catalan, hilbert, lattice, lefschetz, partitions
-from .algebra import format_rational
-from .exact import ExactMatrix
+from . import hilbert, lattice
+
+# Only the path route (hilbert, lattice, exact) loads with this module; the
+# algebraic route's modules load in the command that reads them, so that
+# `lattice m i involution-check` and `--help` never compile them.
+if TYPE_CHECKING:
+    from . import lefschetz
+    from .exact import ExactMatrix
 
 SCHEMA_VERSION = 1
 
 
 def _format_matrix(matrix: ExactMatrix) -> str:
+    from .algebra import format_rational
+
     return "[" + "; ".join(
         " ".join(format_rational(e) for e in row) for row in matrix.rows
     ) + "]"
@@ -172,6 +180,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from . import algebra
+
     relation = algebra.f_m(args.m)
     dual = algebra.dual_generator(args.m)
     if args.format == "json":
@@ -196,6 +206,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hessian(args) -> int:
+    from . import algebra
+
     point = (args.point[0], args.point[1]) if args.point else (1, 0)
     if args.paths:
         matrix = lattice.path_matrix(args.m, args.i)
@@ -203,7 +215,7 @@ def cmd_hessian(args) -> int:
         matrix = algebra.hessian(args.m, args.i, point)
     printed = False
     if args.det:
-        print(format_rational(matrix.det()))
+        print(algebra.format_rational(matrix.det()))
         printed = True
     if args.rank:
         print(matrix.rank())
@@ -338,6 +350,8 @@ def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
     read: each (p, q) in some degree's basis range once, the count of paths
     from source p to target q against b[p + q].  For m <= 12, every degree's
     scaled contraction Hessian is compared with its window of b."""
+    from . import algebra
+
     m, b = report.m, report.moments
     ranges = [hilbert.basis_range(m, i) for i in range(hilbert.flo(3 * (m - 1)) + 1)]
     largest = {ps.start: ps for ps in ranges}.values()  # stops grow with the degree
@@ -353,6 +367,8 @@ def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
 
 
 def cmd_report(args) -> int:
+    from . import lefschetz
+
     report = lefschetz.property_report(args.m)
     verified = _verify_hessian_path_equivalence(report)
     if args.format == "json":
@@ -386,6 +402,8 @@ def _scan_hilbert_task(key: tuple[int, int]) -> dict:
 
 
 def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
+    from . import lefschetz
+
     (m, _) = key
     report = lefschetz.property_report(m)
     flags = [
@@ -433,6 +451,8 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
 
 
 def _scan_catalan_task(key: tuple[int, int]) -> dict:
+    from . import algebra, catalan
+
     m, _ = key
     order = 20
     power_ok = catalan.catalan_power(m, order) == catalan.catalan_series(order).pow(m)
@@ -449,6 +469,8 @@ def _scan_catalan_task(key: tuple[int, int]) -> dict:
 
 
 def _scan_partitions_task(key: tuple[int, int]) -> dict:
+    from . import partitions
+
     m, n = key
     gf = partitions.partition_gf(m, n)
     count_ok = sum(gf) == m**n
@@ -458,29 +480,35 @@ def _scan_partitions_task(key: tuple[int, int]) -> dict:
     return {"rows": [[m, n, count_ok, gf_ok, degree_ok]], "ok": ok, "flags": []}
 
 
+# mode: (task, CSV header, whether it reads --n, the modules its tasks import)
 _SCAN_MODES = {
     "hilbert": (
         _scan_hilbert_task,
         ["m", "n", "socle_degree", "unimodal", "first_violation_index"],
         True,
+        (),
     ),
-    "lefschetz": (_scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False),
-    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False),
+    "lefschetz": (
+        _scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("algebra", "lefschetz")
+    ),
+    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lefschetz",)),
     "catalan": (
         _scan_catalan_task,
         ["m", "power_closed_form_ok", "reciprocal_head_ok", "identity_zero_ok"],
         False,
+        ("algebra", "catalan"),
     ),
     "partitions": (
         _scan_partitions_task,
         ["m", "n", "count_ok", "gf_matches_hilbert", "degree_formula_ok"],
         True,
+        ("partitions",),
     ),
 }
 
 
 def cmd_scan(args) -> int:
-    task_func, header, uses_n = _SCAN_MODES[args.mode]
+    task_func, header, uses_n, modules = _SCAN_MODES[args.mode]
     if args.n and not uses_n:
         args.error(f"argument --n: the {args.mode} mode does not read --n")
     m_range = _parse_range(args.m)
@@ -491,6 +519,8 @@ def cmd_scan(args) -> int:
         keys = [(m, n) for m in m_range for n in n_range]
     else:
         keys = [(m, 0) for m in m_range]
+    for name in modules:  # loaded here once, so that no pool worker compiles them
+        importlib.import_module(f"{__package__}.{name}")
     results = _map_tasks(task_func, keys, args.jobs)
 
     rows = [row for result in results for row in result["rows"]]
@@ -607,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Scan modes and their CSV columns:\n"
             + "\n".join(
                 f"  {mode}: {', '.join(header)}"
-                for mode, (_, header, _) in _SCAN_MODES.items()
+                for mode, (_, header, _, _) in _SCAN_MODES.items()
             )
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -13,18 +13,21 @@ the anti-diagonals x + y = s, holding at most STATE_BUDGET states.  The
 involution check enumerates the systems one by one, at most SYSTEM_BUDGET,
 from one table of cell paths that its surgery also reads, and checks each
 pair of systems once.  A path carries its vertex set as one integer mask
-and keeps its flip, so disjointness, pruning and crossings are bitwise ANDs.
+and keeps its flip, so disjointness, pruning and crossings are bitwise: one
+pass over a system's masks (_shared) gives the vertices two paths share.
+The determinant the path route is compared with comes from the lefschetz
+report, loaded only by check_dvd_theorem.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import isqrt
 from typing import Iterator, Literal, Optional
 
-from . import lefschetz
 from .exact import ExactMatrix, binomial
 from .hilbert import basis_range, check_degree, flo
 
@@ -213,6 +216,7 @@ def _fold(path: LatticePath) -> LatticePath:
 # -- path systems -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # at most h! permutations per degree
 def perm_sign(perm: tuple[int, ...]) -> int:
     inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
     return -1 if inversions % 2 else 1
@@ -235,21 +239,39 @@ class PathSystem:
         return tuple(flip(p, self.m) for p in self.paths)
 
     def is_vertex_disjoint(self) -> bool:
-        return _pairwise_disjoint(p.mask for p in self.paths)
+        return not _shared(p.mask for p in self.paths)
 
     def is_doubly_vertex_disjoint(self) -> bool:
-        return self.is_vertex_disjoint() and _pairwise_disjoint(
+        return self.is_vertex_disjoint() and not _shared(
             p.mask for p in self.flipped_paths()
         )
 
 
-def _pairwise_disjoint(masks) -> bool:
-    seen = 0
+def _shared(masks) -> int:
+    """The bits set in two or more of the masks, in one pass."""
+    seen = shared = 0
     for mask in masks:
-        if seen & mask:
-            return False
+        shared |= seen & mask
         seen |= mask
-    return True
+    return shared
+
+
+def _northern_most(mask: int) -> Point:
+    """The northern-most, then eastern-most vertex of a nonzero mask.  Bits
+    run column by column (see _bit), so the top bit left is the top vertex
+    of the eastern-most column left; columns are read from the east until
+    none left can reach above the best row."""
+    best_x = best_y = -1
+    while mask:
+        b = mask.bit_length() - 1
+        x = (isqrt(8 * b + 1) - 1) // 2
+        if x <= best_y:
+            break
+        base = x * (x + 1) // 2
+        if b - base > best_y:
+            best_x, best_y = x, b - base
+        mask &= (1 << base) - 1
+    return best_x, best_y
 
 
 @lru_cache(maxsize=2)
@@ -366,16 +388,13 @@ def involution_phi(system: PathSystem) -> PathSystem:
     side of the crossing), and transposes the two targets.
     """
     m = system.m
-    if not system.is_vertex_disjoint():
+    if _shared([p.mask for p in system.paths]):
         raise ValueError("involution defined only on vertex-disjoint systems")
-    flips = [p.mask for p in system.flipped_paths()]
-    crossings = 0
-    for a, b in combinations(flips, 2):
-        crossings |= a & b
+    flips = [_fold(p).mask for p in system.paths]
+    crossings = _shared(flips)
     if not crossings:
         raise ValueError("system is doubly vertex disjoint; involution undefined")
-    bits = [b for b, c in enumerate(bin(crossings)[:1:-1]) if c == "1"]
-    y, x = max((b - x * (x + 1) // 2, x) for b in bits for x in [(isqrt(8 * b + 1) - 1) // 2])
+    x, y = _northern_most(crossings)
     bit = 1 << _bit((x, y))
     meeting = [k for k, mask in enumerate(flips) if mask & bit]
     if len(meeting) != 2:
@@ -387,9 +406,10 @@ def involution_phi(system: PathSystem) -> PathSystem:
 
     # each path meets the anti-diagonal of the crossing and its mirror once:
     # cut there, and again at the path's next touch of the shifted diagonal
-    # (the flips above filled in the touches)
+    # (the folds above filled in the touches)
     j_lo, j_up = x + y - sum(p_lo.start), x + y - sum(p_up.start)
-    e_lo, e_up = (next(t for t in p._touches if t > j) for p, j in ((p_lo, j_lo), (p_up, j_up)))
+    e_lo = p_lo._touches[bisect_right(p_lo._touches, j_lo)]
+    e_up = p_up._touches[bisect_right(p_up._touches, j_up)]
     perm = list(system.permutation)
     perm[lo], perm[up] = perm[up], perm[lo]
     # both new paths run from a source to a target: look them up in their cells
@@ -421,22 +441,26 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     for visited, system in enumerate(enumerate_systems(m, i), 1):
         if visited > SYSTEM_BUDGET:
             raise BudgetExceeded(f"budget exceeded: over {SYSTEM_BUDGET} systems at ({m}, {i})")
-        if _pairwise_disjoint(_fold(p).mask for p in system.paths):  # doubly disjoint
+        if not _shared([_fold(p).mask for p in system.paths]):  # doubly disjoint
             continue
         size += 1
-        signed += system.sign
+        sign = system.sign
+        signed += sign
         if system.paths in pending:
             pending.remove(system.paths)
         elif ok:
             image = involution_phi(system)
+            paths = image.paths
+            # the image is vertex disjoint and not doubly so: implied once it
+            # is reached, but checked here so a failure shows at this system
             ok = (
-                image.permutation == tuple(ends.get(p.end) for p in image.paths)
-                and image.sign == -system.sign
-                and image.is_vertex_disjoint()
-                and not image.is_doubly_vertex_disjoint()
+                image.permutation == tuple([ends.get(p.end) for p in paths])
+                and image.sign == -sign
+                and not _shared([p.mask for p in paths])
+                and _shared([_fold(p).mask for p in paths])
                 and involution_phi(image) == system
             )
-            pending.add(image.paths)
+            pending.add(paths)
     return size, signed, ok and not pending
 
 
@@ -478,6 +502,8 @@ def check_dvd_theorem(
     N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep,
     so it compares the two routes with no elimination and no path matrix.
     """
+    from . import lefschetz  # the algebraic route, which the other checks never load
+
     if mode not in ("sweep", "det_only"):
         raise ValueError(f"unknown mode {mode!r}")
     verdict = lefschetz.degree_verdict(m, i)

@@ -10,7 +10,7 @@ import time
 import pytest
 from conftest import all_systems
 
-from lefpath import algebra, cli, hilbert, lattice
+from lefpath import algebra, cli, hilbert, lattice, lefschetz
 from lefpath.exact import ExactMatrix
 
 
@@ -342,7 +342,7 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch)
     def refuse(m):
         raise AssertionError("property_report ran")
 
-    monkeypatch.setattr(cli.lefschetz, "property_report", refuse)
+    monkeypatch.setattr(lefschetz, "property_report", refuse)
     target = tmp_path / "missing-dir" / "out.txt"
     code, out, err = run(capsys, "report", "150", "--output", str(target))
     assert (code, out) == (2, "")
@@ -359,6 +359,27 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("argv", [["lattice", "4", "2", "involution-check"], ["--help"]])
+def test_path_commands_leave_the_algebraic_route_unloaded(argv):
+    # the involution check and the help never import these modules
+    algebraic = ["lefpath.algebra", "lefpath.catalan", "lefpath.lefschetz", "lefpath.partitions"]
+    probe = (
+        "import sys\n"
+        "from lefpath import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print('loaded:', [m for m in {algebraic!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == "loaded: []"
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):

@@ -2,8 +2,12 @@
 
 import dataclasses
 import time
+from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     all_systems,
     collision_pruned_systems,
@@ -513,3 +517,35 @@ def test_involution_cuts_at_the_northern_most_crossing():
         "EEENNNEEEEEE",
     ]
     assert (image.permutation, image.sign) == ((1, 2, 3, 0), -1)
+
+
+# -- the involution's bitwise helpers, against the formulas they replace -----------
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 255), max_size=6))
+def test_shared_is_the_or_of_the_pairwise_ands(masks):
+    pairwise = 0
+    for a, b in combinations(masks, 2):
+        pairwise |= a & b
+    assert lattice._shared(masks) == lattice._shared(iter(masks)) == pairwise
+
+
+_vertices = st.integers(0, 16).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
+
+
+@settings(max_examples=300)
+@given(st.sets(_vertices, min_size=1, max_size=40))
+def test_northern_most_vertex_is_the_max_over_the_bits(vertices):
+    mask = sum(1 << (x * (x + 1) // 2 + y) for x, y in vertices)
+    bits = [b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    y, x = max((b - x * (x + 1) // 2, x) for b in bits for x in [(isqrt(8 * b + 1) - 1) // 2])
+    assert lattice._northern_most(mask) == (x, y) == max(vertices, key=lambda v: (v[1], v[0]))
+
+
+def test_memoised_perm_sign_is_the_inversion_parity():
+    for n in range(6):
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+            expected = -1 if inversions % 2 else 1
+            assert lattice.perm_sign(perm) == lattice.perm_sign(perm) == expected
