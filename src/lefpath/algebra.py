@@ -141,20 +141,12 @@ class GradedPoly:
 
     def to_json_terms(self) -> list[dict]:
         return [
-            {"a": a, "b": b, "coeff": format_rational(c)}
+            {"a": a, "b": b, "coeff": str(c)}
             for (a, b), c in self.sorted_terms()
         ]
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.side!r}, {self.to_text()})"
-
-
-def format_rational(value: Fraction) -> str:
-    """Render exactly: "p/q", or just "p" for integers.  Never decimal."""
-    value = as_exact(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:

@@ -31,20 +31,12 @@ from . import hilbert, lattice
 
 # Only the path route (hilbert, lattice, exact) loads with this module; the
 # algebraic route's modules load in the command that reads them, so that
-# `lattice m i involution-check` and `--help` never compile them.
+# `lattice m i count`, `lattice m i involution-check`, `hessian m i --paths`
+# and `--help` never compile them.
 if TYPE_CHECKING:
     from . import lefschetz
-    from .exact import ExactMatrix
 
 SCHEMA_VERSION = 1
-
-
-def _format_matrix(matrix: ExactMatrix) -> str:
-    from .algebra import format_rational
-
-    return "[" + "; ".join(
-        " ".join(format_rational(e) for e in row) for row in matrix.rows
-    ) + "]"
 
 
 def _parse_range(text: str) -> range:
@@ -94,7 +86,8 @@ def _map_tasks(func, tasks, jobs: int):
         return [func(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only a parallel scan pays for it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # fork starts every worker at the first submit, however few the tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(func, tasks))
 
 
@@ -206,22 +199,22 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hessian(args) -> int:
-    from . import algebra
-
-    point = (args.point[0], args.point[1]) if args.point else (1, 0)
     if args.paths:
         matrix = lattice.path_matrix(args.m, args.i)
     else:
+        from . import algebra
+
+        point = (args.point[0], args.point[1]) if args.point else (1, 0)
         matrix = algebra.hessian(args.m, args.i, point)
     printed = False
     if args.det:
-        print(algebra.format_rational(matrix.det()))
+        print(matrix.det())
         printed = True
     if args.rank:
         print(matrix.rank())
         printed = True
     if not printed:
-        print(_format_matrix(matrix))
+        print(matrix)
     return 0
 
 
@@ -246,7 +239,7 @@ def cmd_lattice(args) -> int:
         matrix = lattice.path_matrix(m, i)
         print(f"sources: {list(vs.sources)}")
         print(f"targets: {list(vs.targets)}")
-        print(_format_matrix(matrix))
+        print(matrix)
         return 0
     if args.action == "lgv-check":
         verdict = lattice.check_dvd_theorem(m, i, "sweep")

@@ -62,21 +62,18 @@ class ExactMatrix:
 
     ncols = nrows  # square
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
+    def __str__(self) -> str:
+        """[a b; c d]: rows joined by "; ", each entry as "p/q" or "p"."""
+        return "[" + "; ".join(" ".join(map(str, row)) for row in self.rows) + "]"
+
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(e) for e in row) for row in self.rows
-        )
-        return f"ExactMatrix[{body}]"
+        return f"ExactMatrix{self}"
 
     def scaled(self, factor) -> "ExactMatrix":
         c = as_exact(factor)

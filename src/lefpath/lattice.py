@@ -36,12 +36,6 @@ Point = tuple[int, int]
 _SWAP = str.maketrans("NE", "EN")
 
 
-def shifted_offset(point: Point, m: int) -> int:
-    """y - (x - (m - 1)): zero on the shifted diagonal, positive above."""
-    x, y = point
-    return y - x + m - 1
-
-
 def _bit(point: Point) -> int:
     """Mask bit of a vertex (x, y), 0 <= y <= x: x(x+1)/2 + y."""
     x, y = point
@@ -79,11 +73,6 @@ class LatticePath:
             mask |= 1 << bit
         self.start, self.steps, self.end, self.mask = start, steps, (x, y), mask
         self._hash, self._flipped = hash((start, steps)), None
-
-    def vertices(self) -> tuple[Point, ...]:
-        x, y = self.start
-        norths = accumulate((s == "N" for s in self.steps), initial=0)
-        return tuple((x + k - n, y + n) for k, n in enumerate(norths))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticePath) and (self.start, self.steps) == (other.start, other.steps)
@@ -179,8 +168,9 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
 # -- flips ------------------------------------------------------------------
 
 
-def flip(path: LatticePath, m: int) -> LatticePath:
-    """Reflect every lower primitive segment across the shifted diagonal.
+def _fold(path: LatticePath) -> LatticePath:
+    """The flip: reflect every lower primitive segment across the shifted
+    diagonal y = x - (m - 1) through the path's end (which fixes m).
 
     The path splits at its touches of the shifted diagonal into an initial
     piece, which starts on the main diagonal and never goes below the line,
@@ -188,22 +178,14 @@ def flip(path: LatticePath, m: int) -> LatticePath:
     with an end strictly below the line are exactly those of the lower
     segments; reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment
     endpoints and swaps N and E, so the result is an upper path with the
-    same endpoints.  Upper paths are fixed points; applying flip twice
-    returns the once-flipped path.
+    same endpoints.  Upper paths are fixed points, so folding the flip
+    returns it.  The flip is kept on the path with the indices of its
+    vertices on the line; reflected vertices land strictly above it, so the
+    flip touches it at the same indices.
     """
-    if shifted_offset(path.end, m) != 0:
-        raise ValueError(
-            f"path must end on the shifted diagonal y = x - {m - 1}, ends at {path.end}"
-        )
-    return _fold(path)
-
-
-def _fold(path: LatticePath) -> LatticePath:
-    """flip(path, m), kept on the path with the indices of its vertices on the
-    shifted diagonal (its end fixes m = x - y + 1).  Reflected vertices land
-    strictly above the line, so the flip touches it at the same indices."""
     if path._flipped is None:
-        first = shifted_offset(path.start, path.end[0] - path.end[1] + 1)
+        (x0, y0), (x_end, y_end) = path.start, path.end
+        first = y0 - x0 + x_end - y_end  # the start's height above the line
         offsets = list(accumulate((1 if s == "N" else -1 for s in path.steps), initial=first))
         pairs = zip(path.steps, offsets, offsets[1:])
         steps = "".join(s.translate(_SWAP) if min(a, b) < 0 else s for s, a, b in pairs)
@@ -234,17 +216,6 @@ class PathSystem:
     @property
     def sign(self) -> int:
         return perm_sign(self.permutation)
-
-    def flipped_paths(self) -> tuple[LatticePath, ...]:
-        return tuple(flip(p, self.m) for p in self.paths)
-
-    def is_vertex_disjoint(self) -> bool:
-        return not _shared(p.mask for p in self.paths)
-
-    def is_doubly_vertex_disjoint(self) -> bool:
-        return self.is_vertex_disjoint() and not _shared(
-            p.mask for p in self.flipped_paths()
-        )
 
 
 def _shared(masks) -> int:

@@ -6,7 +6,8 @@ vector (j_1, ..., j_n), 0 <= j_k <= m-1, makes the m^n count and the
 generating-function identity structural: partition_gf counts the family
 by size one multiplicity vector at a time, and the partitions scan compares
 it with hilbert_series.  The degree formula for the socle pairing
-cross-checks the single entry of the degree-0 path matrix.
+cross-checks the single entry of the degree-0 path matrix, the path count
+from (0, 0) to (2m-2, m-1).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import path_matrix
+from .lattice import count_paths
 
 
 def partition_gf(m: int, n: int) -> tuple[int, ...]:
@@ -62,5 +63,5 @@ def degree_formula_matches_hessian(m: int) -> bool:
     """True iff the n = 2 degree formula equals the degree-0 path count."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    return degree_formula(m, 2) == path_matrix(m, 0)[0, 0]
+    return degree_formula(m, 2) == count_paths((0, 0), (2 * m - 2, m - 1))
 

@@ -3,12 +3,14 @@ Hilbert series by direct multiplication, the quadratic violation scan, the
 unimodality test, the restricted partition family listed member by member,
 the weighted degree and the presentation checks (annihilation, the f_m
 recursion, the power-sum identity), the per-entry contraction Hessian, the
-reflection across the shifted diagonal, the flip by primitive-segment
-surgery, the unpruned and the collision-pruned system enumerations, and the
-involution check from both members of every pair."""
+path predicates production does not need (a path's vertex list, the height
+above the shifted diagonal, a system's flips and its vertex- and doubly-
+vertex-disjointness), the reflection across the shifted diagonal, the flip
+by primitive-segment surgery, the unpruned and the collision-pruned system
+enumerations, and the involution check from both members of every pair."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
@@ -17,14 +19,7 @@ from lefpath import lattice, lefschetz
 from lefpath.algebra import OPERATOR_SIDE, GradedPoly, c_coeff, contract, dual_generator, f_m
 from lefpath.exact import ExactMatrix, as_exact, binomial
 from lefpath.hilbert import basis_range, flo
-from lefpath.lattice import (
-    LatticePath,
-    PathSystem,
-    Point,
-    enumerate_paths,
-    shifted_offset,
-    vertex_sets,
-)
+from lefpath.lattice import LatticePath, PathSystem, Point, enumerate_paths, vertex_sets
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +178,33 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
 
 
+def vertices(path: LatticePath) -> tuple[Point, ...]:
+    """The path's vertices in order, from its start to its end."""
+    x, y = path.start
+    norths = accumulate((s == "N" for s in path.steps), initial=0)
+    return tuple((x + k - n, y + n) for k, n in enumerate(norths))
+
+
+def shifted_offset(point: Point, m: int) -> int:
+    """y - (x - (m - 1)): zero on the shifted diagonal, positive above."""
+    x, y = point
+    return y - x + m - 1
+
+
+def flipped_paths(system: PathSystem) -> tuple[LatticePath, ...]:
+    return tuple(lattice._fold(p) for p in system.paths)
+
+
+def is_vertex_disjoint(system: PathSystem) -> bool:
+    return not lattice._shared(p.mask for p in system.paths)
+
+
+def is_doubly_vertex_disjoint(system: PathSystem) -> bool:
+    return is_vertex_disjoint(system) and not lattice._shared(
+        p.mask for p in flipped_paths(system)
+    )
+
+
 def reflect(point: Point, m: int) -> Point:
     """Reflection across the shifted diagonal y = x - (m - 1)."""
     x, y = point
@@ -191,7 +213,7 @@ def reflect(point: Point, m: int) -> Point:
 
 def is_upper(path: LatticePath, m: int) -> bool:
     """True iff no vertex lies strictly below the shifted diagonal."""
-    return all(shifted_offset(v, m) >= 0 for v in path.vertices())
+    return all(shifted_offset(v, m) >= 0 for v in vertices(path))
 
 
 class PathDecomposition(NamedTuple):
@@ -210,7 +232,7 @@ def primitive_segments(path: LatticePath, m: int) -> PathDecomposition:
     """Decompose a path ending on the shifted diagonal y = x - (m - 1)."""
     if shifted_offset(path.end, m) != 0:
         raise ValueError(f"path must end on the shifted diagonal, ends at {path.end}")
-    verts = path.vertices()
+    verts = vertices(path)
     touches = [k for k, v in enumerate(verts) if shifted_offset(v, m) == 0]
     segments = tuple(
         # one step off the line decides the side; interiors never re-touch
@@ -285,7 +307,7 @@ def involution_both_sides(m: int, i: int) -> tuple[int, int, bool]:
     size = signed = 0
     ok = True
     for system in collision_pruned_systems(m, i):
-        if system.is_doubly_vertex_disjoint():
+        if is_doubly_vertex_disjoint(system):
             continue
         size += 1
         signed += system.sign
@@ -294,8 +316,8 @@ def involution_both_sides(m: int, i: int) -> tuple[int, int, bool]:
             ok = (
                 image.permutation == tuple(ends.get(p.end) for p in image.paths)
                 and image.sign == -system.sign
-                and image.is_vertex_disjoint()
-                and not image.is_doubly_vertex_disjoint()
+                and is_vertex_disjoint(image)
+                and not is_doubly_vertex_disjoint(image)
                 and lattice.involution_phi(image) == system
             )
     return size, signed, ok

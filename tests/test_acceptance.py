@@ -30,6 +30,7 @@ from lefpath.partitions import degree_formula_matches_hessian, partition_gf
 from conftest import (
     annihilator_check,
     enumerate_restricted,
+    is_doubly_vertex_disjoint,
     is_unimodal,
     verify_f_recursion,
     verify_power_sum,
@@ -101,7 +102,7 @@ def test_criterion_06_doubly_disjoint_theorem():
         n_set = {
             s
             for s in enumerate_systems(m, i)
-            if not s.is_doubly_vertex_disjoint()
+            if not is_doubly_vertex_disjoint(s)
         }
         for system in n_set:
             image = involution_phi(system)

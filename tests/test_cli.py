@@ -8,7 +8,7 @@ import sys
 import time
 
 import pytest
-from conftest import all_systems
+from conftest import all_systems, flipped_paths, is_doubly_vertex_disjoint, is_vertex_disjoint
 
 from lefpath import algebra, cli, hilbert, lattice, lefschetz
 from lefpath.exact import ExactMatrix
@@ -118,6 +118,32 @@ def test_lattice_count(capsys):
     code, out, _ = run(capsys, "lattice", "5", "3", "count")
     assert code == 0
     assert "[275 75; 75 20]" in out
+
+
+# the whole stdout of the commands that print matrices, byte for byte (the
+# determinants are pinned by test_hessian_det and test_hessian_det_paths)
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["hessian", "5", "3"], "[55/144 5/48; 5/48 1/36]\n"),
+        (
+            ["lattice", "5", "3", "count"],
+            "sources: [(0, 0), (1, 1)]\ntargets: [(8, 4), (7, 3)]\n[275 75; 75 20]\n",
+        ),
+    ],
+)
+def test_golden_stdout(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_golden_dual_generator_coefficients(capsys):
+    code, out, _ = run(capsys, "poly", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["dual_generator"] == [
+        {"a": 6, "b": 0, "coeff": "1/80"},
+        {"a": 4, "b": 1, "coeff": "1/8"},
+        {"a": 2, "b": 2, "coeff": "1/4"},
+    ]
 
 
 def test_poly_text(capsys):
@@ -361,9 +387,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert (result.returncode, result.stdout) == (0, "False\n")
 
 
-@pytest.mark.parametrize("argv", [["lattice", "4", "2", "involution-check"], ["--help"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "4", "2", "involution-check"],
+        ["lattice", "5", "3", "count"],
+        ["hessian", "5", "3", "--paths", "--det"],
+        ["--help"],
+    ],
+)
 def test_path_commands_leave_the_algebraic_route_unloaded(argv):
-    # the involution check and the help never import these modules
+    # the path commands and the help never import these modules
     algebraic = ["lefpath.algebra", "lefpath.catalan", "lefpath.lefschetz", "lefpath.partitions"]
     probe = (
         "import sys\n"
@@ -494,14 +528,14 @@ def _pairs_with_crossing_systems(phi):
     first = next(
         s
         for s in lattice.enumerate_systems(4, 2)
-        if not s.is_doubly_vertex_disjoint()
+        if not is_doubly_vertex_disjoint(s)
     )
     partner = phi(first)
     crossing = [
         s
         for s in all_systems(4, 2)
-        if not s.is_vertex_disjoint()
-        and not dataclasses.replace(s, paths=s.flipped_paths()).is_vertex_disjoint()
+        if not is_vertex_disjoint(s)
+        and not is_vertex_disjoint(dataclasses.replace(s, paths=flipped_paths(s)))
     ]
     bad_first = next(s for s in crossing if s.sign == partner.sign)
     bad_partner = next(s for s in crossing if s.sign == first.sign)
@@ -513,7 +547,7 @@ def _later_member_elsewhere(phi):
     # agrees with phi except on the later member of the first pair, which it
     # sends to another system of N: the pair is checked from its first member
     # only, so that check must call phi on the later member
-    n_set = [s for s in lattice.enumerate_systems(4, 2) if not s.is_doubly_vertex_disjoint()]
+    n_set = [s for s in lattice.enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
     later = phi(n_set[0])
     other = next(s for s in n_set if s not in (n_set[0], later))
     return lambda system: other if system == later else phi(system)
@@ -522,7 +556,7 @@ def _later_member_elsewhere(phi):
 def _pairs_of_equal_sign(phi):
     # two systems of N of one sign swapped, and their true partners swapped:
     # images in N that map back, but without the sign reversal
-    n_set = [s for s in lattice.enumerate_systems(4, 2) if not s.is_doubly_vertex_disjoint()]
+    n_set = [s for s in lattice.enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
     first, second = [s for s in n_set if s.sign == n_set[0].sign][:2]
     swap = {first: second, second: first, phi(first): phi(second), phi(second): phi(first)}
     return lambda system: swap.get(system) or phi(system)
@@ -544,6 +578,32 @@ def test_involution_check_catches_a_broken_involution(capsys, monkeypatch, fake)
     code, out, _ = run(capsys, "lattice", "4", "2", "involution-check")
     assert code == 1
     assert out.endswith("involution=MISMATCH\n")
+
+
+@pytest.mark.parametrize("jobs, tasks, workers", [(5000, 2, 2), (2, 7, 2), (3, 3, 3)])
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, tasks, workers):
+    # fork starts every worker at the first submit, so the pool is sized by
+    # the tasks too; the fake pool starts no process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert cli._map_tasks(lambda t: t * t, list(range(tasks)), jobs) == [t * t for t in range(tasks)]
+    assert sizes == [workers]
 
 
 def test_jobs_default_env(monkeypatch):

@@ -114,6 +114,22 @@ def test_det_matches_cofactor_oracle(case):
     assert ExactMatrix(rows).det() == det_cofactor(rows)
 
 
+# -- printing -----------------------------------------------------------------
+
+
+@given(st.fractions())
+def test_entries_print_as_p_over_q(x):
+    # every printed rational is "p/q" in lowest terms, or "p" for an integer
+    text = f"{x.numerator}/{x.denominator}" if x.denominator != 1 else f"{x.numerator}"
+    assert str(ExactMatrix([[x]])) == f"[{text}]"
+
+
+def test_matrix_prints_rows_separated_by_semicolons():
+    matrix = ExactMatrix([[275, Fraction(-3, 4)], [Fraction(-3, 4), 0]])
+    assert str(matrix) == "[275 -3/4; -3/4 0]"
+    assert repr(matrix) == "ExactMatrix[275 -3/4; -3/4 0]"
+
+
 # -- rank ---------------------------------------------------------------------
 
 

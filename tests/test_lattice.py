@@ -12,10 +12,15 @@ from conftest import (
     all_systems,
     collision_pruned_systems,
     flip_by_segments,
+    flipped_paths,
     involution_both_sides,
+    is_doubly_vertex_disjoint,
     is_upper,
+    is_vertex_disjoint,
     primitive_segments,
     reflect,
+    shifted_offset,
+    vertices,
 )
 
 from lefpath import lattice
@@ -29,10 +34,8 @@ from lefpath.lattice import (
     count_paths,
     enumerate_paths,
     enumerate_systems,
-    flip,
     involution_phi,
     path_matrix,
-    shifted_offset,
     transfer_counts,
     vertex_sets,
 )
@@ -56,7 +59,7 @@ def all_paths(max_m):
 
 def vertex_disjoint(paths):
     """Set-based disjointness, independent of the path masks."""
-    return len({v for p in paths for v in p.vertices()}) == sum(len(p.vertices()) for p in paths)
+    return len({v for p in paths for v in vertices(p)}) == sum(len(vertices(p)) for p in paths)
 
 
 # -- paths and counting ---------------------------------------------------------
@@ -65,10 +68,10 @@ def vertex_disjoint(paths):
 def test_path_validation():
     p = LatticePath((0, 0), "EEN")
     assert p.end == (2, 1)
-    assert p.vertices() == ((0, 0), (1, 0), (2, 0), (2, 1))
+    assert vertices(p) == ((0, 0), (1, 0), (2, 0), (2, 1))
     p = LatticePath((2, 1), "ENNE")  # off the diagonal
-    assert (p.end, p.vertices()) == ((4, 3), ((2, 1), (3, 1), (3, 2), (3, 3), (4, 3)))
-    assert LatticePath((3, 3), "").vertices() == ((3, 3),)
+    assert (p.end, vertices(p)) == ((4, 3), ((2, 1), (3, 1), (3, 2), (3, 3), (4, 3)))
+    assert vertices(LatticePath((3, 3), "")) == ((3, 3),)
     with pytest.raises(ValueError):
         LatticePath((0, 0), "N")
     with pytest.raises(ValueError):
@@ -81,9 +84,9 @@ def test_path_validation():
 
 def test_mask_has_one_bit_per_vertex():
     for _, p in all_paths(5):
-        assert bin(p.mask).count("1") == len(p.vertices())
+        assert bin(p.mask).count("1") == len(vertices(p))
         bits = 0
-        for x, y in p.vertices():
+        for x, y in vertices(p):
             bits |= 1 << (x * (x + 1) // 2 + y)
         assert p.mask == bits
 
@@ -197,12 +200,12 @@ def test_primitive_segments_with_lower_piece():
 def test_flip_fixes_upper_paths():
     upper = LatticePath((0, 0), "ENENE")  # bounces along y = x - 1
     assert is_upper(upper, 2)
-    assert flip(upper, 2) == upper
+    assert lattice._fold(upper) == upper
 
 
 def test_flip_reflects_lower_segment():
     path = LatticePath((0, 0), "EEEEEEEENNNN")
-    flipped = flip(path, 5)
+    flipped = lattice._fold(path)
     assert flipped == LatticePath((0, 0), "EEEENNNNEEEE")
     assert flipped.start == path.start and flipped.end == path.end
     assert is_upper(flipped, 5)
@@ -210,16 +213,11 @@ def test_flip_reflects_lower_segment():
 
 def test_flip_is_idempotent_and_fixes_exactly_uppers():
     for m, p in all_paths(4):
-        once = flip(p, m)
+        once = lattice._fold(p)
         assert is_upper(once, m)
-        assert flip(once, m) == once
+        assert lattice._fold(once) == once
         assert (once == p) == is_upper(p, m)
         assert once.start == p.start and once.end == p.end
-
-
-def test_flip_needs_endpoint_on_line():
-    with pytest.raises(ValueError):
-        flip(LatticePath((0, 0), "ENENEENN"), 5)
 
 
 def test_reflection_is_an_involution():
@@ -231,7 +229,7 @@ def test_double_reflection_restores_lower_segments():
     # un-reflecting the reflected pieces recovers the original path
     path = LatticePath((0, 0), "EEEEEEEENNNN")
     decomposition = primitive_segments(path, 5)
-    flipped = flip(path, 5)
+    flipped = lattice._fold(path)
     redecomposed = primitive_segments(flipped, 5)
     assert redecomposed.initial == decomposition.initial
     for (orig, side), (new, _) in zip(
@@ -251,7 +249,7 @@ def test_doubly_counts_match_worked_example():
 
 
 def test_unique_doubly_system_at_5_6():
-    (system,) = [s for s in enumerate_systems(5, 6) if s.is_doubly_vertex_disjoint()]
+    (system,) = [s for s in enumerate_systems(5, 6) if is_doubly_vertex_disjoint(s)]
     # three horizontal paths at y = 1, 2, 3, pairing sources to reversed targets
     assert [p.start for p in system.paths] == [(1, 1), (2, 2), (3, 3)]
     assert [p.steps for p in system.paths] == ["EEEE", "EEEE", "EEEE"]
@@ -277,7 +275,7 @@ def test_doubly_systems_reverse_order():
         reversal = tuple(reversed(range(h)))
         expected_sign = -1 if flo(h) % 2 else 1
         for system in enumerate_systems(m, i):
-            if not system.is_doubly_vertex_disjoint():
+            if not is_doubly_vertex_disjoint(system):
                 continue
             assert system.permutation == reversal
             assert system.sign == expected_sign
@@ -322,12 +320,12 @@ def test_pruned_enumeration_equals_filtered_brute_force():
     for m, i in all_instances(5):
         everything = list(all_systems(m, i))
         disjoint = [s for s in everything if vertex_disjoint(s.paths)]
-        doubly = [s for s in disjoint if vertex_disjoint(s.flipped_paths())]
-        assert [s.is_vertex_disjoint() for s in everything] == [
+        doubly = [s for s in disjoint if vertex_disjoint(flipped_paths(s))]
+        assert [is_vertex_disjoint(s) for s in everything] == [
             vertex_disjoint(s.paths) for s in everything
         ]
         assert list(enumerate_systems(m, i)) == disjoint
-        assert [s for s in enumerate_systems(m, i) if s.is_doubly_vertex_disjoint()] == doubly
+        assert [s for s in enumerate_systems(m, i) if is_doubly_vertex_disjoint(s)] == doubly
         assert transfer_counts(m, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
@@ -337,7 +335,7 @@ def test_transfer_counts_equal_the_enumeration_oracle_at_m6():
     for i in range(flo(3 * 5) + 1):
         disjoint = list(enumerate_systems(6, i))
         assert all(vertex_disjoint(s.paths) for s in disjoint)
-        doubly = [s for s in disjoint if vertex_disjoint(s.flipped_paths())]
+        doubly = [s for s in disjoint if vertex_disjoint(flipped_paths(s))]
         assert transfer_counts(6, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
@@ -376,7 +374,7 @@ def test_transfer_sweep_stops_at_its_state_budget(monkeypatch):
 def test_check_involution_counts_n_and_cancels():
     for m, i in all_instances(5):
         systems = list(enumerate_systems(m, i))
-        n_set = [s for s in systems if not s.is_doubly_vertex_disjoint()]
+        n_set = [s for s in systems if not is_doubly_vertex_disjoint(s)]
         assert check_involution(m, i) == (len(n_set), 0, True)
 
 
@@ -405,7 +403,7 @@ def test_check_involution_needs_every_image_reached(monkeypatch):
     # an enumeration that never reaches the image of the first system of N
     # leaves that image pending, and the check fails
     systems = list(enumerate_systems(4, 2))
-    image = involution_phi(next(s for s in systems if not s.is_doubly_vertex_disjoint()))
+    image = involution_phi(next(s for s in systems if not is_doubly_vertex_disjoint(s)))
     monkeypatch.setattr(lattice, "enumerate_systems", lambda m, i: (s for s in systems if s != image))
     assert check_involution(4, 2)[2] is False
 
@@ -435,7 +433,7 @@ def test_surgery_returns_the_enumerated_paths():
     # the involution's new paths are the cell paths the enumeration walks
     cell_paths = {id(p) for s in enumerate_systems(5, 4) for p in s.paths}
     for system in enumerate_systems(5, 4):
-        if not system.is_doubly_vertex_disjoint():
+        if not is_doubly_vertex_disjoint(system):
             assert {id(p) for p in involution_phi(system).paths} <= cell_paths
 
 
@@ -443,18 +441,18 @@ def test_flipped_vertices_are_those_of_the_flip():
     # the flip is the paper's segment surgery, and it reflects exactly the
     # vertices strictly below the shifted diagonal
     for m, p in all_paths(5):
-        flipped = flip(p, m)
+        flipped = lattice._fold(p)
         assert flipped == flip_by_segments(p, m)
-        assert flipped.vertices() == tuple(
-            reflect(v, m) if shifted_offset(v, m) < 0 else v for v in p.vertices()
+        assert vertices(flipped) == tuple(
+            reflect(v, m) if shifted_offset(v, m) < 0 else v for v in vertices(p)
         )
 
 
 def test_enumerate_systems_all_filter():
     # raw count is the permanent-style sum of products of path counts
     total = sum(1 for _ in all_systems(3, 2))
-    w = path_matrix(3, 2)
-    assert total == w[0, 0] * w[1, 1] + w[0, 1] * w[1, 0]
+    w = path_matrix(3, 2).rows
+    assert total == w[0][0] * w[1][1] + w[0][1] * w[1][0]
 
 
 # -- the involution ---------------------------------------------------------------
@@ -463,7 +461,7 @@ def test_enumerate_systems_all_filter():
 @pytest.mark.parametrize("m,i", [(4, 2), (5, 4)])
 def test_involution_on_all_of_n(m, i):
     systems = list(enumerate_systems(m, i))
-    n_set = {s for s in systems if not s.is_doubly_vertex_disjoint()}
+    n_set = {s for s in systems if not is_doubly_vertex_disjoint(s)}
     assert sum(s.sign for s in n_set) == 0
     for system in n_set:
         image = involution_phi(system)
@@ -473,14 +471,14 @@ def test_involution_on_all_of_n(m, i):
 
 
 def test_involution_rejects_doubly_disjoint():
-    (system,) = [s for s in enumerate_systems(5, 6) if s.is_doubly_vertex_disjoint()]
+    (system,) = [s for s in enumerate_systems(5, 6) if is_doubly_vertex_disjoint(s)]
     with pytest.raises(ValueError):
         involution_phi(system)
 
 
 def test_involution_rejects_non_disjoint():
     crossing = next(
-        s for s in all_systems(5, 4) if not s.is_vertex_disjoint()
+        s for s in all_systems(5, 4) if not is_vertex_disjoint(s)
     )
     with pytest.raises(ValueError):
         involution_phi(crossing)
@@ -492,7 +490,7 @@ def test_involution_rejects_a_wrong_permutation():
     system = next(
         s
         for s in enumerate_systems(4, 2)
-        if not s.is_doubly_vertex_disjoint()
+        if not is_doubly_vertex_disjoint(s)
     )
     reversed_system = dataclasses.replace(system, permutation=system.permutation[::-1])
     with pytest.raises(ValueError, match="outside the domain"):
@@ -506,7 +504,7 @@ def test_involution_cuts_at_the_northern_most_crossing():
     steps = ["EEEEEEEEEEEENNNNNN", "EEEEEEEEENNN", "EEEEEEEN", "EEENNEEEEE"]
     perm = (0, 2, 3, 1)
     system = PathSystem(7, 6, tuple(map(LatticePath, starts, steps)), perm)
-    flips = [p.vertices() for p in system.flipped_paths()]
+    flips = [vertices(p) for p in flipped_paths(system)]
     crossings = {v for a in range(4) for b in range(a) for v in set(flips[a]) & set(flips[b])}
     assert crossings == {(6, 1), (6, 2), (6, 3), (6, 4), (6, 5), (7, 2)}
     image = involution_phi(system)

@@ -75,4 +75,4 @@ def test_degree_formula_is_exact_rational():
 @pytest.mark.parametrize("m", range(2, 31))
 def test_degree_formula_matches_socle_entry(m):
     assert degree_formula_matches_hessian(m)
-    assert degree_formula(m, 2) == path_matrix(m, 0)[0, 0]
+    assert degree_formula(m, 2) == path_matrix(m, 0).rows[0][0]
