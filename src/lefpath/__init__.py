@@ -7,3 +7,7 @@ subdiagonal NE lattice-path systems, cross-validating the two routes.
 """
 
 __version__ = "0.1.0"
+
+
+class BudgetExceeded(RuntimeError):
+    """A transfer sweep or an involution check ran past its budget."""

@@ -16,23 +16,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import importlib
 import io
 import itertools
-import json
 import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from . import hilbert, lattice
+from . import BudgetExceeded, hilbert
 
-# Only the path route (hilbert, lattice, exact) loads with this module; the
-# algebraic route's modules load in the command that reads them, so that
-# `lattice m i count`, `lattice m i involution-check`, `hessian m i --paths`
-# and `--help` never compile them.
+# Only hilbert loads with this module; every other module, and the json and
+# csv formats, load in the command that reads them, so that `--help` compiles
+# none of them and `lattice m i involution-check` only lattice.
 if TYPE_CHECKING:
     from . import lefschetz
 
@@ -131,6 +127,8 @@ def _open_output(output: Optional[str]):
 
 def _emit_json(payload: dict, write) -> None:
     """json.dumps(payload, indent=2) + "\\n", written a block of chunks at a time."""
+    import json
+
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
     while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
         write(block)
@@ -138,6 +136,8 @@ def _emit_json(payload: dict, write) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -200,6 +200,8 @@ def cmd_poly(args) -> int:
 
 def cmd_hessian(args) -> int:
     if args.paths:
+        from . import lattice
+
         matrix = lattice.path_matrix(args.m, args.i)
     else:
         from . import algebra
@@ -233,6 +235,8 @@ def _nonvanishing_flag(verdict) -> Optional[str]:
 
 
 def cmd_lattice(args) -> int:
+    from . import lattice
+
     m, i = args.m, args.i
     if args.action == "count":
         vs = lattice.vertex_sets(m, i)
@@ -343,7 +347,7 @@ def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
     read: each (p, q) in some degree's basis range once, the count of paths
     from source p to target q against b[p + q].  For m <= 12, every degree's
     scaled contraction Hessian is compared with its window of b."""
-    from . import algebra
+    from . import algebra, lattice
 
     m, b = report.m, report.moments
     ranges = [hilbert.basis_range(m, i) for i in range(hilbert.flo(3 * (m - 1)) + 1)]
@@ -391,7 +395,7 @@ def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     closed_ok = n != 2 or h.coeffs == tuple(
         hilbert.hilbert_m2_closed(m, i) for i in range(h.socle_degree + 1)
     )
-    return {"rows": [list(dataclasses.astuple(record))], "ok": closed_ok, "flags": []}
+    return {"rows": [list(record)], "ok": closed_ok, "flags": []}
 
 
 def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
@@ -423,6 +427,8 @@ _LATTICE_COLUMNS = [
 
 
 def _scan_lattice_task(key: tuple[int, int]) -> dict:
+    from . import lattice
+
     m, _ = key
     mode = "sweep" if m <= 12 else "det_only"  # the transfer sweep's reach
     rows = []
@@ -432,7 +438,7 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
         # degrees on one basis range share the window, its det and its sweep
         if i == 0 or hilbert.basis_range(m, i) != hilbert.basis_range(m, i - 1):
             verdict = lattice.check_dvd_theorem(m, i, mode)
-        verdict = dataclasses.replace(verdict, i=i)
+        verdict = verdict._replace(i=i)
         if mode == "sweep":
             ok &= verdict.signed_sum == verdict.det
             ok &= bool(verdict.count_matches_det)
@@ -482,9 +488,9 @@ _SCAN_MODES = {
         (),
     ),
     "lefschetz": (
-        _scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("algebra", "lefschetz")
+        _scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("algebra", "lattice", "lefschetz")
     ),
-    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lefschetz",)),
+    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lattice", "lefschetz")),
     "catalan": (
         _scan_catalan_task,
         ["m", "power_closed_form_ok", "reciprocal_head_ok", "identity_zero_ok"],
@@ -495,7 +501,7 @@ _SCAN_MODES = {
         _scan_partitions_task,
         ["m", "n", "count_ok", "gf_matches_hilbert", "degree_formula_ok"],
         True,
-        ("partitions",),
+        ("lattice", "partitions"),
     ),
 }
 
@@ -662,7 +668,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with _open_output(getattr(args, "output", None)) as args.write:
             return args.func(args)
-    except (lattice.BudgetExceeded, OutputError) as exc:
+    except (BudgetExceeded, OutputError) as exc:
         print(f"lefpath {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

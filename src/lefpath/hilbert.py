@@ -8,8 +8,7 @@ are kept separate so they can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 def flo(x: int) -> int:
@@ -27,8 +26,7 @@ def socle_degree(m: int, n: int) -> int:
     return n * (n + 1) * (m - 1) // 2
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(NamedTuple):
     """Coefficient sequence of the Hilbert series of A(m, n)."""
 
     m: int
@@ -98,8 +96,7 @@ def first_violation_index(seq: Sequence[int]) -> Optional[int]:
     return found
 
 
-@dataclass(frozen=True)
-class UnimodalityRecord:
+class UnimodalityRecord(NamedTuple):
     m: int
     n: int
     socle_degree: int

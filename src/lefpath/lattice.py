@@ -16,20 +16,21 @@ pair of systems once.  A path carries its vertex set as one integer mask
 and keeps its flip, so disjointness, pruning and crossings are bitwise: one
 pass over a system's masks (_shared) gives the vertices two paths share.
 The determinant the path route is compared with comes from the lefschetz
-report, loaded only by check_dvd_theorem.
+report, loaded only by check_dvd_theorem; exact is read only by path_matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import isqrt
-from typing import Iterator, Literal, Optional
+from math import comb, isqrt
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional
 
-from .exact import ExactMatrix, binomial
+from . import BudgetExceeded
 from .hilbert import basis_range, check_degree, flo
+
+if TYPE_CHECKING:
+    from .exact import ExactMatrix
 
 Point = tuple[int, int]
 
@@ -71,8 +72,13 @@ class LatticePath:
             else:
                 raise ValueError(f"invalid step {s!r}")
             mask |= 1 << bit
-        self.start, self.steps, self.end, self.mask = start, steps, (x, y), mask
+        self._fill(start, steps, (x, y), mask)
+
+    def _fill(self, start: Point, steps: str, end: Point, mask: int) -> LatticePath:
+        """Set the fields from a walk made already: checked, or valid by construction."""
+        self.start, self.steps, self.end, self.mask = start, steps, end, mask
         self._hash, self._flipped = hash((start, steps)), None
+        return self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticePath) and (self.start, self.steps) == (other.start, other.steps)
@@ -105,7 +111,7 @@ def count_paths(source: Point, target: Point) -> int:
         return 0
     (a, _), (b, c) = source, target
     n = b + c - 2 * a + 1
-    count, remainder = divmod((b - c + 1) * binomial(n, c - a), n)
+    count, remainder = divmod((b - c + 1) * comb(n, c - a), n)
     if remainder:
         raise ArithmeticError(f"path count {source} -> {target} is not an integer")
     return count
@@ -114,35 +120,34 @@ def count_paths(source: Point, target: Point) -> int:
 def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
     """All subdiagonal NE paths from source to target, steps in lex order
     (E before N).  There are count_paths(source, target) of them; the system
-    enumeration tabulates one list per (source, target) cell."""
+    enumeration tabulates one list per (source, target) cell.  The walk keeps
+    each path's mask as it goes (see LatticePath), so no path is walked twice."""
     found: list[LatticePath] = []
     if not _reachable(source, target):
         return found
     (a, _), (b, c) = source, target
+    end = (b, c)
 
-    def walk(x: int, y: int, steps: str) -> None:
-        if (x, y) == (b, c):
-            found.append(LatticePath(source, steps))
+    def walk(x: int, y: int, steps: str, bit: int, mask: int) -> None:
+        if x == b and y == c:
+            found.append(LatticePath.__new__(LatticePath)._fill(source, steps, end, mask))
         if x < b:
-            walk(x + 1, y, steps + "E")
+            walk(x + 1, y, steps + "E", bit + x + 1, mask | 1 << (bit + x + 1))
         if y < min(c, x):
-            walk(x, y + 1, steps + "N")
+            walk(x, y + 1, steps + "N", bit + 1, mask | 1 << (bit + 1))
 
-    walk(a, a, "")
+    bit = _bit(source)
+    walk(a, a, "", bit, 1 << bit)
     return found
 
 
-@dataclass(frozen=True)
-class VertexSets:
+class VertexSets(NamedTuple):
     """Row vertices on y = x and column vertices on y = x - (m - 1)."""
 
     m: int
     i: int
     sources: tuple[Point, ...]
     targets: tuple[Point, ...]
-
-    def __len__(self) -> int:
-        return len(self.sources)
 
 
 @lru_cache(maxsize=16)
@@ -159,6 +164,8 @@ def vertex_sets(m: int, i: int) -> VertexSets:
 def path_matrix(m: int, i: int) -> ExactMatrix:
     """Integer matrix of path counts; equals (3m-3-2i)! times the evaluated
     degree-i pairing matrix."""
+    from .exact import ExactMatrix  # the one reader of exact on the path route
+
     vs = vertex_sets(m, i)
     return ExactMatrix(
         [[count_paths(s, t) for t in vs.targets] for s in vs.sources]
@@ -181,17 +188,30 @@ def _fold(path: LatticePath) -> LatticePath:
     same endpoints.  Upper paths are fixed points, so folding the flip
     returns it.  The flip is kept on the path with the indices of its
     vertices on the line; reflected vertices land strictly above it, so the
-    flip touches it at the same indices.
+    flip touches it at the same indices.  One walk gives the flip's steps,
+    its mask (as in LatticePath) and the touches.
     """
     if path._flipped is None:
-        (x0, y0), (x_end, y_end) = path.start, path.end
-        first = y0 - x0 + x_end - y_end  # the start's height above the line
-        offsets = list(accumulate((1 if s == "N" else -1 for s in path.steps), initial=first))
-        pairs = zip(path.steps, offsets, offsets[1:])
-        steps = "".join(s.translate(_SWAP) if min(a, b) < 0 else s for s, a, b in pairs)
-        flipped = path if steps == path.steps else LatticePath(path.start, steps)
+        (x, y), (x_end, y_end) = path.start, path.end
+        height = y - x + x_end - y_end  # the start's height above the line
+        bit = _bit(path.start)
+        mask, steps, touches = 1 << bit, [], [0] if height == 0 else []
+        for k, s in enumerate(path.steps, 1):
+            north = s == "N"
+            up = (height < 0 or height == 0 and not north) != north  # the flip steps N
+            steps.append("N" if up else "E")
+            x += not up
+            bit += 1 if up else x
+            mask |= 1 << bit
+            height += 1 if north else -1
+            if height == 0:
+                touches.append(k)
+        steps = "".join(steps)
+        flipped = path
+        if steps != path.steps:
+            flipped = LatticePath.__new__(LatticePath)._fill(path.start, steps, path.end, mask)
         flipped._flipped = path._flipped = flipped
-        flipped._touches = path._touches = tuple(k for k, d in enumerate(offsets) if d == 0)
+        flipped._touches = path._touches = tuple(touches)
     return path._flipped
 
 
@@ -204,8 +224,7 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(NamedTuple):
     """Paths joining each source k to target permutation[k]."""
 
     m: int
@@ -265,7 +284,7 @@ def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
     only if it misses the occupied vertices other than its own two ends, so a
     collision, or a later source or unused target on it, prunes its subtree."""
     vs = vertex_sets(m, i)
-    cells = _cells(m, i)
+    cells = [[[(p.mask, p) for p in cell.values()] for cell in row] for row in _cells(m, i)]
     ends = [[1 << _bit(s) | 1 << _bit(t) for t in vs.targets] for s in vs.sources]
     h = len(cells)
     chosen: list[LatticePath] = []
@@ -280,11 +299,11 @@ def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
                 continue
             used.append(q)
             blocked = occupied ^ ends[k][q]
-            for path in cells[k][q].values():
-                if path.mask & blocked:
+            for mask, path in cells[k][q]:
+                if mask & blocked:
                     continue
                 chosen.append(path)
-                yield from extend(k + 1, occupied | path.mask)
+                yield from extend(k + 1, occupied | mask)
                 chosen.pop()
             used.pop()
 
@@ -294,10 +313,6 @@ def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
 # Live states a transfer sweep may hold: every window of m <= 16 fits (the
 # peak is 924 at m = 12 and 12,870 at m = 16); past it the sweep stops.
 STATE_BUDGET = 2**14
-
-
-class BudgetExceeded(RuntimeError):
-    """A transfer sweep or an involution check ran past its budget."""
 
 
 def transfer_counts(m: int, i: int) -> tuple[int, int]:
@@ -438,8 +453,7 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
 # -- determinant adjudication -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DvdVerdict:
+class DvdVerdict(NamedTuple):
     """Determinant vs doubly-disjoint count, plus the nonvanishing rule."""
 
     m: int

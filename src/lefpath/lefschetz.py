@@ -25,9 +25,8 @@ reports show them as the claims they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import hankel_moments, hankel_window
 from .exact import hankel_wall
@@ -48,8 +47,7 @@ def hrr_expected_sign(i: int) -> int:
     return -1 if flo(i + 1) % 2 else 1
 
 
-@dataclass(frozen=True)
-class DegreeVerdict:
+class DegreeVerdict(NamedTuple):
     """Exact verdict for one Lefschetz map of A(m, 2)."""
 
     i: int
@@ -68,8 +66,7 @@ class DegreeVerdict:
     signature: int
 
 
-@dataclass(frozen=True)
-class ClaimFlag:
+class ClaimFlag(NamedTuple):
     """Comparison of a claimed property against the computed one."""
 
     claim: str
@@ -78,8 +75,7 @@ class ClaimFlag:
     agrees: bool
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Verdicts for A(m, 2), and the one Hankel sequence b their windows read."""
 
     m: int
@@ -88,8 +84,8 @@ class PropertyReport:
     max_sl_degree: int
     hlp: bool
     max_chrr_degree: int
-    claim_flags: tuple[ClaimFlag, ...] = field(default_factory=tuple)
-    moments: tuple[int, ...] = field(default_factory=tuple)
+    claim_flags: tuple[ClaimFlag, ...] = ()
+    moments: tuple[int, ...] = ()
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
@@ -220,8 +216,7 @@ def _property_report(m: int) -> PropertyReport:
     )
 
 
-@dataclass(frozen=True)
-class SignatureCrosscheck:
+class SignatureCrosscheck(NamedTuple):
     m: int
     i: int
     applicable: bool

@@ -260,10 +260,10 @@ def all_systems(m: int, i: int) -> Iterator[PathSystem]:
 
     def extend(paths: tuple, perm: tuple) -> Iterator[PathSystem]:
         k = len(perm)
-        if k == len(vs):
+        if k == len(vs.sources):
             yield PathSystem(m, i, paths, perm)
             return
-        for q in range(len(vs)):
+        for q in range(len(vs.sources)):
             if q not in perm:
                 for path in enumerate_paths(vs.sources[k], vs.targets[q]):
                     yield from extend(paths + (path,), perm + (q,))

@@ -1,6 +1,5 @@
 """CLI surface: exact output strings, exit codes, formats, determinism."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -387,6 +386,26 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert (result.returncode, result.stdout) == (0, "False\n")
 
 
+def _loaded_after(argv: list[str], modules: list[str]) -> str:
+    """The last stdout line of a fresh process that runs the CLI on argv:
+    "loaded: [...]", the given modules it imported."""
+    probe = (
+        "import sys\n"
+        "from lefpath import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print('loaded:', [m for m in {modules!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0
+    return result.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -399,21 +418,76 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 def test_path_commands_leave_the_algebraic_route_unloaded(argv):
     # the path commands and the help never import these modules
     algebraic = ["lefpath.algebra", "lefpath.catalan", "lefpath.lefschetz", "lefpath.partitions"]
+    assert _loaded_after(argv, algebraic) == "loaded: []"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (
+            ["--help"],
+            ["dataclasses", "inspect", "fractions", "json", "csv", "lefpath.exact", "lefpath.lattice"],
+        ),
+        (
+            ["lattice", "6", "2", "involution-check"],
+            ["dataclasses", "fractions", "json", "csv", "lefpath.exact"],
+        ),
+        (["scan", "--mode", "hilbert", "--m", "2..3"], ["lefpath.lattice"]),
+    ],
+    ids=["help", "involution-check", "scan-hilbert"],
+)
+def test_commands_load_only_what_they_run(argv, modules):
+    # the records are NamedTuples, json and csv load in the formats that
+    # write them, and only path_matrix reads exact
+    assert _loaded_after(argv, modules) == "loaded: []"
+
+
+@pytest.mark.parametrize("mode", sorted(cli._SCAN_MODES))
+def test_scan_tasks_import_no_module_past_their_mode(mode):
+    # cmd_scan imports a mode's modules before the pool forks, so that no
+    # worker compiles one: its task must need no other lefpath module
     probe = (
-        "import sys\n"
+        "import importlib, sys\n"
         "from lefpath import cli\n"
-        "try:\n"
-        "    cli.main(sys.argv[1:])\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        f"print('loaded:', [m for m in {algebraic!r} if m in sys.modules])\n"
+        f"task, _, _, modules = cli._SCAN_MODES[{mode!r}]\n"
+        "for name in modules:\n"
+        "    importlib.import_module('lefpath.' + name)\n"
+        "before = set(sys.modules)\n"
+        "task((3, 2))\n"
+        "print('new:', sorted(m for m in set(sys.modules) - before if m.startswith('lefpath')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     result = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[-1] == "loaded: []"
+    assert (result.returncode, result.stdout) == (0, "new: []\n")
+
+
+def test_records_hash_and_compare_over_their_fields():
+    # the records are NamedTuples: equal fields give equal records with equal
+    # hashes, one changed field an unequal record, and no field is assignable
+    report = lefschetz.property_report(4)
+    records = [
+        hilbert.hilbert_series(3, 2),
+        hilbert.unimodality_record(hilbert.hilbert_series(3, 2)),
+        lattice.vertex_sets(4, 2),
+        next(lattice.enumerate_systems(4, 2)),
+        lattice.check_dvd_theorem(4, 2),
+        report.verdicts[2],
+        report.claim_flags[0],
+        report,
+        lefschetz.signature_crosscheck(4, 2),
+    ]
+    for record in records:
+        copy = type(record)(*record)
+        assert copy == record and hash(copy) == hash(record)
+        first = record._fields[0]
+        assert record._replace(**{first: -1}) != record
+        with pytest.raises(AttributeError):
+            setattr(record, first, -1)
+    assert len({type(r) for r in records}) == 9
+    bare = lefschetz.PropertyReport(*report[:6])
+    assert (bare.claim_flags, bare.moments) == ((), ())
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):
@@ -508,7 +582,7 @@ def _identity(phi):
 
 def _wrong_sign_image(phi):
     # the image's paths under the system's own, unswapped permutation
-    return lambda system: dataclasses.replace(phi(system), permutation=system.permutation)
+    return lambda system: phi(system)._replace(permutation=system.permutation)
 
 
 def _same_paths_negated(phi):
@@ -516,7 +590,7 @@ def _same_paths_negated(phi):
     # sign, but not the permutation the paths' ends give
     def fake(system):
         perm = system.permutation
-        return dataclasses.replace(system, permutation=(perm[1], perm[0]) + perm[2:])
+        return system._replace(permutation=(perm[1], perm[0]) + perm[2:])
 
     return fake
 
@@ -535,7 +609,7 @@ def _pairs_with_crossing_systems(phi):
         s
         for s in all_systems(4, 2)
         if not is_vertex_disjoint(s)
-        and not is_vertex_disjoint(dataclasses.replace(s, paths=flipped_paths(s)))
+        and not is_vertex_disjoint(s._replace(paths=flipped_paths(s)))
     ]
     bad_first = next(s for s in crossing if s.sign == partner.sign)
     bad_partner = next(s for s in crossing if s.sign == first.sign)

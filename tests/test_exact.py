@@ -7,7 +7,6 @@ The number wall's Hankel minors and the verdicts read from them are checked
 against Bareiss elimination.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -474,8 +473,7 @@ def _elimination_verdict(v, window):
     det, rank = window.det(), window.rank()
     sign = (det > 0) - (det < 0)
     assert type(v.det) is int and det.denominator == 1, v.i
-    return dataclasses.replace(
-        v,
+    return v._replace(
         det=det.numerator,
         det_sign=sign,
         rank=rank,

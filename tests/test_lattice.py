@@ -1,6 +1,5 @@
 """Path counting, enumeration, flips, disjoint systems, and the involution."""
 
-import dataclasses
 import time
 from itertools import combinations, permutations
 from math import isqrt
@@ -148,7 +147,7 @@ def test_vertex_sets_examples():
 def test_vertex_sets_sizes_and_lines():
     for m, i in all_instances(8):
         vs = vertex_sets(m, i)
-        assert len(vs) == hilbert_m2_closed(m, i)
+        assert len(vs.sources) == hilbert_m2_closed(m, i)
         assert all(x == y for x, y in vs.sources)
         assert all(y == x - (m - 1) for x, y in vs.targets)
 
@@ -416,14 +415,14 @@ def test_check_involution_needs_the_permutation_the_ends_give(monkeypatch):
     targets = vertex_sets(5, 4).targets
 
     def fake(system):
-        true = dataclasses.replace(
-            system, permutation=tuple(targets.index(p.end) for p in system.paths)
+        true = system._replace(
+            permutation=tuple(targets.index(p.end) for p in system.paths)
         )
         if system != true:
             return phi(true)
         image = phi(system)
         perm = image.permutation
-        return dataclasses.replace(image, permutation=perm[1:] + perm[:1])
+        return image._replace(permutation=perm[1:] + perm[:1])
 
     monkeypatch.setattr(lattice, "involution_phi", fake)
     assert check_involution(5, 4)[2] is False
@@ -446,6 +445,28 @@ def test_flipped_vertices_are_those_of_the_flip():
         assert vertices(flipped) == tuple(
             reflect(v, m) if shifted_offset(v, m) < 0 else v for v in vertices(p)
         )
+
+
+def test_walk_built_paths_and_flips_match_the_checked_constructor():
+    # enumerate_paths and _fold build their paths in their own walks; every
+    # cell path of m <= 6, and its flip, carries what the checked walk of
+    # LatticePath(start, steps) gives, and the path its touches of the line
+    for m in range(1, 7):
+        cells = set()
+        for i in range(flo(3 * (m - 1)) + 1):
+            vs = vertex_sets(m, i)
+            cells.update((s, t) for s in vs.sources for t in vs.targets)
+        for s, t in cells:
+            for p in enumerate_paths(s, t):
+                for built in (p, lattice._fold(p)):
+                    checked = LatticePath(built.start, built.steps)
+                    assert built == checked and built.end == t
+                    assert (built.mask, built.end, hash(built)) == (
+                        checked.mask, checked.end, hash(checked)
+                    )
+                assert p._touches == tuple(
+                    k for k, v in enumerate(vertices(p)) if shifted_offset(v, m) == 0
+                )
 
 
 def test_enumerate_systems_all_filter():
@@ -492,7 +513,7 @@ def test_involution_rejects_a_wrong_permutation():
         for s in enumerate_systems(4, 2)
         if not is_doubly_vertex_disjoint(s)
     )
-    reversed_system = dataclasses.replace(system, permutation=system.permutation[::-1])
+    reversed_system = system._replace(permutation=system.permutation[::-1])
     with pytest.raises(ValueError, match="outside the domain"):
         involution_phi(reversed_system)
 
