@@ -1,4 +1,4 @@
-"""Subdiagonal NE lattice paths, path systems, flips, and signed counts.
+"""Subdiagonal NE lattice paths, their counts, and the path route's checks.
 
 Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
@@ -11,20 +11,23 @@ as a signed count of doubly-vertex-disjoint systems obtained after a
 sign-reversing cancellation.  Both counts come from one transfer sweep over
 the anti-diagonals x + y = s, holding at most STATE_BUDGET states.  The
 involution check enumerates the systems one by one, at most SYSTEM_BUDGET,
-from one table of cell paths that its surgery also reads, and checks each
-pair of systems once.  A path carries its vertex set as one integer mask
-and keeps its flip, so disjointness, pruning and crossings are bitwise: one
-pass over a system's masks (_shared) gives the vertices two paths share.
-The determinant the path route is compared with comes from the lefschetz
-report, loaded only by check_dvd_theorem; exact is read only by path_matrix.
+in one recursive pass over a per-degree table of plain tuples (_table, at
+most PATH_BUDGET paths, counted before any walk) that its surgery also
+reads, and checks each pair of systems once.  A table entry holds the
+vertex sets of a path and of its flip as integer masks, one bit y(2m-1) + x
+per vertex (x, y), so disjointness, pruning and crossings are bitwise, and
+the northern-most-then-eastern-most crossing is the top bit.  No path or
+system object is built.  The determinant the path route is compared with
+comes from the lefschetz report, loaded only by check_dvd_theorem; exact
+is read only by path_matrix.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import comb, isqrt
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional
+from math import comb
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Optional
 
 from . import BudgetExceeded
 from .hilbert import basis_range, check_degree, flo
@@ -35,59 +38,6 @@ if TYPE_CHECKING:
 Point = tuple[int, int]
 
 _SWAP = str.maketrans("NE", "EN")
-
-
-def _bit(point: Point) -> int:
-    """Mask bit of a vertex (x, y), 0 <= y <= x: x(x+1)/2 + y."""
-    x, y = point
-    return x * (x + 1) // 2 + y
-
-
-class LatticePath:
-    """NE lattice path staying weakly below the main diagonal.
-
-    Immutable; ``steps`` is a string over {"N", "E"}.  ``mask`` holds one
-    bit per vertex (see _bit), so an E step moves the bit up by the new x and
-    an N step by 1.  The flip and the touches of the shifted diagonal are
-    filled in by _fold on first use.
-    """
-
-    __slots__ = ("start", "steps", "end", "mask", "_hash", "_flipped", "_touches")
-
-    def __init__(self, start: Point, steps: str):
-        x, y = start
-        if not 0 <= y <= x:
-            raise ValueError(f"start {start} lies outside the subdiagonal region")
-        bit = _bit(start)
-        mask = 1 << bit
-        for s in steps:
-            if s == "E":
-                x += 1
-                bit += x
-            elif s == "N":
-                y += 1
-                bit += 1
-                if y > x:
-                    raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
-            else:
-                raise ValueError(f"invalid step {s!r}")
-            mask |= 1 << bit
-        self._fill(start, steps, (x, y), mask)
-
-    def _fill(self, start: Point, steps: str, end: Point, mask: int) -> LatticePath:
-        """Set the fields from a walk made already: checked, or valid by construction."""
-        self.start, self.steps, self.end, self.mask = start, steps, end, mask
-        self._hash, self._flipped = hash((start, steps)), None
-        return self
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticePath) and (self.start, self.steps) == (other.start, other.steps)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"LatticePath({self.start}, {self.steps!r})"
 
 
 def _reachable(source: Point, target: Point) -> bool:
@@ -117,30 +67,6 @@ def count_paths(source: Point, target: Point) -> int:
     return count
 
 
-def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
-    """All subdiagonal NE paths from source to target, steps in lex order
-    (E before N).  There are count_paths(source, target) of them; the system
-    enumeration tabulates one list per (source, target) cell.  The walk keeps
-    each path's mask as it goes (see LatticePath), so no path is walked twice."""
-    found: list[LatticePath] = []
-    if not _reachable(source, target):
-        return found
-    (a, _), (b, c) = source, target
-    end = (b, c)
-
-    def walk(x: int, y: int, steps: str, bit: int, mask: int) -> None:
-        if x == b and y == c:
-            found.append(LatticePath.__new__(LatticePath)._fill(source, steps, end, mask))
-        if x < b:
-            walk(x + 1, y, steps + "E", bit + x + 1, mask | 1 << (bit + x + 1))
-        if y < min(c, x):
-            walk(x, y + 1, steps + "N", bit + 1, mask | 1 << (bit + 1))
-
-    bit = _bit(source)
-    walk(a, a, "", bit, 1 << bit)
-    return found
-
-
 class VertexSets(NamedTuple):
     """Row vertices on y = x and column vertices on y = x - (m - 1)."""
 
@@ -153,7 +79,7 @@ class VertexSets(NamedTuple):
 @lru_cache(maxsize=16)
 def vertex_sets(m: int, i: int) -> VertexSets:
     """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
-    basis index range (memoised: the involution reads them for every system)."""
+    basis index range (memoised)."""
     check_degree(m, i)
     indices = basis_range(m, i)
     sources = tuple((p, p) for p in indices)
@@ -172,142 +98,59 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
     )
 
 
-# -- flips ------------------------------------------------------------------
+# -- the involution's path table --------------------------------------------
 
 
-def _fold(path: LatticePath) -> LatticePath:
-    """The flip: reflect every lower primitive segment across the shifted
-    diagonal y = x - (m - 1) through the path's end (which fixes m).
-
-    The path splits at its touches of the shifted diagonal into an initial
-    piece, which starts on the main diagonal and never goes below the line,
-    and primitive segments, each wholly above or wholly below it.  The steps
-    with an end strictly below the line are exactly those of the lower
-    segments; reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment
-    endpoints and swaps N and E, so the result is an upper path with the
-    same endpoints.  Upper paths are fixed points, so folding the flip
-    returns it.  The flip is kept on the path with the indices of its
-    vertices on the line; reflected vertices land strictly above it, so the
-    flip touches it at the same indices.  One walk gives the flip's steps,
-    its mask (as in LatticePath) and the touches.
-    """
-    if path._flipped is None:
-        (x, y), (x_end, y_end) = path.start, path.end
-        height = y - x + x_end - y_end  # the start's height above the line
-        bit = _bit(path.start)
-        mask, steps, touches = 1 << bit, [], [0] if height == 0 else []
-        for k, s in enumerate(path.steps, 1):
-            north = s == "N"
-            up = (height < 0 or height == 0 and not north) != north  # the flip steps N
-            steps.append("N" if up else "E")
-            x += not up
-            bit += 1 if up else x
-            mask |= 1 << bit
-            height += 1 if north else -1
-            if height == 0:
-                touches.append(k)
-        steps = "".join(steps)
-        flipped = path
-        if steps != path.steps:
-            flipped = LatticePath.__new__(LatticePath)._fill(path.start, steps, path.end, mask)
-        flipped._flipped = path._flipped = flipped
-        flipped._touches = path._touches = tuple(touches)
-    return path._flipped
-
-
-# -- path systems -----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)  # at most h! permutations per degree
-def perm_sign(perm: tuple[int, ...]) -> int:
-    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
-    return -1 if inversions % 2 else 1
-
-
-class PathSystem(NamedTuple):
-    """Paths joining each source k to target permutation[k]."""
-
-    m: int
-    i: int
-    paths: tuple[LatticePath, ...]
-    permutation: tuple[int, ...]
-
-    @property
-    def sign(self) -> int:
-        return perm_sign(self.permutation)
-
-
-def _shared(masks) -> int:
-    """The bits set in two or more of the masks, in one pass."""
-    seen = shared = 0
-    for mask in masks:
-        shared |= seen & mask
-        seen |= mask
-    return shared
-
-
-def _northern_most(mask: int) -> Point:
-    """The northern-most, then eastern-most vertex of a nonzero mask.  Bits
-    run column by column (see _bit), so the top bit left is the top vertex
-    of the eastern-most column left; columns are read from the east until
-    none left can reach above the best row."""
-    best_x = best_y = -1
-    while mask:
-        b = mask.bit_length() - 1
-        x = (isqrt(8 * b + 1) - 1) // 2
-        if x <= best_y:
-            break
-        base = x * (x + 1) // 2
-        if b - base > best_y:
-            best_x, best_y = x, b - base
-        mask &= (1 << base) - 1
-    return best_x, best_y
+# A cell path as the involution check holds it: (mask, flip_mask, steps,
+# touches, q); see _table.
+Entry = tuple[int, int, str, tuple[int, ...], int]
 
 
 @lru_cache(maxsize=2)
-def _cells(m: int, i: int) -> list[list[dict[str, LatticePath]]]:
-    """Per (source, target) cell, its paths keyed by steps in lex order: the
-    enumeration walks them and the involution's surgery looks its paths up."""
-    vs = vertex_sets(m, i)
-    return [[{p.steps: p for p in enumerate_paths(s, t)} for t in vs.targets] for s in vs.sources]
+def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str, Entry]]]]:
+    """The degree-i cell paths a vertex-disjoint system can use: per (source,
+    target) cell, the paths that miss every other source and target, in lex
+    order of steps (E before N), and the same entries keyed by steps.  The
+    enumeration walks the lists and the involution's surgery looks its new
+    paths up in the dicts.  An entry is (mask, flip_mask, steps, touches, q):
+    the masks hold bit y(2m-1) + x for each vertex (x, y) of the path and of
+    its flip, touches are the step indices at which the path is on the
+    shifted diagonal, and q is the target's index.
 
+    The flip reflects every lower primitive segment of the path across the
+    shifted diagonal y = x - (m - 1), on which every target lies, so one walk
+    per source builds each path of its row and its flip together: at height
+    H = y - x + m - 1 before a step, the flip steps N where an E step has
+    H <= 0 or an N step has H >= 0, and E otherwise.  Reflected vertices land
+    strictly above the line, so the flip touches it at the path's touches.
+    The walk ends at the first target it reaches and never steps onto
+    another source.
+    """
+    ps = basis_range(m, i)
+    width, x_max, y_max = 2 * m - 1, 2 * m - 2 - ps.start, m - 1 - ps.start
+    x_min = x_max - len(ps) + 1
+    walk: list[list[list[Entry]]] = []
+    for p in ps:
+        row: list[list[Entry]] = [[] for _ in ps]
 
-# Systems an involution check may visit: every degree of m <= 7 fits (the most
-# is 338,884 at (7, 4)); past it the check stops.
-SYSTEM_BUDGET = 2**19
+        def step(x, y, height, steps, bit, mask, flip_bit, flip_mask, touches):
+            if height == 0 and x >= x_min:
+                row[x_max - x].append((mask, flip_mask, steps, touches, x_max - x))
+                return
+            n = len(steps) + 1
+            if x < x_max:
+                b, f = bit + 1, flip_bit + (width if height <= 0 else 1)
+                step(x + 1, y, height - 1, steps + "E", b, mask | 1 << b, f, flip_mask | 1 << f,
+                     touches + (n,) if height == 1 else touches)
+            if y < y_max and (y + 1 < x or y + 1 == x >= ps.stop):
+                b, f = bit + width, flip_bit + (width if height >= 0 else 1)
+                step(x, y + 1, height + 1, steps + "N", b, mask | 1 << b, f, flip_mask | 1 << f,
+                     touches + (n,) if height == -1 else touches)
 
-
-def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
-    """Stream the vertex-disjoint path systems of degree i, in deterministic
-    order: built one source at a time, targets ascending and paths in lex
-    order.  Every source and target vertex starts occupied, and a path joins
-    only if it misses the occupied vertices other than its own two ends, so a
-    collision, or a later source or unused target on it, prunes its subtree."""
-    vs = vertex_sets(m, i)
-    cells = [[[(p.mask, p) for p in cell.values()] for cell in row] for row in _cells(m, i)]
-    ends = [[1 << _bit(s) | 1 << _bit(t) for t in vs.targets] for s in vs.sources]
-    h = len(cells)
-    chosen: list[LatticePath] = []
-    used: list[int] = []
-
-    def extend(k: int, occupied: int) -> Iterator[PathSystem]:
-        if k == h:
-            yield PathSystem(m, i, tuple(chosen), tuple(used))
-            return
-        for q in range(h):
-            if q in used:
-                continue
-            used.append(q)
-            blocked = occupied ^ ends[k][q]
-            for mask, path in cells[k][q]:
-                if mask & blocked:
-                    continue
-                chosen.append(path)
-                yield from extend(k + 1, occupied | mask)
-                chosen.pop()
-            used.pop()
-
-    return extend(0, sum(ends[k][k] for k in range(h)))
+        start = p * width + p
+        step(p, p, m - 1, "", start, 1 << start, start, 1 << start, () if m > 1 else (0,))
+        walk.append(row)
+    return walk, [[{entry[2]: entry for entry in cell} for cell in row] for row in walk]
 
 
 # Live states a transfer sweep may hold: every window of m <= 16 fits (the
@@ -364,89 +207,157 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
 
 # -- the sign-reversing involution ------------------------------------------
 
+# Paths in a window's cells, counted before any walk, past which an
+# involution check stops at once: every degree of m <= 8 fits (the most is
+# 108,808 at (8, 6)).  The walk keeps only a fraction of them (see _table).
+PATH_BUDGET = 2**17
 
-def involution_phi(system: PathSystem) -> PathSystem:
-    """Sign-reversing involution on vertex-disjoint, not doubly-disjoint systems.
+# Systems an involution check may visit: every degree of m <= 7 fits (the most
+# is 338,884 at (7, 4)); past it the check stops.
+SYSTEM_BUDGET = 2**19
 
-    Locates the northern-most-then-eastern-most vertex where two flipped
-    paths meet, swaps everything after it (surgery done on the pieces that
-    the reflection exchanges, so each of the two new paths keeps its own
-    side of the crossing), and transposes the two targets.
+# A system as the involution check holds it: its entries in source order and
+# its permutation.
+System = tuple[tuple[Entry, ...], tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)  # at most h! permutations per degree
+def perm_sign(perm: tuple[int, ...]) -> int:
+    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+def _involution(m: int, i: int) -> Callable[[tuple[Entry, ...], tuple[int, ...], int], System]:
+    """The sign-reversing involution on the degree-i systems that are vertex
+    disjoint but not doubly so, as a function of a system's entries in source
+    order, its permutation and the vertices where two of its flips meet; it
+    returns the image's (entries, permutation).
+
+    It locates the northern-most-then-eastern-most crossing, the top bit of
+    the crossings, swaps everything after it (surgery done on the pieces that
+    the reflection exchanges, so each of the two new paths keeps its own side
+    of the crossing), and transposes the two targets.
     """
-    m = system.m
-    if _shared([p.mask for p in system.paths]):
-        raise ValueError("involution defined only on vertex-disjoint systems")
-    flips = [_fold(p).mask for p in system.paths]
-    crossings = _shared(flips)
-    if not crossings:
-        raise ValueError("system is doubly vertex disjoint; involution undefined")
-    x, y = _northern_most(crossings)
-    bit = 1 << _bit((x, y))
-    meeting = [k for k, mask in enumerate(flips) if mask & bit]
-    if len(meeting) != 2:
-        raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
-    # a flip passes (x, y) where its path does, or where its path passes the
-    # mirror point below the line; the paths are disjoint, so one of each
-    up, lo = meeting if system.paths[meeting[0]].mask & bit else meeting[::-1]
-    p_lo, p_up = system.paths[lo], system.paths[up]
+    width, cells = 2 * m - 1, _table(m, i)[1]
+    diagonals = [2 * p for p in basis_range(m, i)]  # x + y at each source
 
-    # each path meets the anti-diagonal of the crossing and its mirror once:
-    # cut there, and again at the path's next touch of the shifted diagonal
-    # (the folds above filled in the touches)
-    j_lo, j_up = x + y - sum(p_lo.start), x + y - sum(p_up.start)
-    e_lo = p_lo._touches[bisect_right(p_lo._touches, j_lo)]
-    e_up = p_up._touches[bisect_right(p_up._touches, j_up)]
-    perm = list(system.permutation)
-    perm[lo], perm[up] = perm[up], perm[lo]
-    # both new paths run from a source to a target: look them up in their cells
-    cells = _cells(m, system.i)
-    new_lo = cells[lo][perm[lo]].get(
-        p_lo.steps[:j_lo] + p_up.steps[j_up:e_up].translate(_SWAP) + p_up.steps[e_up:]
-    )
-    new_up = cells[up][perm[up]].get(
-        p_up.steps[:j_up] + p_lo.steps[j_lo:e_lo].translate(_SWAP) + p_lo.steps[e_lo:]
-    )
-    if new_lo is None or new_up is None:
-        raise ValueError("surgery misses the swapped targets; system outside the domain")
-    paths = list(system.paths)
-    paths[lo], paths[up] = new_lo, new_up
-    return PathSystem(m, system.i, tuple(paths), tuple(perm))
+    def phi(entries, perm, crossings):
+        top = crossings.bit_length() - 1
+        bit = 1 << top
+        meeting = [k for k, entry in enumerate(entries) if entry[1] & bit]
+        y, x = divmod(top, width)
+        if len(meeting) != 2:
+            raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
+        # a flip passes (x, y) where its path does, or where its path passes
+        # the mirror point below the line; the paths are disjoint, so one of each
+        up, lo = meeting if entries[meeting[0]][0] & bit else meeting[::-1]
+        _, _, s_lo, t_lo, _ = entries[lo]
+        _, _, s_up, t_up, _ = entries[up]
+        # each path meets the anti-diagonal of the crossing and its mirror
+        # once: cut there, and again at the path's next touch of the line
+        j_lo, j_up = x + y - diagonals[lo], x + y - diagonals[up]
+        e_lo, e_up = t_lo[bisect_right(t_lo, j_lo)], t_up[bisect_right(t_up, j_up)]
+        new = list(perm)
+        new[lo], new[up] = perm[up], perm[lo]
+        # both new paths run from a source to a target: look them up in their cells
+        new_lo = cells[lo][new[lo]].get(
+            s_lo[:j_lo] + s_up[j_up:e_up].translate(_SWAP) + s_up[e_up:]
+        )
+        new_up = cells[up][new[up]].get(
+            s_up[:j_up] + s_lo[j_lo:e_lo].translate(_SWAP) + s_lo[e_lo:]
+        )
+        if new_lo is None or new_up is None:
+            raise ValueError("surgery misses the swapped targets; system outside the domain")
+        image = list(entries)
+        image[lo], image[up] = new_lo, new_up
+        return tuple(image), tuple(new)
+
+    return phi
 
 
 def check_involution(m: int, i: int) -> tuple[int, int, bool]:
-    """Stream the vertex-disjoint systems of degree i and check involution_phi
-    on the set N of those not doubly vertex disjoint: (|N|, signed sum over
-    N, ok), where ok says every image has the permutation its paths' ends
-    give and the opposite sign, is in N, and maps back.  Each pair is checked
-    once, from its first member; the image waits, keyed by its paths (which
-    fix it), until the enumeration reaches it.  Past a failure, only counts.
+    """Enumerate the vertex-disjoint systems of degree i and check the
+    involution (_involution) on the set N of those not doubly vertex
+    disjoint: (|N|, signed sum over N, ok), where ok says every image has the
+    permutation its paths' ends give and the opposite sign, is vertex
+    disjoint, is in N, and maps back.
+
+    The systems are built one source at a time, targets ascending and paths
+    in lex order, from the _table lists, with no path or system object; the
+    recursion carries the chosen paths' vertices, the union of their flips
+    and the vertices where two of those meet.  A path joins only if it
+    misses the chosen paths, so a collision prunes its subtree; the table
+    holds no path through another source or target, so a later source or an
+    unused target is never on one.  A system is doubly disjoint iff its
+    flips' overlap is 0.  Each pair of N is checked once, from its first
+    member; the image waits, keyed by its masks (which fix it), until the
+    enumeration reaches it.  Past a failure, only counts.  The check stops
+    before any walk past PATH_BUDGET cell paths, and past SYSTEM_BUDGET
+    vertex-disjoint systems.
     """
-    ends = {t: q for q, t in enumerate(vertex_sets(m, i).targets)}
-    size, signed, ok = 0, 0, True
-    pending: set[tuple[LatticePath, ...]] = set()
-    for visited, system in enumerate(enumerate_systems(m, i), 1):
-        if visited > SYSTEM_BUDGET:
-            raise BudgetExceeded(f"budget exceeded: over {SYSTEM_BUDGET} systems at ({m}, {i})")
-        if not _shared([_fold(p).mask for p in system.paths]):  # doubly disjoint
-            continue
-        size += 1
-        sign = system.sign
-        signed += sign
-        if system.paths in pending:
-            pending.remove(system.paths)
-        elif ok:
-            image = involution_phi(system)
-            paths = image.paths
-            # the image is vertex disjoint and not doubly so: implied once it
-            # is reached, but checked here so a failure shows at this system
-            ok = (
-                image.permutation == tuple([ends.get(p.end) for p in paths])
-                and image.sign == -sign
-                and not _shared([p.mask for p in paths])
-                and _shared([_fold(p).mask for p in paths])
-                and involution_phi(image) == system
-            )
-            pending.add(paths)
+    vs = vertex_sets(m, i)
+    if sum(count_paths(s, t) for s in vs.sources for t in vs.targets) > PATH_BUDGET:
+        raise BudgetExceeded(f"budget exceeded: over {PATH_BUDGET} paths at ({m}, {i})")
+    walk = _table(m, i)[0]
+    phi, budget, h = _involution(m, i), SYSTEM_BUDGET, len(walk)
+    size = signed = visited = 0
+    ok = True
+    pending: set[tuple[int, ...]] = set()
+    chosen: list[Entry] = []
+    used: list[int] = []
+
+    def extend(k: int, occupied: int, flips: int, overlap: int) -> None:
+        nonlocal size, signed, visited, ok
+        for q in range(h):
+            if q in used:
+                continue
+            fits = [entry for entry in walk[k][q] if not entry[0] & occupied]
+            if k + 1 < h:
+                used.append(q)
+                for entry in fits:
+                    chosen.append(entry)
+                    extend(k + 1, occupied | entry[0], flips | entry[1], overlap | flips & entry[1])
+                    chosen.pop()
+                used.pop()
+                continue
+            if not fits:
+                continue
+            visited += len(fits)
+            if visited > budget:
+                raise BudgetExceeded(f"budget exceeded: over {budget} systems at ({m}, {i})")
+            perm, masks = (*used, q), tuple([e[0] for e in chosen])
+            sign = perm_sign(perm)
+            for entry in fits:
+                crossings = overlap | flips & entry[1]
+                if not crossings:  # doubly disjoint
+                    continue
+                size += 1
+                signed += sign
+                key = (*masks, entry[0])
+                if key in pending:
+                    pending.remove(key)
+                elif ok:
+                    system = (*chosen, entry)
+                    image, image_perm = phi(system, perm, crossings)
+                    # the image is vertex disjoint and not doubly so: implied
+                    # once it is reached, but checked here so a failure shows
+                    # at this system
+                    seen = shared = flip_seen = flip_shared = 0
+                    for mask, flip_mask, *_ in image:
+                        shared |= seen & mask
+                        seen |= mask
+                        flip_shared |= flip_seen & flip_mask
+                        flip_seen |= flip_mask
+                    ok = (
+                        image_perm == tuple([e[4] for e in image])
+                        and perm_sign(image_perm) == -sign
+                        and not shared
+                        and flip_shared != 0
+                        and phi(image, image_perm, flip_shared) == (system, perm)
+                    )
+                    pending.add(tuple([e[0] for e in image]))
+
+    extend(0, 0, 0, 0)
     return size, signed, ok and not pending
 
 

@@ -3,23 +3,33 @@ Hilbert series by direct multiplication, the quadratic violation scan, the
 unimodality test, the restricted partition family listed member by member,
 the weighted degree and the presentation checks (annihilation, the f_m
 recursion, the power-sum identity), the per-entry contraction Hessian, the
-path predicates production does not need (a path's vertex list, the height
-above the shifted diagonal, a system's flips and its vertex- and doubly-
-vertex-disjointness), the reflection across the shifted diagonal, the flip
-by primitive-segment surgery, the unpruned and the collision-pruned system
-enumerations, and the involution check from both members of every pair."""
+path object model that checks the involution check's table and involution
+independently (LatticePath with its column-major vertex mask, the flip by
+one walk, PathSystem, the pruned system enumeration and involution_phi on
+systems), the path predicates production does not need (a path's vertex
+list, the height above the shifted diagonal, a system's flips and its
+vertex- and doubly-vertex-disjointness), the reflection across the
+shifted diagonal, the flip by primitive-segment surgery, the unpruned and
+the collision-pruned system enumerations, the involution check from both
+members of every pair, and the adapter that runs a map of PathSystems in
+place of the check's involution on its table entries."""
 
+from __future__ import annotations
+
+from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
+from math import isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
-from lefpath import lattice, lefschetz
+from lefpath import lefschetz
 from lefpath.algebra import OPERATOR_SIDE, GradedPoly, c_coeff, contract, dual_generator, f_m
 from lefpath.exact import ExactMatrix, as_exact, binomial
 from lefpath.hilbert import basis_range, flo
-from lefpath.lattice import LatticePath, PathSystem, Point, enumerate_paths, vertex_sets
+from lefpath.lattice import Point, _reachable, perm_sign, vertex_sets
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +188,259 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
 
 
+# -- the path object model: oracle for the check's path table and involution --
+
+_SWAP = str.maketrans("NE", "EN")
+
+
+def _bit(point: Point) -> int:
+    """Mask bit of a vertex (x, y), 0 <= y <= x: x(x+1)/2 + y."""
+    x, y = point
+    return x * (x + 1) // 2 + y
+
+
+class LatticePath:
+    """NE lattice path staying weakly below the main diagonal.
+
+    Immutable; ``steps`` is a string over {"N", "E"}.  ``mask`` holds one
+    bit per vertex (see _bit), so an E step moves the bit up by the new x and
+    an N step by 1.  The flip and the touches of the shifted diagonal are
+    filled in by _fold on first use.
+    """
+
+    __slots__ = ("start", "steps", "end", "mask", "_hash", "_flipped", "_touches")
+
+    def __init__(self, start: Point, steps: str):
+        x, y = start
+        if not 0 <= y <= x:
+            raise ValueError(f"start {start} lies outside the subdiagonal region")
+        bit = _bit(start)
+        mask = 1 << bit
+        for s in steps:
+            if s == "E":
+                x += 1
+                bit += x
+            elif s == "N":
+                y += 1
+                bit += 1
+                if y > x:
+                    raise ValueError(f"path leaves the subdiagonal region at {(x, y)}")
+            else:
+                raise ValueError(f"invalid step {s!r}")
+            mask |= 1 << bit
+        self._fill(start, steps, (x, y), mask)
+
+    def _fill(self, start: Point, steps: str, end: Point, mask: int) -> LatticePath:
+        """Set the fields from a walk made already: checked, or valid by construction."""
+        self.start, self.steps, self.end, self.mask = start, steps, end, mask
+        self._hash, self._flipped = hash((start, steps)), None
+        return self
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LatticePath) and (self.start, self.steps) == (other.start, other.steps)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"LatticePath({self.start}, {self.steps!r})"
+
+
+
+def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
+    """All subdiagonal NE paths from source to target, steps in lex order
+    (E before N).  There are count_paths(source, target) of them; the system
+    enumeration tabulates one list per (source, target) cell.  The walk keeps
+    each path's mask as it goes (see LatticePath), so no path is walked twice."""
+    found: list[LatticePath] = []
+    if not _reachable(source, target):
+        return found
+    (a, _), (b, c) = source, target
+    end = (b, c)
+
+    def walk(x: int, y: int, steps: str, bit: int, mask: int) -> None:
+        if x == b and y == c:
+            found.append(LatticePath.__new__(LatticePath)._fill(source, steps, end, mask))
+        if x < b:
+            walk(x + 1, y, steps + "E", bit + x + 1, mask | 1 << (bit + x + 1))
+        if y < min(c, x):
+            walk(x, y + 1, steps + "N", bit + 1, mask | 1 << (bit + 1))
+
+    bit = _bit(source)
+    walk(a, a, "", bit, 1 << bit)
+    return found
+
+
+def _fold(path: LatticePath) -> LatticePath:
+    """The flip: reflect every lower primitive segment across the shifted
+    diagonal y = x - (m - 1) through the path's end (which fixes m).
+
+    The path splits at its touches of the shifted diagonal into an initial
+    piece, which starts on the main diagonal and never goes below the line,
+    and primitive segments, each wholly above or wholly below it.  The steps
+    with an end strictly below the line are exactly those of the lower
+    segments; reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment
+    endpoints and swaps N and E, so the result is an upper path with the
+    same endpoints.  Upper paths are fixed points, so folding the flip
+    returns it.  The flip is kept on the path with the indices of its
+    vertices on the line; reflected vertices land strictly above it, so the
+    flip touches it at the same indices.  One walk gives the flip's steps,
+    its mask (as in LatticePath) and the touches.
+    """
+    if path._flipped is None:
+        (x, y), (x_end, y_end) = path.start, path.end
+        height = y - x + x_end - y_end  # the start's height above the line
+        bit = _bit(path.start)
+        mask, steps, touches = 1 << bit, [], [0] if height == 0 else []
+        for k, s in enumerate(path.steps, 1):
+            north = s == "N"
+            up = (height < 0 or height == 0 and not north) != north  # the flip steps N
+            steps.append("N" if up else "E")
+            x += not up
+            bit += 1 if up else x
+            mask |= 1 << bit
+            height += 1 if north else -1
+            if height == 0:
+                touches.append(k)
+        steps = "".join(steps)
+        flipped = path
+        if steps != path.steps:
+            flipped = LatticePath.__new__(LatticePath)._fill(path.start, steps, path.end, mask)
+        flipped._flipped = path._flipped = flipped
+        flipped._touches = path._touches = tuple(touches)
+    return path._flipped
+
+
+class PathSystem(NamedTuple):
+    """Paths joining each source k to target permutation[k]."""
+
+    m: int
+    i: int
+    paths: tuple[LatticePath, ...]
+    permutation: tuple[int, ...]
+
+    @property
+    def sign(self) -> int:
+        return perm_sign(self.permutation)
+
+
+def _shared(masks) -> int:
+    """The bits set in two or more of the masks, in one pass."""
+    seen = shared = 0
+    for mask in masks:
+        shared |= seen & mask
+        seen |= mask
+    return shared
+
+
+def _northern_most(mask: int) -> Point:
+    """The northern-most, then eastern-most vertex of a nonzero mask.  Bits
+    run column by column (see _bit), so the top bit left is the top vertex
+    of the eastern-most column left; columns are read from the east until
+    none left can reach above the best row."""
+    best_x = best_y = -1
+    while mask:
+        b = mask.bit_length() - 1
+        x = (isqrt(8 * b + 1) - 1) // 2
+        if x <= best_y:
+            break
+        base = x * (x + 1) // 2
+        if b - base > best_y:
+            best_x, best_y = x, b - base
+        mask &= (1 << base) - 1
+    return best_x, best_y
+
+
+@lru_cache(maxsize=2)
+def _cells(m: int, i: int) -> list[list[dict[str, LatticePath]]]:
+    """Per (source, target) cell, its paths keyed by steps in lex order: the
+    enumeration walks them and the involution's surgery looks its paths up."""
+    vs = vertex_sets(m, i)
+    return [[{p.steps: p for p in enumerate_paths(s, t)} for t in vs.targets] for s in vs.sources]
+
+
+def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
+    """Stream the vertex-disjoint path systems of degree i, in deterministic
+    order: built one source at a time, targets ascending and paths in lex
+    order.  Every source and target vertex starts occupied, and a path joins
+    only if it misses the occupied vertices other than its own two ends, so a
+    collision, or a later source or unused target on it, prunes its subtree."""
+    vs = vertex_sets(m, i)
+    cells = [[[(p.mask, p) for p in cell.values()] for cell in row] for row in _cells(m, i)]
+    ends = [[1 << _bit(s) | 1 << _bit(t) for t in vs.targets] for s in vs.sources]
+    h = len(cells)
+    chosen: list[LatticePath] = []
+    used: list[int] = []
+
+    def extend(k: int, occupied: int) -> Iterator[PathSystem]:
+        if k == h:
+            yield PathSystem(m, i, tuple(chosen), tuple(used))
+            return
+        for q in range(h):
+            if q in used:
+                continue
+            used.append(q)
+            blocked = occupied ^ ends[k][q]
+            for mask, path in cells[k][q]:
+                if mask & blocked:
+                    continue
+                chosen.append(path)
+                yield from extend(k + 1, occupied | mask)
+                chosen.pop()
+            used.pop()
+
+    return extend(0, sum(ends[k][k] for k in range(h)))
+
+
+
+def involution_phi(system: PathSystem) -> PathSystem:
+    """Sign-reversing involution on vertex-disjoint, not doubly-disjoint systems.
+
+    Locates the northern-most-then-eastern-most vertex where two flipped
+    paths meet, swaps everything after it (surgery done on the pieces that
+    the reflection exchanges, so each of the two new paths keeps its own
+    side of the crossing), and transposes the two targets.
+    """
+    m = system.m
+    if _shared([p.mask for p in system.paths]):
+        raise ValueError("involution defined only on vertex-disjoint systems")
+    flips = [_fold(p).mask for p in system.paths]
+    crossings = _shared(flips)
+    if not crossings:
+        raise ValueError("system is doubly vertex disjoint; involution undefined")
+    x, y = _northern_most(crossings)
+    bit = 1 << _bit((x, y))
+    meeting = [k for k, mask in enumerate(flips) if mask & bit]
+    if len(meeting) != 2:
+        raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
+    # a flip passes (x, y) where its path does, or where its path passes the
+    # mirror point below the line; the paths are disjoint, so one of each
+    up, lo = meeting if system.paths[meeting[0]].mask & bit else meeting[::-1]
+    p_lo, p_up = system.paths[lo], system.paths[up]
+
+    # each path meets the anti-diagonal of the crossing and its mirror once:
+    # cut there, and again at the path's next touch of the shifted diagonal
+    # (the folds above filled in the touches)
+    j_lo, j_up = x + y - sum(p_lo.start), x + y - sum(p_up.start)
+    e_lo = p_lo._touches[bisect_right(p_lo._touches, j_lo)]
+    e_up = p_up._touches[bisect_right(p_up._touches, j_up)]
+    perm = list(system.permutation)
+    perm[lo], perm[up] = perm[up], perm[lo]
+    # both new paths run from a source to a target: look them up in their cells
+    cells = _cells(m, system.i)
+    new_lo = cells[lo][perm[lo]].get(
+        p_lo.steps[:j_lo] + p_up.steps[j_up:e_up].translate(_SWAP) + p_up.steps[e_up:]
+    )
+    new_up = cells[up][perm[up]].get(
+        p_up.steps[:j_up] + p_lo.steps[j_lo:e_lo].translate(_SWAP) + p_lo.steps[e_lo:]
+    )
+    if new_lo is None or new_up is None:
+        raise ValueError("surgery misses the swapped targets; system outside the domain")
+    paths = list(system.paths)
+    paths[lo], paths[up] = new_lo, new_up
+    return PathSystem(m, system.i, tuple(paths), tuple(perm))
+
+
 def vertices(path: LatticePath) -> tuple[Point, ...]:
     """The path's vertices in order, from its start to its end."""
     x, y = path.start
@@ -192,15 +455,15 @@ def shifted_offset(point: Point, m: int) -> int:
 
 
 def flipped_paths(system: PathSystem) -> tuple[LatticePath, ...]:
-    return tuple(lattice._fold(p) for p in system.paths)
+    return tuple(_fold(p) for p in system.paths)
 
 
 def is_vertex_disjoint(system: PathSystem) -> bool:
-    return not lattice._shared(p.mask for p in system.paths)
+    return not _shared(p.mask for p in system.paths)
 
 
 def is_doubly_vertex_disjoint(system: PathSystem) -> bool:
-    return is_vertex_disjoint(system) and not lattice._shared(
+    return is_vertex_disjoint(system) and not _shared(
         p.mask for p in flipped_paths(system)
     )
 
@@ -312,12 +575,56 @@ def involution_both_sides(m: int, i: int) -> tuple[int, int, bool]:
         size += 1
         signed += system.sign
         if ok:
-            image = lattice.involution_phi(system)
+            image = involution_phi(system)
             ok = (
                 image.permutation == tuple(ends.get(p.end) for p in image.paths)
                 and image.sign == -system.sign
                 and is_vertex_disjoint(image)
                 and not is_doubly_vertex_disjoint(image)
-                and lattice.involution_phi(image) == system
+                and involution_phi(image) == system
             )
     return size, signed, ok
+
+
+# -- the check's table entries and the oracle's systems ------------------------
+
+
+def row_major_mask(points, m: int) -> int:
+    """The check's vertex mask: bit y(2m-1) + x for each vertex (x, y)."""
+    return sum(1 << y * (2 * m - 1) + x for x, y in set(points))
+
+
+def entry_of(path: LatticePath, m: int, q: int) -> tuple:
+    """The check's table entry of an oracle path to target q."""
+    flipped = _fold(path)
+    return (
+        row_major_mask(vertices(path), m),
+        row_major_mask(vertices(flipped), m),
+        path.steps,
+        path._touches,
+        q,
+    )
+
+
+def system_of(m: int, i: int, entries, perm) -> PathSystem:
+    """The oracle's system of the check's entries, in source order."""
+    sources = vertex_sets(m, i).sources
+    return PathSystem(m, i, tuple(LatticePath(s, e[2]) for s, e in zip(sources, entries)), tuple(perm))
+
+
+def involution_seam(fake):
+    """A stand-in for lattice._involution that runs ``fake``, a map of oracle
+    PathSystems, on the check's entries; each image path's entry names the
+    target the path ends at, whatever permutation the image claims."""
+
+    def involution(m: int, i: int):
+        targets = vertex_sets(m, i).targets
+
+        def phi(entries, perm, crossings):
+            image = fake(system_of(m, i, entries, perm))
+            entries = tuple(entry_of(p, m, targets.index(p.end)) for p in image.paths)
+            return entries, image.permutation
+
+        return phi
+
+    return involution

@@ -19,8 +19,6 @@ from lefpath.exact import ExactMatrix
 from lefpath.hilbert import flo, hilbert_m2_closed, hilbert_series
 from lefpath.lattice import (
     check_dvd_theorem,
-    enumerate_systems,
-    involution_phi,
     path_matrix,
     transfer_counts,
 )
@@ -30,6 +28,8 @@ from lefpath.partitions import degree_formula_matches_hessian, partition_gf
 from conftest import (
     annihilator_check,
     enumerate_restricted,
+    enumerate_systems,
+    involution_phi,
     is_doubly_vertex_disjoint,
     is_unimodal,
     verify_f_recursion,

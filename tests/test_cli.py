@@ -7,7 +7,15 @@ import sys
 import time
 
 import pytest
-from conftest import all_systems, flipped_paths, is_doubly_vertex_disjoint, is_vertex_disjoint
+from conftest import (
+    all_systems,
+    enumerate_systems,
+    flipped_paths,
+    involution_phi,
+    involution_seam,
+    is_doubly_vertex_disjoint,
+    is_vertex_disjoint,
+)
 
 from lefpath import algebra, cli, hilbert, lattice, lefschetz
 from lefpath.exact import ExactMatrix
@@ -471,7 +479,7 @@ def test_records_hash_and_compare_over_their_fields():
         hilbert.hilbert_series(3, 2),
         hilbert.unimodality_record(hilbert.hilbert_series(3, 2)),
         lattice.vertex_sets(4, 2),
-        next(lattice.enumerate_systems(4, 2)),
+        next(enumerate_systems(4, 2)),
         lattice.check_dvd_theorem(4, 2),
         report.verdicts[2],
         report.claim_flags[0],
@@ -576,6 +584,16 @@ def test_involution_check_past_its_budget_exits_2(capsys, monkeypatch):
     ]
 
 
+def test_involution_check_past_its_path_budget_exits_2_fast(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "lattice", "20", "20", "involution-check")
+    assert time.perf_counter() - started < 10
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"lefpath lattice: error: budget exceeded: over {lattice.PATH_BUDGET} paths at (20, 20)"
+    ]
+
+
 def _identity(phi):
     return lambda system: system
 
@@ -601,7 +619,7 @@ def _pairs_with_crossing_systems(phi):
     # involution, but two images leave the vertex-disjoint systems
     first = next(
         s
-        for s in lattice.enumerate_systems(4, 2)
+        for s in enumerate_systems(4, 2)
         if not is_doubly_vertex_disjoint(s)
     )
     partner = phi(first)
@@ -621,7 +639,7 @@ def _later_member_elsewhere(phi):
     # agrees with phi except on the later member of the first pair, which it
     # sends to another system of N: the pair is checked from its first member
     # only, so that check must call phi on the later member
-    n_set = [s for s in lattice.enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
+    n_set = [s for s in enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
     later = phi(n_set[0])
     other = next(s for s in n_set if s not in (n_set[0], later))
     return lambda system: other if system == later else phi(system)
@@ -630,7 +648,7 @@ def _later_member_elsewhere(phi):
 def _pairs_of_equal_sign(phi):
     # two systems of N of one sign swapped, and their true partners swapped:
     # images in N that map back, but without the sign reversal
-    n_set = [s for s in lattice.enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
+    n_set = [s for s in enumerate_systems(4, 2) if not is_doubly_vertex_disjoint(s)]
     first, second = [s for s in n_set if s.sign == n_set[0].sign][:2]
     swap = {first: second, second: first, phi(first): phi(second), phi(second): phi(first)}
     return lambda system: swap.get(system) or phi(system)
@@ -648,7 +666,7 @@ def _pairs_of_equal_sign(phi):
     ],
 )
 def test_involution_check_catches_a_broken_involution(capsys, monkeypatch, fake):
-    monkeypatch.setattr(lattice, "involution_phi", fake(lattice.involution_phi))
+    monkeypatch.setattr(lattice, "_involution", involution_seam(fake(involution_phi)))
     code, out, _ = run(capsys, "lattice", "4", "2", "involution-check")
     assert code == 1
     assert out.endswith("involution=MISMATCH\n")

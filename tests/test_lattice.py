@@ -8,11 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    LatticePath,
+    PathSystem,
+    _fold,
+    _northern_most,
+    _shared,
     all_systems,
     collision_pruned_systems,
+    enumerate_paths,
+    enumerate_systems,
     flip_by_segments,
     flipped_paths,
     involution_both_sides,
+    involution_phi,
+    involution_seam,
     is_doubly_vertex_disjoint,
     is_upper,
     is_vertex_disjoint,
@@ -26,14 +35,9 @@ from lefpath import lattice
 
 from lefpath.hilbert import flo, hilbert_m2_closed
 from lefpath.lattice import (
-    LatticePath,
-    PathSystem,
     check_dvd_theorem,
     check_involution,
     count_paths,
-    enumerate_paths,
-    enumerate_systems,
-    involution_phi,
     path_matrix,
     transfer_counts,
     vertex_sets,
@@ -199,12 +203,12 @@ def test_primitive_segments_with_lower_piece():
 def test_flip_fixes_upper_paths():
     upper = LatticePath((0, 0), "ENENE")  # bounces along y = x - 1
     assert is_upper(upper, 2)
-    assert lattice._fold(upper) == upper
+    assert _fold(upper) == upper
 
 
 def test_flip_reflects_lower_segment():
     path = LatticePath((0, 0), "EEEEEEEENNNN")
-    flipped = lattice._fold(path)
+    flipped = _fold(path)
     assert flipped == LatticePath((0, 0), "EEEENNNNEEEE")
     assert flipped.start == path.start and flipped.end == path.end
     assert is_upper(flipped, 5)
@@ -212,9 +216,9 @@ def test_flip_reflects_lower_segment():
 
 def test_flip_is_idempotent_and_fixes_exactly_uppers():
     for m, p in all_paths(4):
-        once = lattice._fold(p)
+        once = _fold(p)
         assert is_upper(once, m)
-        assert lattice._fold(once) == once
+        assert _fold(once) == once
         assert (once == p) == is_upper(p, m)
         assert once.start == p.start and once.end == p.end
 
@@ -228,7 +232,7 @@ def test_double_reflection_restores_lower_segments():
     # un-reflecting the reflected pieces recovers the original path
     path = LatticePath((0, 0), "EEEEEEEENNNN")
     decomposition = primitive_segments(path, 5)
-    flipped = lattice._fold(path)
+    flipped = _fold(path)
     redecomposed = primitive_segments(flipped, 5)
     assert redecomposed.initial == decomposition.initial
     for (orig, side), (new, _) in zip(
@@ -379,9 +383,59 @@ def test_check_involution_counts_n_and_cancels():
 
 def test_check_involution_equals_the_both_sides_oracle():
     # each pair checked once, from its first member, gives what checking it
-    # from both members gives, at every degree of m <= 6
-    for m, i in all_instances(6):
+    # from both members gives, at every degree of m <= 6 and at (7, 8),
+    # whose N has 22 systems
+    for m, i in [*all_instances(6), (7, 8)]:
         assert check_involution(m, i) == involution_both_sides(m, i), (m, i)
+    assert check_involution(7, 8) == (22, 0, True)
+
+
+def test_path_table_holds_the_oracle_paths_and_flips():
+    # every cell of every degree of m <= 6: the entries are the oracle's
+    # paths that miss the window's other sources and targets, in lex order,
+    # each with its row-major vertex set, its flip's, and its touches
+    for m, i in all_instances(6):
+        width, vs = 2 * m - 1, vertex_sets(m, i)
+        ends = set(vs.sources) | set(vs.targets)
+        walk, lookup = lattice._table(m, i)
+        for k, s in enumerate(vs.sources):
+            for q, t in enumerate(vs.targets):
+                oracle = [
+                    p for p in enumerate_paths(s, t) if not set(vertices(p)) & (ends - {s, t})
+                ]
+                decoded = [
+                    (
+                        {(b % width, b // width) for b in range(mask.bit_length()) if mask >> b & 1},
+                        {(b % width, b // width) for b in range(flip.bit_length()) if flip >> b & 1},
+                        steps,
+                        touches,
+                        q_entry,
+                    )
+                    for mask, flip, steps, touches, q_entry in walk[k][q]
+                ]
+                assert decoded == [
+                    (set(vertices(p)), set(vertices(_fold(p))), p.steps, _fold(p)._touches, q)
+                    for p in oracle
+                ], (m, i, k, q)
+                assert lookup[k][q] == {entry[2]: entry for entry in walk[k][q]}
+
+
+def test_involution_check_stops_at_its_path_budget(monkeypatch):
+    # the table's size is known before any walk: windows past the budget
+    # stop at once, however many paths their cells hold
+    for m, i in [(20, 20), (9, 6)]:
+        started = time.perf_counter()
+        with pytest.raises(
+            lattice.BudgetExceeded, match=f"over {lattice.PATH_BUDGET} paths at \\({m}, {i}\\)"
+        ):
+            check_involution(m, i)
+        assert time.perf_counter() - started < 1
+    # (4, 2)'s cells hold 48 + 14 + 14 + 4 = 80 paths
+    monkeypatch.setattr(lattice, "PATH_BUDGET", 79)
+    with pytest.raises(lattice.BudgetExceeded, match="over 79 paths at \\(4, 2\\)"):
+        check_involution(4, 2)
+    monkeypatch.setattr(lattice, "PATH_BUDGET", 80)
+    assert check_involution(4, 2) == involution_both_sides(4, 2)
 
 
 def test_dead_vertex_pruning_keeps_the_systems_and_their_order():
@@ -400,10 +454,18 @@ def test_involution_check_stops_at_its_system_budget(monkeypatch):
 
 def test_check_involution_needs_every_image_reached(monkeypatch):
     # an enumeration that never reaches the image of the first system of N
-    # leaves that image pending, and the check fails
+    # leaves that image pending, and the check fails: the table the
+    # enumeration walks lacks a path of the image that the first system does
+    # not use, while the surgery still finds it in the lookup
     systems = list(enumerate_systems(4, 2))
-    image = involution_phi(next(s for s in systems if not is_doubly_vertex_disjoint(s)))
-    monkeypatch.setattr(lattice, "enumerate_systems", lambda m, i: (s for s in systems if s != image))
+    first = next(s for s in systems if not is_doubly_vertex_disjoint(s))
+    image = involution_phi(first)
+    k = next(k for k, (a, b) in enumerate(zip(first.paths, image.paths)) if a != b)
+    walk, lookup = lattice._table(4, 2)
+    walk = [list(map(list, row)) for row in walk]
+    cell = walk[k][image.permutation[k]]
+    cell.remove(lookup[k][image.permutation[k]][image.paths[k].steps])
+    monkeypatch.setattr(lattice, "_table", lambda m, i: (walk, lookup))
     assert check_involution(4, 2)[2] is False
 
 
@@ -424,7 +486,7 @@ def test_check_involution_needs_the_permutation_the_ends_give(monkeypatch):
         perm = image.permutation
         return image._replace(permutation=perm[1:] + perm[:1])
 
-    monkeypatch.setattr(lattice, "involution_phi", fake)
+    monkeypatch.setattr(lattice, "_involution", involution_seam(fake))
     assert check_involution(5, 4)[2] is False
 
 
@@ -440,7 +502,7 @@ def test_flipped_vertices_are_those_of_the_flip():
     # the flip is the paper's segment surgery, and it reflects exactly the
     # vertices strictly below the shifted diagonal
     for m, p in all_paths(5):
-        flipped = lattice._fold(p)
+        flipped = _fold(p)
         assert flipped == flip_by_segments(p, m)
         assert vertices(flipped) == tuple(
             reflect(v, m) if shifted_offset(v, m) < 0 else v for v in vertices(p)
@@ -458,7 +520,7 @@ def test_walk_built_paths_and_flips_match_the_checked_constructor():
             cells.update((s, t) for s in vs.sources for t in vs.targets)
         for s, t in cells:
             for p in enumerate_paths(s, t):
-                for built in (p, lattice._fold(p)):
+                for built in (p, _fold(p)):
                     checked = LatticePath(built.start, built.steps)
                     assert built == checked and built.end == t
                     assert (built.mask, built.end, hash(built)) == (
@@ -547,7 +609,7 @@ def test_shared_is_the_or_of_the_pairwise_ands(masks):
     pairwise = 0
     for a, b in combinations(masks, 2):
         pairwise |= a & b
-    assert lattice._shared(masks) == lattice._shared(iter(masks)) == pairwise
+    assert _shared(masks) == _shared(iter(masks)) == pairwise
 
 
 _vertices = st.integers(0, 16).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
@@ -559,7 +621,7 @@ def test_northern_most_vertex_is_the_max_over_the_bits(vertices):
     mask = sum(1 << (x * (x + 1) // 2 + y) for x, y in vertices)
     bits = [b for b, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
     y, x = max((b - x * (x + 1) // 2, x) for b in bits for x in [(isqrt(8 * b + 1) - 1) // 2])
-    assert lattice._northern_most(mask) == (x, y) == max(vertices, key=lambda v: (v[1], v[0]))
+    assert _northern_most(mask) == (x, y) == max(vertices, key=lambda v: (v[1], v[0]))
 
 
 def test_memoised_perm_sign_is_the_inversion_parity():
