@@ -255,10 +255,3 @@ def hankel_moments(m: int) -> tuple[int, ...]:
     stop = basis_range(m, flo(3 * (m - 1))).stop
     return tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(2 * stop - 1))
 
-
-def hankel_window(m: int, i: int) -> ExactMatrix:
-    """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
-    [[b_(p+q)]] of hankel_moments(m), p and q over basis_range(m, i)."""
-    check_degree(m, i)
-    b, ps = hankel_moments(m), basis_range(m, i)
-    return ExactMatrix([[b[p + q] for q in ps] for p in ps])

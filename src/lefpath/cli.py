@@ -3,10 +3,11 @@
 Conventions shared by all subcommands:
 
 * rationals print exactly as "p/q" (plain "p" for integers), never decimal;
-* exit 0: every verified equality held; 1: one was violated; 2: bad input,
-  an over-budget transfer sweep or an unwritable --output, on one "error:"
-  line.  "FLAG:" lines report findings (claim/computation mismatches),
-  never the exit code;
+* exit 0: every verified equality held; 1: one was violated, or an exact
+  identity failed inside the arithmetic (one "MISMATCH:" line on stderr);
+  2: bad input, an over-budget transfer sweep or an unwritable --output, on
+  one "error:" line.  "FLAG:" lines report findings (claim/computation
+  mismatches), never the exit code;
 * scans partition work across --jobs workers (default from LEFPATH_JOBS)
   and merge results in key order, so output bytes are identical for any
   worker count.
@@ -671,6 +672,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BudgetExceeded, OutputError) as exc:
         print(f"lefpath {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"lefpath {args.command}: MISMATCH: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

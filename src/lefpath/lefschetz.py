@@ -3,8 +3,9 @@
 property_report is the one reader of the Hankel kernel: each window is
 [b_(p+q)] over one sequence b, one number wall over b gives the leading
 minors on every basis start, and each window's determinant, rank and
-signature come off them (Bareiss only where the wall cannot settle it);
-degree_verdict, signature_crosscheck and the path route read the report.
+signature come off them (a window the wall cannot settle raises
+ArithmeticError); degree_verdict, signature_crosscheck and the path route
+read the report.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .algebra import hankel_moments, hankel_window
+from .algebra import hankel_moments
 from .exact import hankel_wall
 from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed, socle_degree
 
@@ -99,16 +100,15 @@ def _verdict(m: int, i: int, hs: list[int], minors: list[int]) -> DegreeVerdict:
     """From H_1, H_2, ... on its basis start, nonzero but maybe the last: an
     h x h window, h <= len(minors), has det H_h, rank h (h-1 at H_h = 0, a
     zero Schur complement) and signature sum_(k <= rank) sign(H_(k-1) H_k),
-    H_0 = 1 (Sylvester-Jacobi); a larger one takes all three from Bareiss."""
+    H_0 = 1 (Sylvester-Jacobi); a larger one, which no A(m, 2) has, raises."""
     h, window_min = hs[i], min(hs[i : len(hs) - i])
-    if h <= len(minors):
-        det = minors[h - 1]
-        rank = h if det else h - 1
-        jacobi = [_sign(x) for x in [1] + minors[:rank]]
-        signature = sum(a * b for a, b in zip(jacobi, jacobi[1:]))
-    else:
-        window = hankel_window(m, i)
-        det, rank, signature = window.det().numerator, window.rank(), window.signature()
+    if h > len(minors):
+        raise ArithmeticError(f"number wall settles no {h} x {h} window at (m, i) = ({m}, {i}): "
+                              f"{len(minors)} leading minors known on its basis start")
+    det = minors[h - 1]
+    rank = h if det else h - 1
+    jacobi = [_sign(x) for x in [1] + minors[:rank]]
+    signature = sum(a * b for a, b in zip(jacobi, jacobi[1:]))
     det_sign = _sign(det)
     sl_pass = det_sign != 0
     chrr_expected = complex_hrr_expected_sign(i)

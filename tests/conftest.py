@@ -3,7 +3,8 @@ Hilbert series by direct multiplication, the quadratic violation scan, the
 unimodality test, the restricted partition family listed member by member,
 the weighted degree and the presentation checks (annihilation, the f_m
 recursion, the power-sum identity), the per-entry contraction Hessian, the
-path object model that checks the involution check's table and involution
+integer Hankel window that the elimination oracle reads, the path object
+model that checks the involution check's table and involution
 independently (LatticePath with its column-major vertex mask, the flip by
 one walk, PathSystem, the pruned system enumeration and involution_phi on
 systems), the path predicates production does not need (a path's vertex
@@ -26,9 +27,17 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import pytest
 
 from lefpath import lefschetz
-from lefpath.algebra import OPERATOR_SIDE, GradedPoly, c_coeff, contract, dual_generator, f_m
+from lefpath.algebra import (
+    OPERATOR_SIDE,
+    GradedPoly,
+    c_coeff,
+    contract,
+    dual_generator,
+    f_m,
+    hankel_moments,
+)
 from lefpath.exact import ExactMatrix, as_exact, binomial
-from lefpath.hilbert import basis_range, flo
+from lefpath.hilbert import basis_range, check_degree, flo
 from lefpath.lattice import Point, _reachable, perm_sign, vertex_sets
 
 
@@ -186,6 +195,14 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
         return contract(op, F).evaluate(c1, c2)
 
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
+
+
+def hankel_window(m: int, i: int) -> ExactMatrix:
+    """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
+    [[b_(p+q)]] of hankel_moments(m), p and q over basis_range(m, i)."""
+    check_degree(m, i)
+    b, ps = hankel_moments(m), basis_range(m, i)
+    return ExactMatrix([[b[p + q] for q in ps] for p in ps])
 
 
 # -- the path object model: oracle for the check's path table and involution --

@@ -17,7 +17,6 @@ from lefpath.algebra import (
     dual_generator,
     dual_numerator,
     f_m,
-    hankel_window,
     hessian,
 )
 from lefpath.exact import ExactMatrix
@@ -26,6 +25,7 @@ from lefpath.lefschetz import property_report
 
 from conftest import (
     annihilator_check,
+    hankel_window,
     hessian_per_entry,
     is_homogeneous,
     verify_f_recursion,

@@ -524,12 +524,14 @@ def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
         ["scan", "--mode", "lattice", "--m", "2..20", "--format", "json"],
         ["lattice", "7", "2", "lgv-check"],
         ["lattice", "7", "2", "dvd-count"],
+        ["report", "40"],
+        ["scan", "--mode", "lefschetz", "--m", "2..30", "--format", "json"],
     ],
 )
 def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkeypatch, argv):
-    # the determinant comes off the report's Hankel minors; the path matrix
-    # stays an oracle for report, hessian --paths and lattice count, Bareiss
-    # for hessian --det and --rank
+    # the verdicts and the determinant come off the report's Hankel minors,
+    # with no elimination; the path matrix stays an oracle for hessian --paths
+    # and lattice count, Bareiss for hessian --det and --rank
     eliminations, matrices = [], []
     real_pivots, real_path_matrix = ExactMatrix._pivots, lattice.path_matrix
 
@@ -796,6 +798,30 @@ def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
     )
     assert code == 1
     assert json.loads(out)["all_checks_pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "8"],
+        ["report", "8", "--format", "json"],
+        ["scan", "--mode", "lefschetz", "--m", "8"],
+        ["lattice", "8", "10", "dvd-count"],
+    ],
+)
+def test_window_the_wall_cannot_settle_exits_1_on_one_line(capsys, monkeypatch, argv):
+    # a_2 of m = 8 off by one puts a zero divisor under the 4 x 4 window at
+    # degree 10: the report raises there, and every command reading it exits 1
+    # on one MISMATCH line, with nothing on stdout and no traceback
+    real = algebra.dual_numerator
+    monkeypatch.setattr(
+        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 8 and n == 2)
+    )
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"lefpath {argv[0]}: MISMATCH: ") and err.count("\n") == 1
+    assert "(8, 10)" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("degree", range(7))

@@ -4,7 +4,8 @@ Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
 polynomial (a symmetric matrix has an all-real spectrum).
 The number wall's Hankel minors and the verdicts read from them are checked
-against Bareiss elimination.
+against Bareiss elimination, and the leading-minor law that lets the wall
+settle every window of A(m, 2) is checked on every basis start.
 """
 
 import math
@@ -12,12 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import det_cofactor
+from conftest import det_cofactor, hankel_window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefpath import algebra, lefschetz
-from lefpath.algebra import hankel_window, hessian
+from lefpath.algebra import hankel_moments, hessian
 from lefpath.exact import ExactMatrix, binomial, hankel_wall
 from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import path_matrix
@@ -411,60 +412,62 @@ def test_wall_examples():
     assert hankel_wall([], {0: 2, 3: 1}) == {0: [0], 3: [0]}
 
 
-def _fallback_report(monkeypatch, moments):
+def _raises_past_the_wall(monkeypatch, moments, degree):
     """The report of m = 5 over a patched sequence b, padded with zeros to the
-    7 terms its windows read (offsets 0 and 2 are its two basis starts), and
-    the degrees whose windows went to Bareiss."""
-    called = []
-
-    def spy(m, i):
-        called.append((m, i))
-        return hankel_window(m, i)
+    7 terms its windows read (offsets 0 and 2 are its two basis starts),
+    raises at the first degree whose window the wall cannot settle."""
 
     def patched(m):
         return tuple(moments) + (0,) * (7 - len(moments))
 
     monkeypatch.setattr(algebra, "hankel_moments", patched)
     monkeypatch.setattr(lefschetz, "hankel_moments", patched)
-    monkeypatch.setattr(lefschetz, "hankel_window", spy)
     assert len(basis_range(5, 4)) == 3
-    return lefschetz.property_report(5), called
+    with pytest.raises(ArithmeticError, match=rf"at \(m, i\) = \(5, {degree}\):"):
+        lefschetz.property_report(5)
 
 
 def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
-    # all-ones sequence: H_1 = 1, H_2 = 0 on both starts, so the rank rules
-    # stop at size 2 and the size-3 windows (degrees 4 and 6) go to Bareiss,
-    # whose one elimination also gives the signature
+    # all-ones sequence, the moments of no A(m, 2): H_1 = 1, H_2 = 0 on both
+    # starts, so the rank rules stop at size 2 and the first size-3 window
+    # (degree 4) raises; elimination gives the block det 0, rank 1, signature 1
     assert hankel_wall([1] * 5, {0: 3, 2: 3}) == {0: [1, 0], 2: [1, 0]}
-    report, fallback = _fallback_report(monkeypatch, [1] * 5)
-    v = report.verdicts[4]
-    assert fallback == [(5, 4), (5, 6)]
-    assert (v.det, v.det_sign, v.rank) == (0, 0, 1)
-    assert v.signature == 1
+    _raises_past_the_wall(monkeypatch, [1] * 5, 4)
+    ones = ExactMatrix([[1] * 3] * 3)
+    assert (ones.det(), ones.rank(), ones.signature()) == (0, 1, 1)
 
 
 def test_fallback_keeps_the_exact_determinant(monkeypatch):
-    # H_1 = 0 on start 0: its windows of size 2 or more go to Bareiss, and
-    # twice the 3 x 3 exchange matrix keeps its integer determinant -8, not
-    # only its sign; start 1 reads [[2, 0], [0, 0]] at degree 5, settled by
-    # H_1 = 2, H_2 = 0, and its size-3 window at degree 6 goes to Bareiss
-    report, fallback = _fallback_report(monkeypatch, [0, 0, 2, 0, 0])
-    v = report.verdicts[4]
-    assert fallback == [(5, 2), (5, 3), (5, 4), (5, 6)]
-    assert (v.det, v.det_sign, v.rank, v.signature) == (-8, -1, 3, 1)
-    assert type(v.det) is int
+    # H_1 = 0 on start 0, so its first window of size 2 (degree 2) raises;
+    # elimination keeps twice the 3 x 3 exchange matrix's integer
+    # determinant -8, not only its sign
+    _raises_past_the_wall(monkeypatch, [0, 0, 2, 0, 0], 2)
+    exchange = ExactMatrix([[0, 0, 2], [0, 2, 0], [2, 0, 0]])
+    det = exchange.det()
+    assert (det, det.denominator, exchange.rank(), exchange.signature()) == (-8, 1, 3, 1)
 
 
 def test_zero_divisor_sends_the_start_to_elimination(monkeypatch):
     # b = (1, 1, 0, 1, 1): W(0, 3) divides by W(2, 1) = 0, so the degree-4
-    # window (size 3 on start 0) goes to Bareiss, as does every window of
-    # size 2 or more on start 1, where H_1 = 0; every verdict equals
-    # elimination's, the degree-4 determinant -2 among them
-    report, fallback = _fallback_report(monkeypatch, [1, 1, 0, 1, 1])
-    assert fallback == [(5, 4), (5, 5), (5, 6)]
-    assert report.verdicts[4].det == -2
-    for v in report.verdicts:
-        assert v == _elimination_verdict(v, hankel_window(5, v.i)), v.i
+    # window (size 3 on start 0) raises; test_wall_examples has its
+    # determinant -2 by elimination
+    _raises_past_the_wall(monkeypatch, [1, 1, 0, 1, 1], 4)
+
+
+def test_wall_settles_every_window_of_the_moments():
+    # the law behind the report's one path: on every basis start of A(m, 2),
+    # W(2lo, k) != 0 iff 2k <= m or 2lo + k = m (the anti-triangular tail),
+    # so each start's minors, kept through the first zero, cover its largest
+    # window, and no window is left for elimination
+    for m in range(2, 61):
+        depths = {}
+        for i in range(flo(3 * (m - 1)) + 1):
+            ps = basis_range(m, i)
+            depths[2 * ps.start] = max(depths.get(2 * ps.start, 0), len(ps))
+        for n, found in hankel_wall(hankel_moments(m), depths).items():
+            assert len(found) == depths[n], (m, n)
+            for k, minor in enumerate(found, 1):
+                assert (minor != 0) == (2 * k <= m or n + k == m), (m, n, k)
 
 
 def _elimination_verdict(v, window):
