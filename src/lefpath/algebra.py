@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .exact import ExactMatrix, as_exact, as_int_or_fraction, binomial
 from .hilbert import basis_range, check_degree, flo
@@ -173,6 +173,14 @@ def f_m(m: int) -> GradedPoly:
         (m - 2 * k, k): (-1) ** k * c_coeff(m, k) for k in range(flo(m) + 1)
     }
     return GradedPoly(OPERATOR_SIDE, terms)
+
+
+def relation_residues(m: int, a: Sequence[int]) -> list[int]:
+    """[x^j] (sum_k (-1)^k c_coeff(m, k) x^k)(sum_n a_n x^n) for j < len(a).
+    For a_n the numerators of F_m these are 1, then 0 for 1 <= j <= m-1:
+    f_m o F_m = 0 at E1^(2j-1) E2^(m-1-j), times (2j-1)! (m-1-j)!."""
+    c = [(-1) ** k * c_coeff(m, k) for k in range(min(flo(m), len(a) - 1) + 1)]
+    return [sum(ck * a[j - k] for k, ck in enumerate(c[: j + 1])) for j in range(len(a))]
 
 
 def dual_numerator(m: int, n: int) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .exact import as_int_or_fraction, binomial
 from .hilbert import flo
-from .algebra import c_coeff, dual_numerator
+from .algebra import dual_numerator, relation_residues
 
 
 class TruncatedSeries:
@@ -107,16 +107,10 @@ def catalan_power_reciprocal(m: int, order: int) -> TruncatedSeries:
 
 
 def check_identity_zero(m: int, i: int) -> bool:
-    """True iff sum_{k=0}^{i} (-1)^k c_coeff(m, k) * dual_numerator(m, i-k) == 0.
-
-    Valid for 1 <= i <= flo(m); this is the coefficient of x^i in
-    C(x)^m * C(x)^-m, computed directly from both closed forms.
-    """
+    """True iff sum_{k=0}^{i} (-1)^k c_coeff(m, k) * dual_numerator(m, i-k) == 0,
+    the relation residue at x^i of C(x)^m * C(x)^-m, 1 <= i <= flo(m)."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if not 1 <= i <= flo(m):
         raise ValueError(f"need 1 <= i <= {flo(m)}, got {i}")
-    total = sum(
-        (-1) ** k * c_coeff(m, k) * dual_numerator(m, i - k) for k in range(i + 1)
-    )
-    return total == 0
+    return relation_residues(m, [dual_numerator(m, n) for n in range(i + 1)])[i] == 0

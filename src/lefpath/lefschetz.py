@@ -3,9 +3,10 @@
 property_report is the one reader of the Hankel kernel: each window is
 [b_(p+q)] over one sequence b, one number wall over b gives the leading
 minors on every basis start, and each window's determinant, rank and
-signature come off them (a window the wall cannot settle raises
-ArithmeticError); degree_verdict, signature_crosscheck and the path route
-read the report.
+signature come off them.  A window the wall cannot settle, or a b that fails
+its check against the relation f_m o F_m = 0 and the lattice path counts,
+raises ArithmeticError; degree_verdict, signature_crosscheck and the path
+route read the report.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -29,7 +30,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .algebra import hankel_moments
+from . import lattice
+from .algebra import hankel_moments, relation_residues
 from .exact import hankel_wall
 from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed, socle_degree
 
@@ -131,6 +133,16 @@ def _verdict(m: int, i: int, hs: list[int], minors: list[int]) -> DegreeVerdict:
     )
 
 
+def _check_moments(m: int, b: tuple[int, ...]) -> None:
+    """Raise unless b_s = a_(m-1-s) meets two sources sharing no formula with
+    dual_numerator: the relation (a_0 = 1, b = 0 past s = m-1), the path counts."""
+    a = (b + (1,))[m - 1 :: -1]  # only m = 2 stops b short of a_0
+    if any(b[m:]) or relation_residues(m, a) != [1] + [0] * (m - 1):
+        raise ArithmeticError(f"moments of m = {m} break the relation f_m o F_m = 0")
+    if (lattice.target_path_counts(m) + [0] * len(b))[: len(b)] != list(b):
+        raise ArithmeticError(f"moments of m = {m} differ from the path counts to (2m-2-s, m-1-s)")
+
+
 def _max_prefix_degree(verdicts, predicate) -> int:
     """Largest r with predicate true for all degrees <= r (-1 if none)."""
     r = -1
@@ -165,6 +177,7 @@ def _property_report(m: int) -> PropertyReport:
     minors = hankel_wall(b, {2 * ps.start: len(ps) for ps in ranges})
     hs = [hilbert_m2_closed(m, j) for j in range(d + 1)]
     verdicts = [_verdict(m, i, hs, minors[2 * ps.start]) for i, ps in enumerate(ranges)]
+    _check_moments(m, b)  # after the wall, whose own failures name their window
     max_sl = _max_prefix_degree(verdicts, lambda v: v.sl_pass)
     max_chrr = _max_prefix_degree(verdicts, lambda v: v.chrr_pass)
     hlp = all(v.hlp_pass for v in verdicts)

@@ -18,6 +18,7 @@ from lefpath.algebra import (
     dual_numerator,
     f_m,
     hessian,
+    relation_residues,
 )
 from lefpath.exact import ExactMatrix
 from lefpath.hilbert import basis_range, check_degree, flo, hilbert_m2_closed
@@ -108,6 +109,35 @@ def test_contract_side_checking():
 @pytest.mark.parametrize("m", range(2, 13))
 def test_annihilator(m):
     assert annihilator_check(m)
+
+
+@given(st.integers(2, 9).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(-50, 50), min_size=m, max_size=m))
+))
+@settings(max_examples=40, deadline=None)
+def test_relation_residues_are_the_contraction(case):
+    # for any numerators a_n in F = sum_n a_n E1^(m+2n-1) E2^(m-n-1) / (..)!,
+    # the residue at j is (2j-1)! (m-1-j)! times f_m o F at E1^(2j-1) E2^(m-1-j)
+    m, a = case
+    F = GradedPoly(DUAL_SIDE, {
+        (m + 2 * n - 1, m - n - 1): Fraction(a[n], math.factorial(m + 2 * n - 1) * math.factorial(m - n - 1))
+        for n in range(m)
+    })
+    image = contract(f_m(m), F).terms
+    residues = relation_residues(m, a)
+    for j in range(1, m):
+        scale = math.factorial(2 * j - 1) * math.factorial(m - 1 - j)
+        assert image.get((2 * j - 1, m - 1 - j), 0) * scale == residues[j]
+    assert residues[0] == a[0]
+
+
+def test_relation_residues_fix_the_moments():
+    # the numerators of F_m give 1, 0, ..., 0 through j = m-1, past flo(m)
+    for m in range(1, 61):
+        a = [dual_numerator(m, n) for n in range(m)]
+        assert relation_residues(m, a) == [1] + [0] * (m - 1), m
+    assert relation_residues(5, [1, 5, 20, 75, 275]) == [1, 0, 0, 0, 0]
+    assert relation_residues(5, [1, 5, 20, 75, 276]) == [1, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("m", range(3, 21))
@@ -251,7 +281,7 @@ def test_graded_poly_keeps_ints_and_rejects_floats():
 
 @pytest.mark.parametrize("m", [13, 24, 40])
 def test_hessian_matches_report_past_the_crosscheck(m):
-    # the report cross-check compares Hessians with the windows only for
+    # test_hessian_equals_closed_form compares Hessians with the windows for
     # m <= 12; past it, each scaled determinant against the report's
     verdicts = property_report(m).verdicts
     for i in range(flo(3 * (m - 1)) + 1):

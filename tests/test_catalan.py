@@ -118,6 +118,15 @@ def test_identity_zero_full_range(m):
     assert all(check_identity_zero(m, i) for i in range(1, flo(m) + 1))
 
 
+def test_identity_reads_the_relation_residue(monkeypatch):
+    # one presentation coefficient off by one breaks the identity there
+    from lefpath import algebra
+
+    real = algebra.c_coeff
+    monkeypatch.setattr(algebra, "c_coeff", lambda m, k: real(m, k) + ((m, k) == (5, 2)))
+    assert check_identity_zero(5, 1) and not check_identity_zero(5, 2)
+
+
 def test_identity_range_errors():
     with pytest.raises(ValueError):
         check_identity_zero(5, 0)

@@ -1,6 +1,7 @@
 """CLI surface: exact output strings, exit codes, formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from conftest import (
     all_systems,
     enumerate_systems,
     flipped_paths,
+    hankel_window,
     involution_phi,
     involution_seam,
     is_doubly_vertex_disjoint,
@@ -507,15 +509,16 @@ def test_failed_verification_sets_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("action", ["lgv-check", "dvd-count"])
 def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
-    # the path route checks the sweep against the report's determinant, so
-    # one Hankel moment off by one (a_2 of m = 5, read at degree 3) fails it
+    # the path route reads the report's determinant, and the report checks
+    # its moments first: one Hankel moment off by one (a_2 of m = 5, read at
+    # degree 3) stops the command on one MISMATCH line, before any output
     real = algebra.dual_numerator
     monkeypatch.setattr(
         algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
     )
-    code, out, _ = run(capsys, "lattice", "5", "3", action)
-    assert code == 1
-    assert "MISMATCH" in out
+    code, out, err = run(capsys, "lattice", "5", "3", action)
+    assert code == 1 and out == ""
+    assert err == "lefpath lattice: MISMATCH: moments of m = 5 break the relation f_m o F_m = 0\n"
 
 
 @pytest.mark.parametrize(
@@ -530,10 +533,13 @@ def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
 )
 def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkeypatch, argv):
     # the verdicts and the determinant come off the report's Hankel minors,
-    # with no elimination; the path matrix stays an oracle for hessian --paths
-    # and lattice count, Bareiss for hessian --det and --rank
-    eliminations, matrices = [], []
+    # with no elimination, and the report checks its moments with no closed
+    # path count and no contraction Hessian; the path matrix stays an oracle
+    # for hessian --paths and lattice count, Bareiss for hessian --det and
+    # --rank, the contraction Hessian for hessian without --paths
+    eliminations, matrices, counts, hessians = [], [], [], []
     real_pivots, real_path_matrix = ExactMatrix._pivots, lattice.path_matrix
+    real_count, real_hessian = lattice.count_paths, algebra.hessian
 
     def pivots(self):
         eliminations.append(self.rows)
@@ -543,14 +549,27 @@ def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkey
         matrices.append((m, i))
         return real_path_matrix(m, i)
 
+    def count_paths(source, target):
+        counts.append((source, target))
+        return real_count(source, target)
+
+    def hessian(m, i, point=(1, 0)):
+        hessians.append((m, i))
+        return real_hessian(m, i, point)
+
     monkeypatch.setattr(ExactMatrix, "_pivots", pivots)
     monkeypatch.setattr(lattice, "path_matrix", path_matrix)
+    monkeypatch.setattr(lattice, "count_paths", count_paths)
+    monkeypatch.setattr(algebra, "hessian", hessian)
     monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert eliminations == [] and matrices == []
+    assert eliminations == [] and matrices == [] and counts == [] and hessians == []
     assert run(capsys, "hessian", "5", "3", "--paths", "--det") == (0, "-125\n", "")
     assert eliminations == [((275, 75), (75, 20))] and matrices == [(5, 3)]  # the spies are live
+    assert len(counts) == 4
+    assert run(capsys, "hessian", "5", "3", "--det") == (0, "-5/20736\n", "")
+    assert hessians == [(5, 3)]
 
 
 def test_lattice_scan_fills_the_transfer_counts_to_m12(capsys):
@@ -765,24 +784,24 @@ def test_bad_jobs_env_fails_only_scan(capsys, monkeypatch, value):
 
 
 def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
-    real = lattice.count_paths
+    # the one-walker count to the target (8, 4) of m = 5, s = 0, off by one
+    real = lattice.target_path_counts
 
-    def tampered(source, target):
-        return real(source, target) + (source == (0, 0) and target == (8, 4))
+    def tampered(m):
+        counts = real(m)
+        counts[0] += m == 5
+        return counts
 
-    monkeypatch.setattr(lattice, "count_paths", tampered)
-    code, out, _ = run(capsys, "report", "5")
-    assert code == 1
-    assert "MISMATCH: pairing matrix != path matrix" in out
-    code, out, _ = run(capsys, "report", "5", "--format", "json")
-    assert code == 1
-    assert json.loads(out)["verified_hessian_equals_path_matrix"] is False
+    monkeypatch.setattr(lattice, "target_path_counts", tampered)
+    line = "MISMATCH: moments of m = 5 differ from the path counts to (2m-2-s, m-1-s)\n"
+    assert run(capsys, "report", "5") == (1, "", "lefpath report: " + line)
+    assert run(capsys, "report", "5", "--format", "json") == (1, "", "lefpath report: " + line)
 
 
 @pytest.mark.parametrize("m", [5, 13])
 def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
-    # one Hankel moment off by one: the verdicts read it, the path matrices
-    # do not; past m = 12 only the moment comparison can see it
+    # one Hankel moment off by one: the verdicts read it, and the report's
+    # relation check refuses it before any command prints
     real = algebra.dual_numerator
 
     def tampered(mm, n):
@@ -790,14 +809,10 @@ def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
 
     monkeypatch.setattr(algebra, "dual_numerator", tampered)
     monkeypatch.delenv("LEFPATH_JOBS", raising=False)
-    code, out, _ = run(capsys, "report", str(m))
-    assert code == 1
-    assert "MISMATCH: pairing matrix != path matrix" in out
-    code, out, _ = run(
-        capsys, "scan", "--mode", "lefschetz", "--m", str(m), "--format", "json"
-    )
-    assert code == 1
-    assert json.loads(out)["all_checks_pass"] is False
+    line = f"MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
+    assert run(capsys, "report", str(m)) == (1, "", "lefpath report: " + line)
+    argv = ["scan", "--mode", "lefschetz", "--m", str(m), "--format", "json"]
+    assert run(capsys, *argv) == (1, "", "lefpath scan: " + line)
 
 
 @pytest.mark.parametrize(
@@ -826,11 +841,17 @@ def test_window_the_wall_cannot_settle_exits_1_on_one_line(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("degree", range(7))
 def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, degree):
-    # one entry of one degree's contraction Hessian off by one: only the
-    # m <= 12 comparison reads the contraction, so report 13 still passes
-    real = algebra.hessian
+    # one entry of one degree's contraction Hessian off by one: the report
+    # builds no contraction Hessian, so its output stays the same, and the
+    # oracle's own cross-check, the closed-form compare of
+    # tests/test_algebra.py::test_hessian_equals_closed_form, fails
+    argv = ["scan", "--mode", "lefschetz", "--m", "5", "--format", "json"]
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    before = run(capsys, "report", "5"), run(capsys, *argv)
+    real, calls = algebra.hessian, []
 
     def tampered(m, i, point=(1, 0)):
+        calls.append((m, i))
         matrix = real(m, i, point)
         if i != degree:
             return matrix
@@ -839,54 +860,127 @@ def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, 
         return ExactMatrix(rows)
 
     monkeypatch.setattr(algebra, "hessian", tampered)
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
-    code, out, _ = run(capsys, "report", "5")
-    assert code == 1
-    assert "MISMATCH: pairing matrix != path matrix" in out
-    code, out, _ = run(
-        capsys, "scan", "--mode", "lefschetz", "--m", "5", "--format", "json"
-    )
-    assert code == 1
-    assert json.loads(out)["all_checks_pass"] is False
-    code, out, _ = run(capsys, "report", "13")
-    assert code == 0 and "MISMATCH" not in out
+    lefschetz._property_report.cache_clear()
+    assert (run(capsys, "report", "5"), run(capsys, *argv)) == before
+    assert before[0][0] == 0 and calls == []
+    scale = math.factorial(3 * 5 - 3 - 2 * degree)
+    assert algebra.hessian(5, degree).scaled(scale) != hankel_window(5, degree)
+    assert real(5, degree).scaled(scale) == hankel_window(5, degree)
 
 
 @pytest.mark.parametrize("m", [5, 13])
 def test_crosscheck_reads_every_basis_start(capsys, monkeypatch, m):
-    # a path count off by one at the corner (p, q) = (start, start) of any
-    # single basis start's windows fails the report
-    real = lattice.count_paths
+    # b off by one at s = 2 start, the corner (p, q) = (start, start) of any
+    # single basis start's windows, fails the report's moment check
+    real = algebra.hankel_moments(m)
     starts = sorted({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)})
     for start in starts:
-        corner = ((start, start), (2 * m - 2 - start, m - 1 - start))
-
-        def tampered(source, target, corner=corner):
-            return real(source, target) + ((source, target) == corner)
-
-        monkeypatch.setattr(lattice, "count_paths", tampered)
-        code, out, _ = run(capsys, "report", str(m))
-        assert code == 1, start
-        assert "MISMATCH: pairing matrix != path matrix" in out
+        b = real[: 2 * start] + (real[2 * start] + 1,) + real[2 * start + 1 :]
+        monkeypatch.setattr(lefschetz, "hankel_moments", lambda mm, b=b: b)
+        lefschetz._property_report.cache_clear()
+        code, out, err = run(capsys, "report", str(m))
+        assert (code, out) == (1, ""), start
+        assert err == f"lefpath report: MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
 
 
-@pytest.mark.parametrize("m, pairs", [(55, 1499), (56, 1554)])
-def test_crosscheck_counts_each_window_pair_once(capsys, monkeypatch, m, pairs):
-    # one path count per distinct (p, q) of some degree's window and no path
-    # matrix, where one path matrix per basis start counted 11,705 and 11,760
-    real, calls, matrices = lattice.count_paths, [], []
+def test_common_mode_tamper_fails_the_report(capsys, monkeypatch):
+    # dual_numerator(5, 2) and the closed path counts at s = p + q = 2 both
+    # off by one: the two agree with each other, so a check comparing one
+    # with the other passes, but neither source of the moment check shares
+    # their formula
+    real_numerator, real_count = algebra.dual_numerator, lattice.count_paths
 
-    def counted(source, target):
-        calls.append((source[0], m - 1 - target[1]))
-        return real(source, target)
+    def count_paths(source, target):
+        s = source[0] + 4 - target[1]  # p + q for m = 5: target (8 - q, 4 - q)
+        return real_count(source, target) + (target[0] - target[1] == 4 and s == 2)
 
-    monkeypatch.setattr(lattice, "count_paths", counted)
-    monkeypatch.setattr(lattice, "path_matrix", lambda mm, i: matrices.append(i))
-    code, _, _ = run(capsys, "report", str(m))
-    assert code == 0 and matrices == []
-    windows = [hilbert.basis_range(m, i) for i in range(3 * (m - 1) // 2 + 1)]
-    expected = {(p, q) for ps in windows for p in ps for q in ps}
-    assert sorted(calls) == sorted(expected) and len(calls) == pairs
+    monkeypatch.setattr(
+        algebra, "dual_numerator", lambda mm, n: real_numerator(mm, n) + (mm == 5 and n == 2)
+    )
+    monkeypatch.setattr(lattice, "count_paths", count_paths)
+    assert lattice.path_matrix(5, 3).rows == hankel_window(5, 3).rows != ((275, 75), (75, 20))
+    line = "MISMATCH: moments of m = 5 break the relation f_m o F_m = 0\n"
+    assert run(capsys, "report", "5") == (1, "", "lefpath report: " + line)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (5, 0), (5, 1), (5, 2), (8, 4), (13, 6)])
+def test_tampered_relation_coefficient_fails_the_relation_alone(capsys, monkeypatch, m, k):
+    # the relation reads c_coeff and the moments; the path counts read
+    # neither, so only the relation can see a wrong coefficient
+    real = algebra.c_coeff
+    monkeypatch.setattr(algebra, "c_coeff", lambda mm, kk: real(mm, kk) + ((mm, kk) == (m, k)))
+    b = algebra.hankel_moments(m)
+    assert lattice.target_path_counts(m)[: len(b)] == list(b[:m])
+    line = f"MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
+    assert run(capsys, "report", str(m)) == (1, "", "lefpath report: " + line)
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_tampered_path_count_fails_the_path_check_alone(capsys, monkeypatch, s):
+    # one one-walker count of m = 6 off by one: the relation does not read
+    # the counts, so only the path check can see it
+    real = lattice.target_path_counts
+
+    def tampered(m):
+        counts = real(m)
+        counts[s] += m == 6
+        return counts
+
+    monkeypatch.setattr(lattice, "target_path_counts", tampered)
+    b = algebra.hankel_moments(6)
+    assert algebra.relation_residues(6, b[5::-1]) == [1, 0, 0, 0, 0, 0]
+    line = "MISMATCH: moments of m = 6 differ from the path counts to (2m-2-s, m-1-s)\n"
+    assert run(capsys, "report", "6") == (1, "", "lefpath report: " + line)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "5"],
+        ["report", "5", "--format", "json"],
+        ["scan", "--mode", "lefschetz", "--m", "4..5", "--jobs", "1"],
+        ["scan", "--mode", "lefschetz", "--m", "4..5", "--jobs", "2"],
+        ["lattice", "5", "3", "dvd-count"],
+    ],
+)
+def test_moment_check_failure_exits_1_on_one_line(capsys, monkeypatch, argv):
+    # a_2 of m = 5 off by one: the wall settles every window, the moment
+    # check does not pass, and every command reading the report exits 1 on
+    # one MISMATCH line with nothing on stdout, the pool's workers included
+    real = algebra.dual_numerator
+    monkeypatch.setattr(
+        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"lefpath {argv[0]}: MISMATCH: moments of m = 5 break the relation f_m o F_m = 0\n"
+
+
+def test_moment_check_at_the_smallest_m(capsys, monkeypatch):
+    # m = 2: b holds one term, b_0 = a_1, fewer than m, and the relation
+    # supplies a_0 = 1; m = 1: b = (a_0,) = (1,), which the lattice commands
+    # and the lattice scan read through the report
+    assert lefschetz.property_report(2).moments == (2,)
+    assert lefschetz.property_report(1).moments == (1,)
+    assert run(capsys, "report", "2")[0] == 0
+    assert run(capsys, "lattice", "1", "0", "dvd-count")[0] == 0
+    assert run(capsys, "scan", "--mode", "lattice", "--m", "1..3", "--format", "json")[0] == 0
+    real = algebra.hankel_moments
+    for m, tampered in [(2, (3,)), (1, (2,))]:
+
+        def patched(mm, m=m, tampered=tampered):
+            return tampered if mm == m else real(mm)
+
+        monkeypatch.setattr(lefschetz, "hankel_moments", patched)
+        lefschetz._property_report.cache_clear()
+        with pytest.raises(ArithmeticError, match=f"moments of m = {m} break the relation"):
+            lefschetz.property_report(m)
+    code, out, err = run(capsys, "lattice", "1", "0", "dvd-count")
+    assert (code, out) == (1, "")
+    assert err == "lefpath lattice: MISMATCH: moments of m = 1 break the relation f_m o F_m = 0\n"
+    code, out, err = run(capsys, "scan", "--mode", "lattice", "--m", "1..3", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "lefpath scan: MISMATCH: moments of m = 1 break the relation f_m o F_m = 0\n"
 
 
 def test_json_output_is_streamed_in_blocks(capsys, tmp_path):

@@ -100,6 +100,15 @@ def test_count_examples():
     assert count_paths((0, 0), (2, 1)) == 2
 
 
+def test_target_path_counts_match_the_closed_form():
+    # the one-walker row DP against the closed count, to every target
+    assert lattice.target_path_counts(1) == [1]
+    assert lattice.target_path_counts(5) == [275, 75, 20, 5, 1]
+    for m in range(1, 31):
+        expected = [count_paths((0, 0), (2 * m - 2 - s, m - 1 - s)) for s in range(m)]
+        assert lattice.target_path_counts(m) == expected, m
+
+
 def test_count_unreachable():
     assert count_paths((3, 3), (5, 1)) == 0
     assert count_paths((3, 3), (1, 1)) == 0
