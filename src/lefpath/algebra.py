@@ -9,19 +9,19 @@ with weighted degree a + 2b:
   polynomial whose annihilator presents the algebra A(m, 2).
 
 The degree-i pairing matrices (higher Hessians) of the dual polynomial are
-what the Lefschetz verdicts are read from.  Coefficients are exact: ``int``
-or ``Fraction``, an int staying int through sums, products and contractions,
-so the Hessian oracle runs over integers and divides once per anti-diagonal.
+the verdicts' independent oracle; f_m's and F_m's integers come from hilbert.
+Coefficients are exact, ``int`` or ``Fraction``, an int staying int through
+sums, products and contractions: the Hessian divides once per anti-diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from .exact import ExactMatrix, as_exact, as_int_or_fraction, binomial
-from .hilbert import basis_range, check_degree, flo
+from .exact import ExactMatrix, as_exact, as_int_or_fraction
+from .hilbert import _exact_quotient, basis_range, c_coeff, check_degree, dual_numerator, flo
 
 OPERATOR_SIDE = "op"
 DUAL_SIDE = "dual"
@@ -149,22 +149,6 @@ class GradedPoly:
         return f"GradedPoly({self.side!r}, {self.to_text()})"
 
 
-def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"{what} is not an integer: {numerator}/{denominator}")
-    return quotient
-
-
-def c_coeff(m: int, k: int) -> int:
-    """Presentation coefficient (m/(m-k)) * C(m-k, k); 0 outside 0 <= k <= flo(m)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if k < 0 or k > flo(m):
-        return 0
-    return _exact_quotient(m * binomial(m - k, k), m - k, f"c_coeff({m}, {k})")
-
-
 def f_m(m: int) -> GradedPoly:
     """Degree-m relation sum_k (-1)^k c_coeff(m, k) e1^(m-2k) e2^k."""
     if m < 1:
@@ -173,20 +157,6 @@ def f_m(m: int) -> GradedPoly:
         (m - 2 * k, k): (-1) ** k * c_coeff(m, k) for k in range(flo(m) + 1)
     }
     return GradedPoly(OPERATOR_SIDE, terms)
-
-
-def relation_residues(m: int, a: Sequence[int]) -> list[int]:
-    """[x^j] (sum_k (-1)^k c_coeff(m, k) x^k)(sum_n a_n x^n) for j < len(a).
-    For a_n the numerators of F_m these are 1, then 0 for 1 <= j <= m-1:
-    f_m o F_m = 0 at E1^(2j-1) E2^(m-1-j), times (2j-1)! (m-1-j)!."""
-    c = [(-1) ** k * c_coeff(m, k) for k in range(min(flo(m), len(a) - 1) + 1)]
-    return [sum(ck * a[j - k] for k, ck in enumerate(c[: j + 1])) for j in range(len(a))]
-
-
-def dual_numerator(m: int, n: int) -> int:
-    """(m/(m+2n)) * C(m+2n, n), the integer numerator of a dual-generator term."""
-    top = m + 2 * n
-    return _exact_quotient(m * binomial(top, n), top, f"dual_numerator({m}, {n})")
 
 
 def dual_generator(m: int) -> GradedPoly:
@@ -253,13 +223,4 @@ def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
         for s in range(2 * ps.start, 2 * ps.stop - 1)
     }
     return ExactMatrix([[anti_diagonal[p + q] for q in ps] for p in ps])
-
-
-def hankel_moments(m: int) -> tuple[int, ...]:
-    """b_s = a_(m-1-s), a_n = dual_numerator(m, n), 0 for s >= m, up to the
-    largest p + q of any basis range: every degree's window reads this one."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    stop = basis_range(m, flo(3 * (m - 1))).stop
-    return tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(2 * stop - 1))
 

@@ -4,7 +4,7 @@ Powers of the Catalan series C(x) carry the dual-generator numerators;
 reciprocal powers carry the presentation coefficients with alternating
 signs.  The coefficient identity [x^i](C^m * C^-m) = 0 is exactly the
 statement that the degree-m relation annihilates the dual generator, so it
-is exposed as a direct finite sum.
+is exposed as a direct finite sum, hilbert's relation residue.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import as_int_or_fraction, binomial
-from .hilbert import flo
-from .algebra import dual_numerator, relation_residues
+from .hilbert import dual_numerator, flo, relation_residues
 
 
 class TruncatedSeries:

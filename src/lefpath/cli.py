@@ -426,14 +426,14 @@ def _scan_lattice_task(key: tuple[int, int]) -> dict:
 
 
 def _scan_catalan_task(key: tuple[int, int]) -> dict:
-    from . import algebra, catalan
+    from . import catalan
 
     m, _ = key
     order = 20
     power_ok = catalan.catalan_power(m, order) == catalan.catalan_series(order).pow(m)
     recip = catalan.catalan_power_reciprocal(m, order)
     head_ok = all(
-        recip[n] == (-1) ** n * algebra.c_coeff(m, n)
+        recip[n] == (-1) ** n * hilbert.c_coeff(m, n)
         for n in range(min(order, hilbert.flo(m)) + 1)
     )
     identity_ok = all(
@@ -469,7 +469,7 @@ _SCAN_MODES = {
         _scan_catalan_task,
         ["m", "power_closed_form_ok", "reciprocal_head_ok", "identity_zero_ok"],
         False,
-        ("algebra", "catalan"),
+        ("catalan",),
     ),
     "partitions": (
         _scan_partitions_task,

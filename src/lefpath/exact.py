@@ -4,16 +4,15 @@ Every matrix the workbench builds is a symmetric pairing form, so an
 ExactMatrix is a square symmetric tuple of tuples of ``fractions.Fraction``;
 other input raises ValueError.  Its det, rank and signature come from one
 memoised fraction-free (Bareiss) elimination by congruences of an integer
-copy, cleared by the lcm of the denominators.  hankel_wall gives the leading
-minors of every Hankel window of one integer sequence, one exact division
-per number-wall entry.
+copy, cleared by the lcm of the denominators: an oracle beside the
+verdicts' number wall (lefschetz), for ``hessian``, path matrices and tests.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 
 def binomial(n: int, k: int) -> int:
@@ -149,34 +148,3 @@ class ExactMatrix:
         minors = (1,) + self._pivots()[0]
         return sum(1 if a * b > 0 else -1 for a, b in zip(minors, minors[1:]))
 
-
-def hankel_wall(seq: Sequence[int], depths: Mapping[int, int]) -> dict[int, list[int]]:
-    """Leading minors W(n, 1..depths[n]) of [seq[n + p + q]] (zero-padded),
-    through the first zero one, from one number wall: W(n, 0) = 1,
-    W(n, 1) = seq[n], W(n, k+1) W(n+2, k-1) = W(n, k) W(n+2, k) - W(n+1, k)^2
-    (Desnanot-Jacobi).  With seq[L-1] the last nonzero term, W(n, k) = 0 at
-    n + k > L and the anti-triangular (-1)^(k(k-1)/2) seq[L-1]^k at n + k = L.
-    An entry with divisor 0 is unknown (None), as is any computed from one; a
-    list stops before its first unknown minor.  Two rows are kept."""
-    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
-    width = max([size, *depths]) + 3
-    older, row = [1] * width, [seq[n] if n < size else 0 for n in range(width)]
-    minors: dict[int, list[int]] = {n: [] for n in depths}
-    live = {n for n, depth in depths.items() if depth > 0}
-    for k in range(1, max(depths.values(), default=0) + 1):
-        for n in live:
-            if row[n] is not None:
-                minors[n].append(row[n])
-        live = {n for n in live if row[n] not in (None, 0) and k < depths[n]}
-        new: list = [0] * width
-        for n in range(size - k - 1):
-            if not older[n + 2] or None in row[n : n + 3]:
-                new[n] = None
-                continue
-            new[n], rem = divmod(row[n] * row[n + 2] - row[n + 1] ** 2, older[n + 2])
-            if rem:
-                raise ArithmeticError("number wall: inexact division")
-        if size > k:
-            new[size - k - 1] = (-1) ** (k * (k + 1) // 2) * seq[size - 1] ** (k + 1)
-        older, row = row, new
-    return minors

@@ -1,13 +1,15 @@
-"""Hilbert series of the two-parameter algebras A(m, n) and their unimodality.
+"""Hilbert series of A(m, n), their unimodality, and A(m, 2)'s integer sequences.
 
 The series is the polynomial product prod_{i=1..n} (1 + t^i + ... + t^{(m-1)i}),
 built one factor at a time as the telescoped quotient (1 - t^{mi}) / (1 - t^i).
 For n = 2 there is also a closed form built from halved floors; both routes
-are kept separate so they can cross-check each other.
+are kept separate so they can cross-check each other.  The integers of f_m
+and F_m (c_coeff, dual_numerator, relation_residues) serve every module.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -108,3 +110,32 @@ def unimodality_record(h: HilbertFunction) -> UnimodalityRecord:
     violation = first_violation_index(h.coeffs)
     return UnimodalityRecord(h.m, h.n, h.socle_degree, violation is None, violation)
 
+
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{what} is not an integer: {numerator}/{denominator}")
+    return quotient
+
+
+def c_coeff(m: int, k: int) -> int:
+    """Presentation coefficient (m/(m-k)) * C(m-k, k); 0 outside 0 <= k <= flo(m)."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if k < 0 or k > flo(m):
+        return 0
+    return _exact_quotient(m * comb(m - k, k), m - k, f"c_coeff({m}, {k})")
+
+
+def relation_residues(m: int, a: Sequence[int]) -> list[int]:
+    """[x^j] (sum_k (-1)^k c_coeff(m, k) x^k)(sum_n a_n x^n) for j < len(a).
+    For a_n the numerators of F_m these are 1, then 0 for 1 <= j <= m-1:
+    f_m o F_m = 0 at E1^(2j-1) E2^(m-1-j), times (2j-1)! (m-1-j)!."""
+    c = [(-1) ** k * c_coeff(m, k) for k in range(min(flo(m), len(a) - 1) + 1)]
+    return [sum(ck * a[j - k] for k, ck in enumerate(c[: j + 1])) for j in range(len(a))]
+
+
+def dual_numerator(m: int, n: int) -> int:
+    """(m/(m+2n)) * C(m+2n, n), the integer numerator of a dual-generator term."""
+    top = m + 2 * n
+    return _exact_quotient(m * comb(top, n), top, f"dual_numerator({m}, {n})")

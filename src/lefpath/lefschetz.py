@@ -1,12 +1,13 @@
 """Per-degree Lefschetz / Hodge-Riemann verdicts for A(m, 2).
 
-property_report is the one reader of the Hankel kernel: each window is
-[b_(p+q)] over one sequence b, one number wall over b gives the leading
-minors on every basis start, and each window's determinant, rank and
-signature come off them.  A window the wall cannot settle, or a b that fails
-its check against the relation f_m o F_m = 0 and the lattice path counts,
-raises ArithmeticError; degree_verdict, signature_crosscheck and the path
-route read the report.
+property_report is the one reader of the Hankel kernel, which lives here:
+each window is [b_(p+q)] over one sequence b (hankel_moments), one number
+wall over b (hankel_wall) gives the leading minors on every basis start, and
+each window's determinant, rank and signature come off them.  A window the
+wall cannot settle, or a b that fails its check against the relation
+f_m o F_m = 0 and the lattice path counts, raises ArithmeticError;
+degree_verdict, signature_crosscheck and the path route read the report.
+No oracle module (algebra, exact) is imported: only hilbert and lattice.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -28,12 +29,12 @@ reports show them as the claims they are.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import lattice
-from .algebra import hankel_moments, relation_residues
-from .exact import hankel_wall
-from .hilbert import basis_range, check_degree, flo, hilbert_m2_closed, socle_degree
+from .hilbert import (
+    basis_range, check_degree, dual_numerator, flo, hilbert_m2_closed, relation_residues, socle_degree
+)
 
 
 def _sign(value) -> int:
@@ -79,7 +80,7 @@ class ClaimFlag(NamedTuple):
 
 
 class PropertyReport(NamedTuple):
-    """Verdicts for A(m, 2), and the one Hankel sequence b their windows read."""
+    """Verdicts for A(m, 2), read off the windows of hankel_moments(m)."""
 
     m: int
     socle_degree: int
@@ -88,7 +89,47 @@ class PropertyReport(NamedTuple):
     hlp: bool
     max_chrr_degree: int
     claim_flags: tuple[ClaimFlag, ...] = ()
-    moments: tuple[int, ...] = ()
+
+
+def hankel_moments(m: int) -> tuple[int, ...]:
+    """b_s = a_(m-1-s), a_n = dual_numerator(m, n), 0 for s >= m, up to the
+    largest p + q of any basis range: every degree's window reads this one."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    stop = basis_range(m, flo(3 * (m - 1))).stop
+    return tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(2 * stop - 1))
+
+
+def hankel_wall(seq: Sequence[int], depths: Mapping[int, int]) -> dict[int, list[int]]:
+    """Leading minors W(n, 1..depths[n]) of [seq[n + p + q]] (zero-padded),
+    through the first zero one, from one number wall: W(n, 0) = 1,
+    W(n, 1) = seq[n], W(n, k+1) W(n+2, k-1) = W(n, k) W(n+2, k) - W(n+1, k)^2
+    (Desnanot-Jacobi).  With seq[L-1] the last nonzero term, W(n, k) = 0 at
+    n + k > L and the anti-triangular (-1)^(k(k-1)/2) seq[L-1]^k at n + k = L.
+    An entry with divisor 0 is unknown (None), as is any computed from one; a
+    list stops before its first unknown minor.  Two rows are kept."""
+    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
+    width = max([size, *depths]) + 3
+    older, row = [1] * width, [seq[n] if n < size else 0 for n in range(width)]
+    minors: dict[int, list[int]] = {n: [] for n in depths}
+    live = {n for n, depth in depths.items() if depth > 0}
+    for k in range(1, max(depths.values(), default=0) + 1):
+        for n in live:
+            if row[n] is not None:
+                minors[n].append(row[n])
+        live = {n for n in live if row[n] not in (None, 0) and k < depths[n]}
+        new: list = [0] * width
+        for n in range(size - k - 1):
+            if not older[n + 2] or None in row[n : n + 3]:
+                new[n] = None
+                continue
+            new[n], rem = divmod(row[n] * row[n + 2] - row[n + 1] ** 2, older[n + 2])
+            if rem:
+                raise ArithmeticError("number wall: inexact division")
+        if size > k:
+            new[size - k - 1] = (-1) ** (k * (k + 1) // 2) * seq[size - 1] ** (k + 1)
+        older, row = row, new
+    return minors
 
 
 def degree_verdict(m: int, i: int) -> DegreeVerdict:
@@ -225,7 +266,6 @@ def _property_report(m: int) -> PropertyReport:
         hlp=hlp,
         max_chrr_degree=max_chrr,
         claim_flags=tuple(flags),
-        moments=b,
     )
 
 

@@ -30,15 +30,14 @@ from lefpath import lefschetz
 from lefpath.algebra import (
     OPERATOR_SIDE,
     GradedPoly,
-    c_coeff,
     contract,
     dual_generator,
     f_m,
-    hankel_moments,
 )
 from lefpath.exact import ExactMatrix, as_exact, binomial
-from lefpath.hilbert import basis_range, check_degree, flo
+from lefpath.hilbert import basis_range, c_coeff, check_degree, flo
 from lefpath.lattice import Point, _reachable, perm_sign, vertex_sets
+from lefpath.lefschetz import hankel_moments
 
 
 @pytest.fixture(autouse=True)

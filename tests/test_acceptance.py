@@ -7,16 +7,15 @@ per criterion.
 import math
 from fractions import Fraction
 
-from lefpath.algebra import dual_numerator, f_m, hessian
+from lefpath.algebra import f_m, hessian
 from lefpath.catalan import (
     catalan_power,
     catalan_power_reciprocal,
     catalan_series,
     check_identity_zero,
 )
-from lefpath.algebra import c_coeff
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import flo, hilbert_m2_closed, hilbert_series
+from lefpath.hilbert import c_coeff, dual_numerator, flo, hilbert_m2_closed, hilbert_series
 from lefpath.lattice import (
     check_dvd_theorem,
     path_matrix,

@@ -12,16 +12,21 @@ from lefpath.algebra import (
     DUAL_SIDE,
     OPERATOR_SIDE,
     GradedPoly,
-    c_coeff,
     contract,
     dual_generator,
-    dual_numerator,
     f_m,
     hessian,
-    relation_residues,
 )
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import basis_range, check_degree, flo, hilbert_m2_closed
+from lefpath.hilbert import (
+    basis_range,
+    c_coeff,
+    check_degree,
+    dual_numerator,
+    flo,
+    hilbert_m2_closed,
+    relation_residues,
+)
 from lefpath.lefschetz import property_report
 
 from conftest import (

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from lefpath.algebra import c_coeff
 from lefpath.catalan import (
     TruncatedSeries,
     catalan_number,
@@ -13,7 +12,7 @@ from lefpath.catalan import (
     catalan_series,
     check_identity_zero,
 )
-from lefpath.hilbert import flo
+from lefpath.hilbert import c_coeff, flo
 
 
 def catalan_by_recurrence(top: int) -> list[int]:
@@ -120,10 +119,10 @@ def test_identity_zero_full_range(m):
 
 def test_identity_reads_the_relation_residue(monkeypatch):
     # one presentation coefficient off by one breaks the identity there
-    from lefpath import algebra
+    from lefpath import hilbert
 
-    real = algebra.c_coeff
-    monkeypatch.setattr(algebra, "c_coeff", lambda m, k: real(m, k) + ((m, k) == (5, 2)))
+    real = hilbert.c_coeff
+    monkeypatch.setattr(hilbert, "c_coeff", lambda m, k: real(m, k) + ((m, k) == (5, 2)))
     assert check_identity_zero(5, 1) and not check_identity_zero(5, 2)
 
 

@@ -431,6 +431,10 @@ def test_path_commands_leave_the_algebraic_route_unloaded(argv):
     assert _loaded_after(argv, algebraic) == "loaded: []"
 
 
+# the oracle modules, and the fractions (with decimal) that exact loads
+_ORACLES = ["lefpath.algebra", "lefpath.exact", "fractions"]
+
+
 @pytest.mark.parametrize(
     "argv, modules",
     [
@@ -443,12 +447,28 @@ def test_path_commands_leave_the_algebraic_route_unloaded(argv):
             ["dataclasses", "fractions", "json", "csv", "lefpath.exact"],
         ),
         (["scan", "--mode", "hilbert", "--m", "2..3"], ["lefpath.lattice"]),
+        (["report", "5", "--format", "json"], _ORACLES),
+        (["scan", "--mode", "lefschetz", "--m", "2..5"], _ORACLES),
+        (["scan", "--mode", "lattice", "--m", "2..5"], _ORACLES),
+        (["lattice", "5", "3", "dvd-count"], _ORACLES),
+        (["scan", "--mode", "catalan", "--m", "2..3"], ["lefpath.algebra", "lefpath.lefschetz"]),
     ],
-    ids=["help", "involution-check", "scan-hilbert"],
+    ids=[
+        "help",
+        "involution-check",
+        "scan-hilbert",
+        "report",
+        "scan-lefschetz",
+        "scan-lattice",
+        "dvd-count",
+        "scan-catalan",
+    ],
 )
 def test_commands_load_only_what_they_run(argv, modules):
     # the records are NamedTuples, json and csv load in the formats that
-    # write them, and only path_matrix reads exact
+    # write them, only path_matrix reads exact, the verdicts and the path
+    # route read no oracle module, and the catalan scan reads hilbert's
+    # sequences, not algebra's polynomials
     assert _loaded_after(argv, modules) == "loaded: []"
 
 
@@ -497,7 +517,7 @@ def test_records_hash_and_compare_over_their_fields():
             setattr(record, first, -1)
     assert len({type(r) for r in records}) == 9
     bare = lefschetz.PropertyReport(*report[:6])
-    assert (bare.claim_flags, bare.moments) == ((), ())
+    assert bare.claim_flags == ()
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):
@@ -512,9 +532,9 @@ def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
     # the path route reads the report's determinant, and the report checks
     # its moments first: one Hankel moment off by one (a_2 of m = 5, read at
     # degree 3) stops the command on one MISMATCH line, before any output
-    real = algebra.dual_numerator
+    real = lefschetz.dual_numerator
     monkeypatch.setattr(
-        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
+        lefschetz, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
     )
     code, out, err = run(capsys, "lattice", "5", "3", action)
     assert code == 1 and out == ""
@@ -802,12 +822,12 @@ def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
 def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
     # one Hankel moment off by one: the verdicts read it, and the report's
     # relation check refuses it before any command prints
-    real = algebra.dual_numerator
+    real = lefschetz.dual_numerator
 
     def tampered(mm, n):
         return real(mm, n) + (mm == m and n == 2)
 
-    monkeypatch.setattr(algebra, "dual_numerator", tampered)
+    monkeypatch.setattr(lefschetz, "dual_numerator", tampered)
     monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     line = f"MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
     assert run(capsys, "report", str(m)) == (1, "", "lefpath report: " + line)
@@ -828,9 +848,9 @@ def test_window_the_wall_cannot_settle_exits_1_on_one_line(capsys, monkeypatch, 
     # a_2 of m = 8 off by one puts a zero divisor under the 4 x 4 window at
     # degree 10: the report raises there, and every command reading it exits 1
     # on one MISMATCH line, with nothing on stdout and no traceback
-    real = algebra.dual_numerator
+    real = lefschetz.dual_numerator
     monkeypatch.setattr(
-        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 8 and n == 2)
+        lefschetz, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 8 and n == 2)
     )
     monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, out, err = run(capsys, *argv)
@@ -872,7 +892,7 @@ def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, 
 def test_crosscheck_reads_every_basis_start(capsys, monkeypatch, m):
     # b off by one at s = 2 start, the corner (p, q) = (start, start) of any
     # single basis start's windows, fails the report's moment check
-    real = algebra.hankel_moments(m)
+    real = lefschetz.hankel_moments(m)
     starts = sorted({hilbert.basis_range(m, i).start for i in range(3 * (m - 1) // 2 + 1)})
     for start in starts:
         b = real[: 2 * start] + (real[2 * start] + 1,) + real[2 * start + 1 :]
@@ -888,14 +908,14 @@ def test_common_mode_tamper_fails_the_report(capsys, monkeypatch):
     # off by one: the two agree with each other, so a check comparing one
     # with the other passes, but neither source of the moment check shares
     # their formula
-    real_numerator, real_count = algebra.dual_numerator, lattice.count_paths
+    real_numerator, real_count = lefschetz.dual_numerator, lattice.count_paths
 
     def count_paths(source, target):
         s = source[0] + 4 - target[1]  # p + q for m = 5: target (8 - q, 4 - q)
         return real_count(source, target) + (target[0] - target[1] == 4 and s == 2)
 
     monkeypatch.setattr(
-        algebra, "dual_numerator", lambda mm, n: real_numerator(mm, n) + (mm == 5 and n == 2)
+        lefschetz, "dual_numerator", lambda mm, n: real_numerator(mm, n) + (mm == 5 and n == 2)
     )
     monkeypatch.setattr(lattice, "count_paths", count_paths)
     assert lattice.path_matrix(5, 3).rows == hankel_window(5, 3).rows != ((275, 75), (75, 20))
@@ -907,9 +927,9 @@ def test_common_mode_tamper_fails_the_report(capsys, monkeypatch):
 def test_tampered_relation_coefficient_fails_the_relation_alone(capsys, monkeypatch, m, k):
     # the relation reads c_coeff and the moments; the path counts read
     # neither, so only the relation can see a wrong coefficient
-    real = algebra.c_coeff
-    monkeypatch.setattr(algebra, "c_coeff", lambda mm, kk: real(mm, kk) + ((mm, kk) == (m, k)))
-    b = algebra.hankel_moments(m)
+    real = hilbert.c_coeff
+    monkeypatch.setattr(hilbert, "c_coeff", lambda mm, kk: real(mm, kk) + ((mm, kk) == (m, k)))
+    b = lefschetz.hankel_moments(m)
     assert lattice.target_path_counts(m)[: len(b)] == list(b[:m])
     line = f"MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
     assert run(capsys, "report", str(m)) == (1, "", "lefpath report: " + line)
@@ -927,8 +947,8 @@ def test_tampered_path_count_fails_the_path_check_alone(capsys, monkeypatch, s):
         return counts
 
     monkeypatch.setattr(lattice, "target_path_counts", tampered)
-    b = algebra.hankel_moments(6)
-    assert algebra.relation_residues(6, b[5::-1]) == [1, 0, 0, 0, 0, 0]
+    b = lefschetz.hankel_moments(6)
+    assert hilbert.relation_residues(6, b[5::-1]) == [1, 0, 0, 0, 0, 0]
     line = "MISMATCH: moments of m = 6 differ from the path counts to (2m-2-s, m-1-s)\n"
     assert run(capsys, "report", "6") == (1, "", "lefpath report: " + line)
 
@@ -947,9 +967,9 @@ def test_moment_check_failure_exits_1_on_one_line(capsys, monkeypatch, argv):
     # a_2 of m = 5 off by one: the wall settles every window, the moment
     # check does not pass, and every command reading the report exits 1 on
     # one MISMATCH line with nothing on stdout, the pool's workers included
-    real = algebra.dual_numerator
+    real = lefschetz.dual_numerator
     monkeypatch.setattr(
-        algebra, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
+        lefschetz, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 5 and n == 2)
     )
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -960,12 +980,12 @@ def test_moment_check_at_the_smallest_m(capsys, monkeypatch):
     # m = 2: b holds one term, b_0 = a_1, fewer than m, and the relation
     # supplies a_0 = 1; m = 1: b = (a_0,) = (1,), which the lattice commands
     # and the lattice scan read through the report
-    assert lefschetz.property_report(2).moments == (2,)
-    assert lefschetz.property_report(1).moments == (1,)
+    assert lefschetz.hankel_moments(2) == (2,)
+    assert lefschetz.hankel_moments(1) == (1,)
     assert run(capsys, "report", "2")[0] == 0
     assert run(capsys, "lattice", "1", "0", "dvd-count")[0] == 0
     assert run(capsys, "scan", "--mode", "lattice", "--m", "1..3", "--format", "json")[0] == 0
-    real = algebra.hankel_moments
+    real = lefschetz.hankel_moments
     for m, tampered in [(2, (3,)), (1, (2,))]:
 
         def patched(mm, m=m, tampered=tampered):

@@ -17,11 +17,12 @@ from conftest import det_cofactor, hankel_window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefpath import algebra, lefschetz
-from lefpath.algebra import hankel_moments, hessian
-from lefpath.exact import ExactMatrix, binomial, hankel_wall
+from lefpath import lefschetz
+from lefpath.algebra import hessian
+from lefpath.exact import ExactMatrix, binomial
 from lefpath.hilbert import basis_range, flo
 from lefpath.lattice import path_matrix
+from lefpath.lefschetz import hankel_moments, hankel_wall
 
 
 # -- binomial -----------------------------------------------------------------
@@ -420,7 +421,6 @@ def _raises_past_the_wall(monkeypatch, moments, degree):
     def patched(m):
         return tuple(moments) + (0,) * (7 - len(moments))
 
-    monkeypatch.setattr(algebra, "hankel_moments", patched)
     monkeypatch.setattr(lefschetz, "hankel_moments", patched)
     assert len(basis_range(5, 4)) == 3
     with pytest.raises(ArithmeticError, match=rf"at \(m, i\) = \(5, {degree}\):"):
