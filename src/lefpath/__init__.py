@@ -10,4 +10,4 @@ __version__ = "0.1.0"
 
 
 class BudgetExceeded(RuntimeError):
-    """A transfer sweep or an involution check ran past its budget."""
+    """A transfer sweep, an involution check or a partition walk ran past its budget."""

@@ -4,16 +4,25 @@ Powers of the Catalan series C(x) carry the dual-generator numerators;
 reciprocal powers carry the presentation coefficients with alternating
 signs.  The coefficient identity [x^i](C^m * C^-m) = 0 is exactly the
 statement that the degree-m relation annihilates the dual generator, so it
-is exposed as a direct finite sum, hilbert's relation residue.
+is exposed as hilbert's relation residues, all of one m read in one pass.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from math import comb
+from typing import TYPE_CHECKING, Sequence
 
-from .exact import as_int_or_fraction, binomial
 from .hilbert import dual_numerator, flo, relation_residues
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def _as_exact(value) -> Fraction:
+    """as_exact, loaded only for a coefficient that is not an int."""
+    from .exact import as_exact
+
+    return as_exact(value)
 
 
 class TruncatedSeries:
@@ -25,7 +34,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence):
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs = tuple(as_int_or_fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is int else _as_exact(c) for c in coeffs)
 
     @property
     def order(self) -> int:
@@ -56,7 +65,7 @@ class TruncatedSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0  # an int stays int at +-1
+        inv0 = c0 if c0 in (1, -1) else _as_exact(1) / c0  # an int stays int at +-1
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
@@ -80,7 +89,7 @@ def catalan_number(n: int) -> int:
     """n-th Catalan number C(2n, n) / (n + 1)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return binomial(2 * n, n) // (n + 1)
+    return comb(2 * n, n) // (n + 1)
 
 
 def catalan_series(order: int) -> TruncatedSeries:
@@ -105,11 +114,11 @@ def catalan_power_reciprocal(m: int, order: int) -> TruncatedSeries:
     return catalan_power(m, order).reciprocal()
 
 
-def check_identity_zero(m: int, i: int) -> bool:
-    """True iff sum_{k=0}^{i} (-1)^k c_coeff(m, k) * dual_numerator(m, i-k) == 0,
-    the relation residue at x^i of C(x)^m * C(x)^-m, 1 <= i <= flo(m)."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not 1 <= i <= flo(m):
-        raise ValueError(f"need 1 <= i <= {flo(m)}, got {i}")
-    return relation_residues(m, [dual_numerator(m, n) for n in range(i + 1)])[i] == 0
+def check_identity_zero(m: int) -> bool:
+    """True iff sum_{k=0}^{i} (-1)^k c_coeff(m, k) * dual_numerator(m, i-k) == 0
+    for every 1 <= i <= flo(m): the relation residues at x^i of
+    C(x)^m * C(x)^-m, all read in one pass (vacuous at m = 1)."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    residues = relation_residues(m, [dual_numerator(m, n) for n in range(flo(m) + 1)])
+    return not any(residues[1:])

@@ -1,4 +1,4 @@
-"""Exact integer/rational helpers and exact symmetric matrices.
+"""Exact int/Fraction coercions and exact symmetric matrices.
 
 Every matrix the workbench builds is a symmetric pairing form, so an
 ExactMatrix is a square symmetric tuple of tuples of ``fractions.Fraction``;
@@ -13,18 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with value 0 whenever k < 0, k > n, or n < 0.
-
-    The out-of-range convention is load-bearing: matrix entries built from
-    binomials with a negative lower index must vanish, matching the empty
-    path counts they stand for.
-    """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def as_exact(value) -> Fraction:

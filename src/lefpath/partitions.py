@@ -4,10 +4,10 @@ Members of the family P(m, n) have parts of size at most n, each size
 repeated at most m-1 times.  Encoding a partition by its multiplicity
 vector (j_1, ..., j_n), 0 <= j_k <= m-1, makes the m^n count and the
 generating-function identity structural: partition_gf counts the family
-by size one multiplicity vector at a time, and the partitions scan compares
-it with hilbert_series.  The degree formula for the socle pairing
-cross-checks the single entry of the degree-0 path matrix, the path count
-from (0, 0) to (2m-2, m-1).
+by size from the multiplicity vectors, walked in two halves, and the
+partitions scan compares it with hilbert_series.  The degree formula for
+the socle pairing cross-checks the single entry of the degree-0 path
+matrix, the path count from (0, 0) to (2m-2, m-1).
 """
 
 from __future__ import annotations
@@ -15,29 +15,49 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import BudgetExceeded
 from .lattice import count_paths
+
+
+PARTITION_BUDGET = 2**20  # leaf visits per half of partition_gf's walk
+
+
+def _walk(m: int, first: int, last: int) -> list[int]:
+    """Size counts of the vectors (j_first, ..., j_last), 0 <= j_k < m, leaf by leaf."""
+    counts = [0] * ((first + last) * (last - first + 1) // 2 * (m - 1) + 1)
+
+    def visit(size: int, total: int) -> None:
+        if size == first:
+            for d in range(total, total + first * m, first):
+                counts[d] += 1
+            return
+        for j in range(m):
+            visit(size - 1, total + size * j)
+
+    visit(last, 0)
+    return counts
 
 
 def partition_gf(m: int, n: int) -> tuple[int, ...]:
     """Size-k counts of the restricted partition family.
 
-    Counts by walking every multiplicity vector individually (m^n leaf
-    visits), deliberately avoiding the polynomial product that produces the
-    Hilbert series, so the two stay independent cross-checks.
+    Walks the multiplicity vectors of the part sizes 1..n//2 and, apart,
+    of n//2+1..n, leaf by leaf (m^(n//2) + m^(n-n//2) visits, at most
+    PARTITION_BUDGET per half, checked before any walk), and joins the two
+    size tables: a vector (j_1, ..., j_n) is the pair of its halves, its
+    size the sum of theirs.  No factor 1 + t^k + ... + t^(k(m-1)) of the
+    Hilbert series is formed, so the two stay independent cross-checks.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    counts = [0] * (n * (n + 1) * (m - 1) // 2 + 1)
-
-    def visit(size: int, total: int) -> None:
-        if size == 1:
-            for j in range(m):
-                counts[total + j] += 1
-            return
-        for j in range(m):
-            visit(size - 1, total + size * j)
-
-    visit(n, 0)
+    if m ** (n - n // 2) > PARTITION_BUDGET:
+        raise BudgetExceeded(f"budget exceeded: over {PARTITION_BUDGET} leaf visits at ({m}, {n})")
+    low = _walk(m, 1, n // 2) if n > 1 else [1]  # n = 1 has no low half
+    high = _walk(m, n // 2 + 1, n)
+    counts = [0] * (len(high) + len(low) - 1)
+    for t, c in enumerate(high):
+        for d, e in enumerate(low):
+            counts[t + d] += c * e
     return tuple(counts)
 
 

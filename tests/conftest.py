@@ -1,8 +1,10 @@
-"""Shared fixtures and the test-side oracles: the cofactor determinant, the
-Hilbert series by direct multiplication, the quadratic violation scan, the
-unimodality test, the restricted partition family listed member by member,
-the weighted degree and the presentation checks (annihilation, the f_m
-recursion, the power-sum identity), the per-entry contraction Hessian, the
+"""Shared fixtures and the test-side oracles: binomials that vanish out of
+range, the cofactor determinant, the Hilbert series by direct
+multiplication, the quadratic violation scan, the unimodality test, the
+restricted partition family listed member by member and counted by size in
+one walk over every multiplicity vector, the weighted degree and the
+presentation checks (annihilation, the f_m recursion, the power-sum
+identity), the per-entry contraction Hessian, the
 integer Hankel window that the elimination oracle reads, the path object
 model that checks the involution check's table and involution
 independently (LatticePath with its column-major vertex mask, the flip by
@@ -21,7 +23,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
@@ -34,7 +36,7 @@ from lefpath.algebra import (
     dual_generator,
     f_m,
 )
-from lefpath.exact import ExactMatrix, as_exact, binomial
+from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range, c_coeff, check_degree, flo
 from lefpath.lattice import Point, _reachable, perm_sign, vertex_sets
 from lefpath.lefschetz import hankel_moments
@@ -47,6 +49,18 @@ def fresh_property_reports():
     lefschetz._property_report.cache_clear()
     yield
     lefschetz._property_report.cache_clear()
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k), with value 0 whenever k < 0, k > n, or n < 0.
+
+    The out-of-range convention is load-bearing: terms built from binomials
+    with a negative lower index must vanish, matching the empty sums they
+    stand for.
+    """
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return comb(n, k)
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> Fraction:
@@ -123,6 +137,23 @@ def enumerate_restricted(m: int, n: int) -> list[tuple[int, ...]]:
     ]
     members.sort(key=lambda parts: (sum(parts), tuple(-p for p in parts)))
     return members
+
+
+def partition_gf_full_walk(m: int, n: int) -> tuple[int, ...]:
+    """Independent oracle for partition_gf: size counts of the family from
+    every multiplicity vector (j_1, ..., j_n) in one walk, m^n leaf visits."""
+    counts = [0] * (n * (n + 1) * (m - 1) // 2 + 1)
+
+    def visit(size: int, total: int) -> None:
+        if size == 1:
+            for j in range(m):
+                counts[total + j] += 1
+            return
+        for j in range(m):
+            visit(size - 1, total + size * j)
+
+    visit(n, 0)
+    return tuple(counts)
 
 
 def weighted_degree(poly: GradedPoly) -> int:

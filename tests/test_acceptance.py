@@ -15,7 +15,14 @@ from lefpath.catalan import (
     check_identity_zero,
 )
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import c_coeff, dual_numerator, flo, hilbert_m2_closed, hilbert_series
+from lefpath.hilbert import (
+    c_coeff,
+    dual_numerator,
+    flo,
+    hilbert_m2_closed,
+    hilbert_series,
+    relation_residues,
+)
 from lefpath.lattice import (
     check_dvd_theorem,
     path_matrix,
@@ -208,7 +215,11 @@ def test_criterion_09_catalan():
             recip[n] == (-1) ** n * c_coeff(m, n) for n in range(flo(m) + 1)
         )
     for m in range(2, 41):
-        ok &= all(check_identity_zero(m, i) for i in range(1, flo(m) + 1))
+        ok &= check_identity_zero(m)
+        ok &= all(
+            relation_residues(m, [dual_numerator(m, n) for n in range(i + 1)])[i] == 0
+            for i in range(1, flo(m) + 1)
+        )
     _verdict(9, "Catalan power closed form, reciprocal head, vanishing identity", ok)
 
 

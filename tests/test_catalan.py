@@ -12,7 +12,7 @@ from lefpath.catalan import (
     catalan_series,
     check_identity_zero,
 )
-from lefpath.hilbert import c_coeff, flo
+from lefpath.hilbert import c_coeff, dual_numerator, flo, relation_residues
 
 
 def catalan_by_recurrence(top: int) -> list[int]:
@@ -106,15 +106,24 @@ def test_power_times_reciprocal_is_one(m):
     assert product.coeffs == (1,) + (0,) * 20
 
 
+def _residue(m, i):
+    """The relation residue at x^i alone, from the numerators a_0..a_i."""
+    return relation_residues(m, [dual_numerator(m, n) for n in range(i + 1)])[i]
+
+
 def test_identity_zero_small_cases():
-    assert check_identity_zero(5, 1)  # 5 - 5*1 = 0
-    assert check_identity_zero(5, 2)  # 20 - 25 + 5 = 0
-    assert check_identity_zero(2, 1)  # 2 - 2 = 0
+    assert _residue(5, 1) == 0  # 5 - 5*1 = 0
+    assert _residue(5, 2) == 0  # 20 - 25 + 5 = 0
+    assert _residue(2, 1) == 0  # 2 - 2 = 0
+    assert check_identity_zero(5) and check_identity_zero(2)
+    assert check_identity_zero(1)  # flo(1) = 0: no residue to read
 
 
-@pytest.mark.parametrize("m", range(2, 41))
+@pytest.mark.parametrize("m", range(2, 61))
 def test_identity_zero_full_range(m):
-    assert all(check_identity_zero(m, i) for i in range(1, flo(m) + 1))
+    # the one pass agrees with the residues read one degree at a time
+    assert all(_residue(m, i) == 0 for i in range(1, flo(m) + 1))
+    assert check_identity_zero(m)
 
 
 def test_identity_reads_the_relation_residue(monkeypatch):
@@ -123,14 +132,19 @@ def test_identity_reads_the_relation_residue(monkeypatch):
 
     real = hilbert.c_coeff
     monkeypatch.setattr(hilbert, "c_coeff", lambda m, k: real(m, k) + ((m, k) == (5, 2)))
-    assert check_identity_zero(5, 1) and not check_identity_zero(5, 2)
+    assert _residue(5, 1) == 0 and _residue(5, 2) != 0
+    assert not check_identity_zero(5)
+    # the top coefficient off by one, at every m
+    monkeypatch.setattr(hilbert, "c_coeff", lambda m, k: real(m, k) + (k == flo(m)))
+    for m in range(2, 61):
+        assert _residue(m, flo(m)) != 0 and not check_identity_zero(m), m
 
 
 def test_identity_range_errors():
     with pytest.raises(ValueError):
-        check_identity_zero(5, 0)
+        check_identity_zero(0)
     with pytest.raises(ValueError):
-        check_identity_zero(5, 3)
+        check_identity_zero(-3)
 
 
 def test_series_arithmetic_basics():

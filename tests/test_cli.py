@@ -19,7 +19,7 @@ from conftest import (
     is_vertex_disjoint,
 )
 
-from lefpath import algebra, cli, hilbert, lattice, lefschetz
+from lefpath import algebra, cli, hilbert, lattice, lefschetz, partitions
 from lefpath.exact import ExactMatrix
 
 
@@ -451,7 +451,10 @@ _ORACLES = ["lefpath.algebra", "lefpath.exact", "fractions"]
         (["scan", "--mode", "lefschetz", "--m", "2..5"], _ORACLES),
         (["scan", "--mode", "lattice", "--m", "2..5"], _ORACLES),
         (["lattice", "5", "3", "dvd-count"], _ORACLES),
-        (["scan", "--mode", "catalan", "--m", "2..3"], ["lefpath.algebra", "lefpath.lefschetz"]),
+        (
+            ["scan", "--mode", "catalan", "--m", "2..3"],
+            ["lefpath.algebra", "lefpath.lefschetz", "lefpath.exact", "fractions", "decimal"],
+        ),
     ],
     ids=[
         "help",
@@ -468,7 +471,7 @@ def test_commands_load_only_what_they_run(argv, modules):
     # the records are NamedTuples, json and csv load in the formats that
     # write them, only path_matrix reads exact, the verdicts and the path
     # route read no oracle module, and the catalan scan reads hilbert's
-    # sequences, not algebra's polynomials
+    # sequences, not algebra's polynomials, over ints that need no exact
     assert _loaded_after(argv, modules) == "loaded: []"
 
 
@@ -632,6 +635,17 @@ def test_involution_check_past_its_path_budget_exits_2_fast(capsys):
     assert (code, out) == (2, "")
     assert err.splitlines() == [
         f"lefpath lattice: error: budget exceeded: over {lattice.PATH_BUDGET} paths at (20, 20)"
+    ]
+
+
+def test_partition_walk_past_its_budget_exits_2_fast(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--mode", "partitions", "--m", "40", "--n", "12")
+    assert time.perf_counter() - started < 10
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"lefpath scan: error: budget exceeded: over {partitions.PARTITION_BUDGET} leaf visits"
+        " at (40, 12)"
     ]
 
 

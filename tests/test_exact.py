@@ -1,11 +1,10 @@
-"""Exact kernel: binomials, determinant, rank, signature, the number wall.
+"""Exact kernel: determinant, rank, signature, and the binomial test helper.
 
 Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
 polynomial (a symmetric matrix has an all-real spectrum).
-The number wall's Hankel minors and the verdicts read from them are checked
-against Bareiss elimination, and the leading-minor law that lets the wall
-settle every window of A(m, 2) is checked on every basis start.
+The report's verdicts are checked against Bareiss elimination of their
+windows.
 """
 
 import math
@@ -13,16 +12,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import det_cofactor, hankel_window
+from conftest import binomial, det_cofactor, hankel_window
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefpath import lefschetz
 from lefpath.algebra import hessian
-from lefpath.exact import ExactMatrix, binomial
-from lefpath.hilbert import basis_range, flo
+from lefpath.exact import ExactMatrix
+from lefpath.hilbert import basis_range
 from lefpath.lattice import path_matrix
-from lefpath.lefschetz import hankel_moments, hankel_wall
 
 
 # -- binomial -----------------------------------------------------------------
@@ -321,153 +319,6 @@ def test_hankel_window_equals_path_matrix():
     for m in range(2, 41):
         for i in range(3 * (m - 1) // 2 + 1):
             assert hankel_window(m, i) == path_matrix(m, i), (m, i)
-
-
-# -- number wall ---------------------------------------------------------------
-
-
-@st.composite
-def _wall_cases(draw):
-    """A sequence and a few (offset, depth) pairs.  The sequence has random
-    entries, small or some forced to zero, which put zero divisors inside
-    the wall, or is a sum of a few geometric sequences, whose Hankel
-    matrices have low rank.  An offset two below a forced zero divides by it
-    from W(n, 3) on."""
-    size, zeros = draw(st.integers(0, 14)), []
-    if draw(st.booleans()):
-        bound = draw(st.sampled_from([1, 9]))
-        seq = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
-        places = st.integers(0, max(size - 1, 0))
-        zeros = draw(st.lists(places, min_size=min(size, 1), max_size=min(size, 3)))
-        for t in zeros:
-            seq[t] = 0
-    else:
-        terms = draw(
-            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=max(size // 2, 0))
-        )
-        seq = [sum(c * x**t for c, x in terms) for t in range(size)]
-    offsets = draw(st.lists(st.integers(0, size + 1), unique=True, min_size=1, max_size=3))
-    return seq, {n: draw(st.integers(1, 7)) for n in offsets + [t - 2 for t in zeros if t >= 2]}
-
-
-def _hankel_block(seq, n, h):
-    return [[seq[n + p + q] if n + p + q < len(seq) else 0 for q in range(h)] for p in range(h)]
-
-
-@settings(max_examples=300)
-@given(_wall_cases())
-def test_hankel_minors_match_elimination(case):
-    # each list holds true minors, nonzero but perhaps the last; at size
-    # h <= len the rank is h (h-1 at a zero minor), and Sylvester-Jacobi on
-    # the nonzero minors gives the signature
-    seq, depths = case
-    minors = hankel_wall(seq, depths)
-    assert set(minors) == set(depths)
-    for n, found in minors.items():
-        assert len(found) <= depths[n] and None not in found and 0 not in found[:-1]
-        for h in range(1, len(found) + 1):
-            rows = _hankel_block(seq, n, h)
-            block = ExactMatrix(rows)
-            assert block.det() == found[h - 1], (n, h)
-            rank = h if found[h - 1] else h - 1
-            assert block.rank() == rank
-            jacobi = [1] + found[:rank]
-            assert block.signature() == sum(
-                1 if a * b > 0 else -1 for a, b in zip(jacobi, jacobi[1:])
-            )
-            if h <= 5:
-                assert det_cofactor(rows) == found[h - 1]
-
-
-@settings(max_examples=300)
-@given(_wall_cases())
-def test_wall_stops_early_only_behind_a_zero_divisor(case):
-    # a list short of its depth with no zero at its end stops before a minor
-    # the wall could not compute: one whose recurrence divides, at some
-    # level, by a zero minor W(n', j), n' >= n+2, inside the computed region
-    seq, depths = case
-    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
-    for n, found in hankel_wall(seq, depths).items():
-        r = len(found)
-        if r == depths[n] or found[-1:] == [0]:
-            continue
-        divisors = [
-            ExactMatrix(_hankel_block(seq, m, j)).det()
-            for j in range(1, r)
-            for m in range(n + 2, n + 2 * (r + 1 - j) + 1)
-            if m + j < size
-        ]
-        assert 0 in divisors, (n, found)
-
-
-def test_wall_examples():
-    # the structural tail: past seq's trailing zeros W(0, 2) = -2^2 and
-    # W(0, 3) = 0, with no division at all
-    assert hankel_wall([1, 2, 0, 0, 0], {0: 3}) == {0: [1, -4, 0]}
-    # W(0, 3) divides by W(2, 1) = 0: offset 0 stops before it, and offset 2
-    # at its zero W(2, 1); the true W(0, 3) is -2
-    assert hankel_wall([1, 1, 0, 1, 1], {0: 3, 2: 3}) == {0: [1, -1], 2: [0]}
-    assert ExactMatrix(_hankel_block([1, 1, 0, 1, 1], 0, 3)).det() == -2
-    # twice the exchange matrix, one entry past the other lists' first zeros
-    assert hankel_wall([0, 0, 2, 0, 0], {0: 3, 1: 2, 2: 3}) == {0: [0], 1: [0], 2: [2, 0]}
-    assert hankel_wall([], {0: 2, 3: 1}) == {0: [0], 3: [0]}
-
-
-def _raises_past_the_wall(monkeypatch, moments, degree):
-    """The report of m = 5 over a patched sequence b, padded with zeros to the
-    7 terms its windows read (offsets 0 and 2 are its two basis starts),
-    raises at the first degree whose window the wall cannot settle."""
-
-    def patched(m):
-        return tuple(moments) + (0,) * (7 - len(moments))
-
-    monkeypatch.setattr(lefschetz, "hankel_moments", patched)
-    assert len(basis_range(5, 4)) == 3
-    with pytest.raises(ArithmeticError, match=rf"at \(m, i\) = \(5, {degree}\):"):
-        lefschetz.property_report(5)
-
-
-def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
-    # all-ones sequence, the moments of no A(m, 2): H_1 = 1, H_2 = 0 on both
-    # starts, so the rank rules stop at size 2 and the first size-3 window
-    # (degree 4) raises; elimination gives the block det 0, rank 1, signature 1
-    assert hankel_wall([1] * 5, {0: 3, 2: 3}) == {0: [1, 0], 2: [1, 0]}
-    _raises_past_the_wall(monkeypatch, [1] * 5, 4)
-    ones = ExactMatrix([[1] * 3] * 3)
-    assert (ones.det(), ones.rank(), ones.signature()) == (0, 1, 1)
-
-
-def test_fallback_keeps_the_exact_determinant(monkeypatch):
-    # H_1 = 0 on start 0, so its first window of size 2 (degree 2) raises;
-    # elimination keeps twice the 3 x 3 exchange matrix's integer
-    # determinant -8, not only its sign
-    _raises_past_the_wall(monkeypatch, [0, 0, 2, 0, 0], 2)
-    exchange = ExactMatrix([[0, 0, 2], [0, 2, 0], [2, 0, 0]])
-    det = exchange.det()
-    assert (det, det.denominator, exchange.rank(), exchange.signature()) == (-8, 1, 3, 1)
-
-
-def test_zero_divisor_sends_the_start_to_elimination(monkeypatch):
-    # b = (1, 1, 0, 1, 1): W(0, 3) divides by W(2, 1) = 0, so the degree-4
-    # window (size 3 on start 0) raises; test_wall_examples has its
-    # determinant -2 by elimination
-    _raises_past_the_wall(monkeypatch, [1, 1, 0, 1, 1], 4)
-
-
-def test_wall_settles_every_window_of_the_moments():
-    # the law behind the report's one path: on every basis start of A(m, 2),
-    # W(2lo, k) != 0 iff 2k <= m or 2lo + k = m (the anti-triangular tail),
-    # so each start's minors, kept through the first zero, cover its largest
-    # window, and no window is left for elimination
-    for m in range(2, 61):
-        depths = {}
-        for i in range(flo(3 * (m - 1)) + 1):
-            ps = basis_range(m, i)
-            depths[2 * ps.start] = max(depths.get(2 * ps.start, 0), len(ps))
-        for n, found in hankel_wall(hankel_moments(m), depths).items():
-            assert len(found) == depths[n], (m, n)
-            for k, minor in enumerate(found, 1):
-                assert (minor != 0) == (2 * k <= m or n + k == m), (m, n, k)
 
 
 def _elimination_verdict(v, window):
