@@ -236,9 +236,24 @@ def _nonvanishing_flag(verdict) -> Optional[str]:
 
 
 def cmd_lattice(args) -> int:
+    m, i = args.m, args.i
+    if args.action in ("lgv-check", "dvd-count"):
+        from . import lefschetz
+
+        (route,) = lefschetz.path_routes(m, [i])
+        verdict = "OK" if route.ok else "MISMATCH"
+        if args.action == "lgv-check":
+            print(f"signed_sum={route.signed_sum} det={route.det} {verdict}")
+        else:
+            flag = _nonvanishing_flag(route)
+            suffix = " (nonvanishing rule mismatch flagged)" if flag else ""
+            print(f"N={route.n_doubly} sign={route.predicted_sign:+d} "
+                  f"det={route.det} {verdict}{suffix}")
+            if flag:
+                print(flag)
+        return 0 if route.ok else 1
     from . import lattice
 
-    m, i = args.m, args.i
     if args.action == "count":
         vs = lattice.vertex_sets(m, i)
         matrix = lattice.path_matrix(m, i)
@@ -246,23 +261,6 @@ def cmd_lattice(args) -> int:
         print(f"targets: {list(vs.targets)}")
         print(matrix)
         return 0
-    if args.action == "lgv-check":
-        verdict = lattice.check_dvd_theorem(m, i, "sweep")
-        ok = verdict.signed_sum == verdict.det
-        print(f"signed_sum={verdict.signed_sum} det={verdict.det} {'OK' if ok else 'MISMATCH'}")
-        return 0 if ok else 1
-    if args.action == "dvd-count":
-        verdict = lattice.check_dvd_theorem(m, i, "sweep")
-        ok = bool(verdict.count_matches_det)
-        flag = _nonvanishing_flag(verdict)
-        suffix = " (nonvanishing rule mismatch flagged)" if flag else ""
-        print(
-            f"N={verdict.n_doubly} sign={verdict.predicted_sign:+d} "
-            f"det={verdict.det} {'OK' if ok else 'MISMATCH'}{suffix}"
-        )
-        if flag:
-            print(flag)
-        return 0 if ok else 1
     if args.action == "involution-check":
         size, signed, ok = lattice.check_involution(m, i)
         ok = ok and signed == 0
@@ -388,7 +386,7 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
     return {"rows": rows, "ok": True, "flags": flags}
 
 
-# the lattice scan's columns, each a lattice.DvdVerdict attribute of that name
+# the lattice scan's columns, each a lefschetz.PathRoute attribute of that name
 _LATTICE_COLUMNS = [
     "m",
     "i",
@@ -402,27 +400,20 @@ _LATTICE_COLUMNS = [
 ]
 
 
+# the largest m whose lattice scan sweeps (m = 12's nine windows take about
+# 0.06 s, m = 16's twelve 1.6 s); past it the rows hold the report's det only
+_SCAN_SWEEP_MAX = 12
+
+
 def _scan_lattice_task(key: tuple[int, int]) -> dict:
-    from . import lattice
+    from . import lefschetz
 
     m, _ = key
-    mode = "sweep" if m <= 12 else "det_only"  # the transfer sweep's reach
-    rows = []
-    flags = []
-    ok = True
-    for i in range(hilbert.flo(3 * (m - 1)) + 1):
-        # degrees on one basis range share the window, its det and its sweep
-        if i == 0 or hilbert.basis_range(m, i) != hilbert.basis_range(m, i - 1):
-            verdict = lattice.check_dvd_theorem(m, i, mode)
-        verdict = verdict._replace(i=i)
-        if mode == "sweep":
-            ok &= verdict.signed_sum == verdict.det
-            ok &= bool(verdict.count_matches_det)
-        rows.append([getattr(verdict, column) for column in _LATTICE_COLUMNS])
-        flag = _nonvanishing_flag(verdict)
-        if flag:
-            flags.append(flag)
-    return {"rows": rows, "ok": ok, "flags": flags}
+    degrees = range(hilbert.flo(3 * (m - 1)) + 1)
+    routes = lefschetz.path_routes(m, degrees, sweep=m <= _SCAN_SWEEP_MAX)
+    rows = [[getattr(route, column) for column in _LATTICE_COLUMNS] for route in routes]
+    flags = [flag for flag in map(_nonvanishing_flag, routes) if flag]
+    return {"rows": rows, "ok": all(route.ok is not False for route in routes), "flags": flags}
 
 
 def _scan_catalan_task(key: tuple[int, int]) -> dict:
@@ -462,7 +453,7 @@ _SCAN_MODES = {
         (),
     ),
     "lefschetz": (_scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("lefschetz",)),
-    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lattice", "lefschetz")),
+    "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lefschetz",)),
     "catalan": (
         _scan_catalan_task,
         ["m", "power_closed_form_ok", "reciprocal_head_ok", "identity_zero_ok"],

@@ -17,9 +17,9 @@ reads, and checks each pair of systems once.  A table entry holds the
 vertex sets of a path and of its flip as integer masks, one bit y(2m-1) + x
 per vertex (x, y), so disjointness, pruning and crossings are bitwise, and
 the northern-most-then-eastern-most crossing is the top bit.  No path or
-system object is built.  The determinant the path route is compared with
-comes from the lefschetz report, loaded only by check_dvd_theorem; exact
-is read only by path_matrix.
+system object is built.  The module is path combinatorics only: it imports
+no lefschetz, whose path_routes compares these counts with the report's
+determinants, and exact is read only by path_matrix.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import BudgetExceeded
-from .hilbert import basis_range, check_degree, flo
+from .hilbert import basis_range, check_degree
 
 if TYPE_CHECKING:
     from .exact import ExactMatrix
@@ -169,25 +169,32 @@ def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str,
 STATE_BUDGET = 2**14
 
 
-def transfer_counts(m: int, i: int) -> tuple[int, int]:
-    """(signed count of vertex-disjoint systems, N(i, m)) from one sweep over
-    the anti-diagonals s = x + y; a path meets each in one vertex, and disjoint
-    paths keep their order.  A state, the walkers' increasing x on s, maps to
-    its (signed, doubly) counts.  Source p enters at (p, p), the least x on
-    s = 2p, if free; on s = 3m-3-2q target q's vertex must be taken, and its
-    walker leaves with sign (-1)^j, j the walkers before it: each entered and
-    leaves later, and all sources are in by then (2p <= 3m-3-2q).  Flips are
-    disjoint iff the folds (x, or s-x+m-1 below the shifted diagonal) differ
-    on every s.  Walkers step last first: E to x+1, or N if y+1 <= x."""
-    check_degree(m, i)
-    ps = basis_range(m, i)
+def transfer_counts(m: int, indices: range) -> tuple[int, int]:
+    """(signed count of vertex-disjoint systems, N) from sources (p, p) to
+    targets (2m-2-q, m-1-q), p and q over a range in 0..m-1 (degree i's is
+    basis_range(m, i)), from one sweep over the anti-diagonals s = x + y; a
+    path meets each in one vertex, and disjoint paths keep their order.  A
+    state, the walkers' increasing x on s, maps to its (signed, doubly)
+    counts.  Source p enters at (p, p), the least x on s = 2p, if free, so
+    the walkers hold the sources in reverse order; on s = 3m-3-2q target q's
+    vertex must be taken, and its walker leaves with sign (-1)^j, j the
+    walkers before it plus the sources not yet in (later sources whose
+    targets leave later: inversions).  A last source reaching no target
+    (p + q > m-1 for every q) is a zero row.  Flips are disjoint iff the
+    folds (x, or s-x+m-1 below the shifted diagonal) differ on every s.
+    Walkers step last first: E to x+1, or N if y+1 <= x."""
+    ps = indices
+    if not ps or ps.step != 1 or ps.start < 0 or ps.stop > m:
+        raise ValueError(f"need a nonempty contiguous index range in 0..{m - 1}, got {ps}")
+    if ps[-1] + ps.start > m - 1:
+        return 0, 0
     x_max, y_max, last = 2 * m - 2 - ps.start, m - 1 - ps.start, 3 * m - 3 - 2 * ps.start
     enter = {2 * p: p for p in ps}
     leave = {3 * m - 3 - 2 * q: 2 * m - 2 - q for q in ps}
-    states, walkers = {(): (1, 1)}, 0
+    states, walkers, waiting = {(): (1, 1)}, 0, len(ps)
     for s in range(2 * ps.start, last + 1):
         if s in enter:
-            p, walkers = enter[s], walkers + 1
+            p, walkers, waiting = enter[s], walkers + 1, waiting - 1
             states = {(p,) + xs: v for xs, v in states.items() if not xs or xs[0] > p}
         fold, target, kept = s + m - 1, leave.get(s), {}
         for xs, (signed, doubly) in states.items():
@@ -197,7 +204,7 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
                 if target not in xs:
                     continue
                 j = xs.index(target)
-                xs, signed = xs[:j] + xs[j + 1 :], -signed if j % 2 else signed
+                xs, signed = xs[:j] + xs[j + 1 :], -signed if (j + waiting) % 2 else signed
             kept[xs] = (signed, doubly)
         states, walkers = kept, walkers - (target is not None)
         for k in reversed(range(walkers if s < last else 0)):
@@ -212,7 +219,7 @@ def transfer_counts(m: int, i: int) -> tuple[int, int]:
                     moved[key] = (a + signed, b + doubly)
             states = moved
             if len(states) > STATE_BUDGET:
-                raise BudgetExceeded(f"budget exceeded: over {STATE_BUDGET} states at ({m}, {i})")
+                raise BudgetExceeded(f"budget exceeded: over {STATE_BUDGET} states")
     return states.get((), (0, 0))
 
 
@@ -370,58 +377,3 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
 
     extend(0, 0, 0, 0)
     return size, signed, ok and not pending
-
-
-# -- determinant adjudication -------------------------------------------------
-
-
-class DvdVerdict(NamedTuple):
-    """Determinant vs doubly-disjoint count, plus the nonvanishing rule."""
-
-    m: int
-    i: int
-    h: int
-    det: int
-    predicted_sign: int
-    signed_sum: Optional[int]
-    n_doubly: Optional[int]
-    count_matches_det: Optional[bool]
-    nonvanishing_rule_agrees: bool
-
-    @property
-    def in_rule_range(self) -> bool:
-        return self.m >= 2 and self.i <= self.m - 1
-
-
-def check_dvd_theorem(
-    m: int, i: int, mode: Literal["sweep", "det_only"] = "sweep"
-) -> DvdVerdict:
-    """Compare det(path matrix), the report's exact window determinant
-    (lefschetz.degree_verdict, off the number wall), against
-    (-1)^flo(h_i) * N(i, m), and record whether (det != 0) matches
-    (2 h_i <= m).
-
-    The nonvanishing rule can genuinely disagree with the determinant (it
-    does at (m, i) = (5, 6), where det = -1 yet 2 h_i = 6 > 5); the verdict
-    reports the disagreement instead of raising.  Computation shows the
-    rule reliable only for m >= 2 and i <= m - 1, where the basis range
-    starts at 0; ``in_rule_range`` exposes that region.  The sweep mode reads
-    N and the signed (Lindstrom-Gessel-Viennot) sum from one transfer sweep,
-    so it compares the two routes with no elimination and no path matrix.
-    """
-    from . import lefschetz  # the algebraic route, which the other checks never load
-
-    if mode not in ("sweep", "det_only"):
-        raise ValueError(f"unknown mode {mode!r}")
-    verdict = lefschetz.degree_verdict(m, i)
-    h, det = verdict.h, verdict.det
-    predicted_sign = -1 if flo(h) % 2 else 1
-    signed = n_doubly = matches = None
-    if mode == "sweep":
-        signed, n_doubly = transfer_counts(m, i)
-        matches = det == predicted_sign * n_doubly
-    return DvdVerdict(
-        m=m, i=i, h=h, det=det, predicted_sign=predicted_sign, signed_sum=signed,
-        n_doubly=n_doubly, count_matches_det=matches,
-        nonvanishing_rule_agrees=(det != 0) == (2 * h <= m),
-    )

@@ -6,8 +6,9 @@ wall over b (hankel_wall) gives the leading minors on every basis start, and
 each window's determinant, rank and signature come off them.  A window the
 wall cannot settle, or a b that fails its check against the relation
 f_m o F_m = 0 and the lattice path counts, raises ArithmeticError;
-degree_verdict, signature_crosscheck and the path route read the report.
-No oracle module (algebra, exact) is imported: only hilbert and lattice.
+degree_verdict, signature_crosscheck and path_routes, which compares the
+two routes, read the report.  No oracle module (algebra, exact) is
+imported: only hilbert and lattice, which imports nothing from here.
 The factors (3m-3-2i)!, (d-2i)! > 0 between a window and the degree-i
 pairing matrix change neither sign, rank, nor signature.  The linear form
 is e1 (degree 1 is one-dimensional), and its positive rescalings only
@@ -29,9 +30,9 @@ reports show them as the claims they are.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from . import lattice
+from . import BudgetExceeded, lattice
 from .hilbert import (
     basis_range, check_degree, dual_numerator, flo, hilbert_m2_closed, relation_residues, socle_degree
 )
@@ -290,3 +291,52 @@ def signature_crosscheck(m: int, i: int) -> SignatureCrosscheck:
     signature = report.verdicts[i].signature
     expected = sum((-1) ** j * report.verdicts[2 * j].primitive_dim for j in range(flo(i) + 1))
     return SignatureCrosscheck(m, i, True, signature, expected, signature == expected)
+
+
+class PathRoute(NamedTuple):
+    """The path route at degree i against the report's determinant."""
+
+    m: int
+    i: int
+    h: int
+    det: int
+    predicted_sign: int
+    signed_sum: Optional[int]
+    n_doubly: Optional[int]
+    count_matches_det: Optional[bool]
+    nonvanishing_rule_agrees: bool
+    ok: Optional[bool]
+
+    @property
+    def in_rule_range(self) -> bool:
+        return self.m >= 2 and self.i <= self.m - 1
+
+
+def path_routes(m: int, degrees: Iterable[int], sweep: bool = True) -> list[PathRoute]:
+    """The path route at each degree, one record built per basis range (its
+    degrees share the window, det and sweep; their records differ in i).  The
+    transfer sweep gives the signed (Lindstrom-Gessel-Viennot) sum and N, and
+    ok holds iff signed == det == (-1)^flo(h_i) * N; with no sweep, all four
+    are None.  The rule (det != 0) == (2 h_i <= m) is recorded, not raised:
+    it fails at (5, 6), det = -1, and holds for m >= 2, i <= m-1 (in_rule_range).
+    """
+    routes: list[PathRoute] = []
+    for i in degrees:
+        check_degree(m, i)
+        ps = basis_range(m, i)
+        if routes and basis_range(m, routes[-1].i) == ps:
+            routes.append(routes[-1]._replace(i=i))
+            continue
+        v = degree_verdict(m, i)
+        sign = -1 if flo(v.h) % 2 else 1
+        signed = n_doubly = matches = ok = None
+        if sweep:
+            try:
+                signed, n_doubly = lattice.transfer_counts(m, ps)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"{exc} at ({m}, {i})") from None
+            matches = v.det == sign * n_doubly
+            ok = matches and signed == v.det
+        rule = (v.det != 0) == (2 * v.h <= m)
+        routes.append(PathRoute(m, i, v.h, v.det, sign, signed, n_doubly, matches, rule, ok))
+    return routes

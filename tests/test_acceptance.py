@@ -16,6 +16,7 @@ from lefpath.catalan import (
 )
 from lefpath.exact import ExactMatrix
 from lefpath.hilbert import (
+    basis_range,
     c_coeff,
     dual_numerator,
     flo,
@@ -23,12 +24,8 @@ from lefpath.hilbert import (
     hilbert_series,
     relation_residues,
 )
-from lefpath.lattice import (
-    check_dvd_theorem,
-    path_matrix,
-    transfer_counts,
-)
-from lefpath.lefschetz import complex_hrr_expected_sign, property_report
+from lefpath.lattice import path_matrix, transfer_counts
+from lefpath.lefschetz import complex_hrr_expected_sign, path_routes, property_report
 from lefpath.partitions import degree_formula_matches_hessian, partition_gf
 
 from conftest import (
@@ -92,18 +89,17 @@ def test_criterion_05_lgv_oracle():
     ok = True
     for m in range(2, 6):
         for i in range(flo(3 * (m - 1)) + 1):
-            ok &= transfer_counts(m, i)[0] == path_matrix(m, i).det()
+            ok &= transfer_counts(m, basis_range(m, i))[0] == path_matrix(m, i).det()
     _verdict(5, "signed vertex-disjoint sum = determinant for m <= 5", ok)
 
 
 def test_criterion_06_doubly_disjoint_theorem():
-    v53 = check_dvd_theorem(5, 3, "sweep")
-    v54 = check_dvd_theorem(5, 4, "sweep")
+    v53, v54 = path_routes(5, [3, 4])
     ok = (v53.n_doubly, v53.predicted_sign) == (125, -1) and v53.count_matches_det
     ok &= v54.n_doubly == 0 and v54.det == 0
     for m in range(2, 6):
-        for i in range(flo(3 * (m - 1)) + 1):
-            ok &= check_dvd_theorem(m, i, "sweep").count_matches_det
+        for route in path_routes(m, range(flo(3 * (m - 1)) + 1)):
+            ok &= route.count_matches_det and route.ok
     for m, i in [(4, 2), (5, 4)]:
         n_set = {
             s
@@ -121,10 +117,9 @@ def test_criterion_06_doubly_disjoint_theorem():
 def test_criterion_07_nonvanishing_rule():
     ok = True
     for m in range(2, 21):
-        for i in range(min(m - 1, flo(3 * (m - 1))) + 1):
-            verdict = check_dvd_theorem(m, i, "det_only")
+        for verdict in path_routes(m, range(min(m - 1, flo(3 * (m - 1))) + 1), sweep=False):
             ok &= verdict.nonvanishing_rule_agrees
-    counterexample = check_dvd_theorem(5, 6, "det_only")
+    (counterexample,) = path_routes(5, [6], sweep=False)
     ok &= counterexample.det == -1
     ok &= 2 * counterexample.h == 6 > 5
     ok &= not counterexample.nonvanishing_rule_agrees

@@ -114,7 +114,23 @@ def test_lattice_dvd_count_flags_rule_mismatch(capsys):
             f"FLAG: nonvanishing rule disagrees at (m,i)=({m},{i}): "
             f"{first.split()[-1]} but 2*h_i={h2} vs m={m}; {rule} {reach}\n"
         ), m
-    assert not lattice.check_dvd_theorem(1, 0).in_rule_range
+    assert not lefschetz.path_routes(1, [0])[0].in_rule_range
+
+
+def test_window_commands_sweep_past_the_scans_cut_off(capsys):
+    # the lattice scan sweeps to m = 12; the window commands sweep any window
+    # under STATE_BUDGET, so m = 16 keeps its sweep
+    assert cli._SCAN_SWEEP_MAX < 16
+    assert run(capsys, "lattice", "16", "8", "dvd-count") == (
+        0,
+        "N=78337696403036138673274880 sign=+1 det=78337696403036138673274880 OK\n",
+        "",
+    )
+    assert run(capsys, "lattice", "16", "12", "lgv-check") == (
+        0,
+        "signed_sum=-3554718602051584 det=-3554718602051584 OK\n",
+        "",
+    )
 
 
 def test_lattice_involution_check(capsys):
@@ -318,7 +334,7 @@ def test_lattice_scan_rows_equal_single_degree_verdicts(capsys):
         (m, i) for m in range(2, 6) for i in range(3 * (m - 1) // 2 + 1)
     ]
     for row in rows:
-        v = lattice.check_dvd_theorem(row["m"], row["i"], "sweep")
+        (v,) = lefschetz.path_routes(row["m"], [row["i"]])
         assert row == {
             "m": v.m,
             "i": v.i,
@@ -455,6 +471,10 @@ _ORACLES = ["lefpath.algebra", "lefpath.exact", "fractions"]
             ["scan", "--mode", "catalan", "--m", "2..3"],
             ["lefpath.algebra", "lefpath.lefschetz", "lefpath.exact", "fractions", "decimal"],
         ),
+        (
+            ["scan", "--mode", "partitions", "--m", "2..3", "--n", "1..3"],
+            ["fractions", "decimal", "lefpath.exact", "lefpath.algebra"],
+        ),
     ],
     ids=[
         "help",
@@ -465,13 +485,15 @@ _ORACLES = ["lefpath.algebra", "lefpath.exact", "fractions"]
         "scan-lattice",
         "dvd-count",
         "scan-catalan",
+        "scan-partitions",
     ],
 )
 def test_commands_load_only_what_they_run(argv, modules):
     # the records are NamedTuples, json and csv load in the formats that
     # write them, only path_matrix reads exact, the verdicts and the path
-    # route read no oracle module, and the catalan scan reads hilbert's
-    # sequences, not algebra's polynomials, over ints that need no exact
+    # route read no oracle module, the catalan scan reads hilbert's
+    # sequences, not algebra's polynomials, over ints that need no exact, and
+    # the partitions scan checks the degree formula in integers
     assert _loaded_after(argv, modules) == "loaded: []"
 
 
@@ -505,7 +527,7 @@ def test_records_hash_and_compare_over_their_fields():
         hilbert.unimodality_record(hilbert.hilbert_series(3, 2)),
         lattice.vertex_sets(4, 2),
         next(enumerate_systems(4, 2)),
-        lattice.check_dvd_theorem(4, 2),
+        lefschetz.path_routes(4, [2])[0],
         report.verdicts[2],
         report.claim_flags[0],
         report,
@@ -524,10 +546,39 @@ def test_records_hash_and_compare_over_their_fields():
 
 
 def test_failed_verification_sets_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(lattice, "transfer_counts", lambda m, i: (999, 0))
+    monkeypatch.setattr(lattice, "transfer_counts", lambda m, indices: (999, 0))
     code, out, _ = run(capsys, "lattice", "5", "3", "lgv-check")
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("off", [(1, 0), (0, 1)], ids=["signed", "n"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "5", "3", "lgv-check"],
+        ["lattice", "5", "3", "dvd-count"],
+        ["scan", "--mode", "lattice", "--m", "5", "--format", "json"],
+    ],
+    ids=["lgv-check", "dvd-count", "scan"],
+)
+def test_a_sweep_off_by_one_fails_every_path_route_view(capsys, monkeypatch, off, argv):
+    # the record's one ok covers signed == det and det == (-1)^flo(h) N: a
+    # sweep whose signed sum or whose N is off by one fails each command
+    real = lattice.transfer_counts
+
+    def tampered(m, indices):
+        signed, n_doubly = real(m, indices)
+        return signed + off[0], n_doubly + off[1]
+
+    monkeypatch.setattr(lattice, "transfer_counts", tampered)
+    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    if argv[0] == "scan":
+        assert json.loads(out)["all_checks_pass"] is False
+    else:
+        assert "MISMATCH" in out.splitlines()[0]
 
 
 @pytest.mark.parametrize("action", ["lgv-check", "dvd-count"])

@@ -33,21 +33,33 @@ from conftest import (
 
 from lefpath import lattice
 
-from lefpath.hilbert import flo, hilbert_m2_closed
+from lefpath.exact import ExactMatrix
+from lefpath.hilbert import basis_range, flo, hilbert_m2_closed
 from lefpath.lattice import (
-    check_dvd_theorem,
     check_involution,
     count_paths,
     path_matrix,
     transfer_counts,
     vertex_sets,
 )
+from lefpath.lefschetz import path_routes
 
 
 def all_instances(max_m):
     for m in range(2, max_m + 1):
         for i in range(flo(3 * (m - 1)) + 1):
             yield m, i
+
+
+def window_sweep(m, i):
+    """The transfer sweep over degree i's window."""
+    return transfer_counts(m, basis_range(m, i))
+
+
+def route(m, i, sweep=True):
+    """The path-route record at (m, i)."""
+    (record,) = path_routes(m, [i], sweep)
+    return record
 
 
 def all_paths(max_m):
@@ -255,9 +267,9 @@ def test_double_reflection_restores_lower_segments():
 
 
 def test_doubly_counts_match_worked_example():
-    assert transfer_counts(5, 3)[1] == 125
-    assert transfer_counts(5, 4)[1] == 0
-    assert transfer_counts(5, 6)[1] == 1
+    assert window_sweep(5, 3)[1] == 125
+    assert window_sweep(5, 4)[1] == 0
+    assert window_sweep(5, 6)[1] == 1
 
 
 def test_unique_doubly_system_at_5_6():
@@ -270,15 +282,15 @@ def test_unique_doubly_system_at_5_6():
 
 
 def test_lgv_examples():
-    assert transfer_counts(5, 3)[0] == -125
-    assert transfer_counts(5, 4)[0] == 0
-    assert transfer_counts(2, 0)[0] == 2
+    assert window_sweep(5, 3)[0] == -125
+    assert window_sweep(5, 4)[0] == 0
+    assert window_sweep(2, 0)[0] == 2
 
 
 def test_lgv_matches_determinant_exhaustively():
     for m, i in all_instances(5):
         det = path_matrix(m, i).det()
-        assert transfer_counts(m, i)[0] == det
+        assert window_sweep(m, i)[0] == det
 
 
 def test_doubly_systems_reverse_order():
@@ -295,34 +307,53 @@ def test_doubly_systems_reverse_order():
 
 def test_dvd_theorem_exhaustively():
     for m, i in all_instances(5):
-        verdict = check_dvd_theorem(m, i, "sweep")
-        assert verdict.count_matches_det
+        verdict = route(m, i)
+        assert verdict.count_matches_det and verdict.ok
+        assert verdict.signed_sum == verdict.det
         assert verdict.det == verdict.predicted_sign * verdict.n_doubly or (
             verdict.det == 0 and verdict.n_doubly == 0
         )
 
 
 def test_dvd_verdict_fields():
-    v = check_dvd_theorem(5, 3, "sweep")
-    assert (v.det, v.predicted_sign, v.n_doubly) == (-125, -1, 125)
-    assert v.count_matches_det and v.nonvanishing_rule_agrees
-    v = check_dvd_theorem(5, 4, "sweep")
-    assert (v.det, v.n_doubly) == (0, 0)
-    assert v.nonvanishing_rule_agrees
-    v = check_dvd_theorem(5, 6, "sweep")
-    assert (v.det, v.n_doubly, v.count_matches_det) == (-1, 1, True)
+    v = route(5, 3)
+    assert (v.det, v.predicted_sign, v.signed_sum, v.n_doubly) == (-125, -1, -125, 125)
+    assert v.count_matches_det and v.nonvanishing_rule_agrees and v.ok
+    v = route(5, 4)
+    assert (v.det, v.signed_sum, v.n_doubly) == (0, 0, 0)
+    assert v.nonvanishing_rule_agrees and v.ok
+    v = route(5, 6)
+    assert (v.det, v.n_doubly, v.count_matches_det, v.ok) == (-1, 1, True, True)
     assert not v.nonvanishing_rule_agrees  # det != 0 yet 2*h = 6 > 5
     assert not v.in_rule_range
     # the rule's range starts at m = 2: at (1, 0), det = 1 yet 2*h = 2 > 1
-    v = check_dvd_theorem(1, 0, "sweep")
+    v = route(1, 0)
     assert not v.nonvanishing_rule_agrees and not v.in_rule_range
-    assert check_dvd_theorem(2, 1, "sweep").in_rule_range
+    assert route(2, 1).in_rule_range
 
 
-def test_det_only_mode():
-    v = check_dvd_theorem(5, 3, "det_only")
+def test_route_without_its_sweep_reads_the_det_only():
+    v = route(5, 3, sweep=False)
     assert v.n_doubly is None and v.count_matches_det is None
+    assert v.signed_sum is None and v.ok is None
     assert v.det == -125
+    assert v == route(5, 3)._replace(signed_sum=None, n_doubly=None, count_matches_det=None, ok=None)
+
+
+def test_routes_share_one_record_per_basis_range(monkeypatch):
+    # degrees on one basis range read one window and one sweep; each record
+    # is still its own degree's
+    swept = []
+    real = lattice.transfer_counts
+    monkeypatch.setattr(lattice, "transfer_counts", lambda m, ps: swept.append(ps) or real(m, ps))
+    for m in range(1, 9):
+        degrees = range(flo(3 * (m - 1)) + 1)
+        swept.clear()
+        routes = path_routes(m, degrees)
+        assert [r.i for r in routes] == list(degrees)
+        assert swept == list(dict.fromkeys(basis_range(m, i) for i in degrees))
+        assert routes == [route(m, i) for i in degrees]
+        assert all(r.ok for r in routes)
 
 
 def test_pruned_enumeration_equals_filtered_brute_force():
@@ -338,7 +369,7 @@ def test_pruned_enumeration_equals_filtered_brute_force():
         ]
         assert list(enumerate_systems(m, i)) == disjoint
         assert [s for s in enumerate_systems(m, i) if is_doubly_vertex_disjoint(s)] == doubly
-        assert transfer_counts(m, i) == (sum(s.sign for s in disjoint), len(doubly))
+        assert window_sweep(m, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
 def test_transfer_counts_equal_the_enumeration_oracle_at_m6():
@@ -348,39 +379,82 @@ def test_transfer_counts_equal_the_enumeration_oracle_at_m6():
         disjoint = list(enumerate_systems(6, i))
         assert all(vertex_disjoint(s.paths) for s in disjoint)
         doubly = [s for s in disjoint if vertex_disjoint(flipped_paths(s))]
-        assert transfer_counts(6, i) == (sum(s.sign for s in disjoint), len(doubly))
+        assert window_sweep(6, i) == (sum(s.sign for s in disjoint), len(doubly))
 
 
 def test_transfer_counts_equal_determinant_and_sign_law_to_m12():
     # every window of m <= 12: the signed sum is det, and (-1)^flo(h_i) N = det
     for m, i in all_instances(12):
         det = path_matrix(m, i).det()
-        signed, n_doubly = transfer_counts(m, i)
+        signed, n_doubly = window_sweep(m, i)
         assert signed == det, (m, i)
         assert (-1) ** flo(hilbert_m2_closed(m, i)) * n_doubly == det, (m, i)
 
 
 def test_transfer_counts_examples():
-    assert transfer_counts(1, 0) == (1, 1)  # one source on its own target
-    assert transfer_counts(5, 3) == (-125, 125)
-    assert transfer_counts(6, 6) == (-2, 2)
-    assert transfer_counts(7, 0) == (9996, 9996)
-    assert transfer_counts(7, 2) == (-124852, 124852)
-    assert transfer_counts(7, 6) == (0, 0)
-    with pytest.raises(ValueError):
-        transfer_counts(5, 7)
+    assert window_sweep(1, 0) == (1, 1)  # one source on its own target
+    assert window_sweep(5, 3) == (-125, 125)
+    assert window_sweep(6, 6) == (-2, 2)
+    assert window_sweep(7, 0) == (9996, 9996)
+    assert window_sweep(7, 2) == (-124852, 124852)
+    assert window_sweep(7, 6) == (0, 0)
+
+
+# (m, [signed per degree]) for every degree of m <= 10, N = |signed|
+_SWEPT = {
+    1: [1],
+    2: [2, 2],
+    3: [9, 9, 0, 1],
+    4: [48, 48, -4, -4, -1],
+    5: [275, 275, -125, -125, 0, -5, -1],
+    6: [1638, 1638, -3861, -3861, -8, -8, -2, -2],
+    7: [9996, 9996, -124852, -124852, -2401, -2401, 0, -49, 0, -1],
+    8: [62016, 62016, -4217088, -4217088, -491776, -491776, 16, 16, 4, 4, 1],
+    9: [389367, 389367, -147637809, -147637809, -95128668, -95128668, 59049, 59049, 0, 729, 0,
+        9, 1],
+    10: [2466750, 2466750, -5320748125, -5320748125, -18563432250, -18563432250, 91864525,
+         91864525, 32, 32, 8, 8, 2, 2],
+}
+
+
+def test_transfer_counts_pin_every_degree_to_m10():
+    for m, signed in _SWEPT.items():
+        assert [window_sweep(m, i) for i in range(flo(3 * (m - 1)) + 1)] == [
+            (s, abs(s)) for s in signed
+        ], m
+
+
+def test_transfer_counts_signed_sum_is_det_on_every_contiguous_range():
+    # any range of sources and targets in 0..m-1, not only a basis range:
+    # sources that enter after a target leaves, and a last source that
+    # reaches no target (a zero row)
+    for m in range(1, 9):
+        for start in range(m):
+            for stop in range(start + 1, m + 1):
+                ps = range(start, stop)
+                det = ExactMatrix(
+                    [[count_paths((p, p), (2 * m - 2 - q, m - 1 - q)) for q in ps] for p in ps]
+                ).det()
+                assert transfer_counts(m, ps)[0] == det, (m, ps)
+
+
+def test_transfer_counts_reject_a_range_outside_the_window():
+    for ps in [range(0), range(3, 3), range(3, 6), range(-1, 2), range(0, 4, 2)]:
+        with pytest.raises(ValueError):
+            transfer_counts(5, ps)
+    assert transfer_counts(5, range(4, 5)) == (0, 0)  # (4, 4) reaches no target
 
 
 def test_transfer_sweep_stops_at_its_state_budget(monkeypatch):
     # m <= 16 fits the budget; a larger window fails fast instead of growing
     started = time.perf_counter()
     with pytest.raises(lattice.BudgetExceeded, match="budget exceeded"):
-        transfer_counts(30, 20)
+        window_sweep(30, 20)
     assert time.perf_counter() - started < 10
     monkeypatch.setattr(lattice, "STATE_BUDGET", 34)  # m = 7 peaks at 35
     with pytest.raises(lattice.BudgetExceeded):
-        transfer_counts(7, 6)
-    assert transfer_counts(6, 4) == (-8, 8)  # peaks at 20
+        window_sweep(7, 6)
+    assert window_sweep(6, 4) == (-8, 8)  # peaks at 20
 
 
 def test_check_involution_counts_n_and_cancels():
