@@ -310,12 +310,17 @@ def _report_table(report: lefschetz.PropertyReport) -> str:
         f"summary: max_sl_degree={report.max_sl_degree} hlp={report.hlp} "
         f"max_chrr_degree={report.max_chrr_degree}"
     )
-    for flag in report.claim_flags:
-        if not flag.agrees:
-            lines.append(
-                f"FLAG: {flag.claim} | expected {flag.expected} | computed {flag.computed}"
-            )
+    lines += _claim_flags(report)
     return "\n".join(lines) + "\n"
+
+
+def _claim_flags(report: lefschetz.PropertyReport, prefix: str = "") -> list[str]:
+    """One FLAG line per claim the report disagrees with."""
+    return [
+        f"FLAG: {prefix}{f.claim} | expected {f.expected} | computed {f.computed}"
+        for f in report.claim_flags
+        if not f.agrees
+    ]
 
 
 def _report_json(report: lefschetz.PropertyReport) -> dict:
@@ -377,13 +382,8 @@ def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
 
     (m, _) = key
     report = lefschetz.property_report(m)
-    flags = [
-        f"FLAG: m={m}: {f.claim} | expected {f.expected} | computed {f.computed}"
-        for f in report.claim_flags
-        if not f.agrees
-    ]
     rows = [[m, *_verdict_row(v)] for v in report.verdicts]
-    return {"rows": rows, "ok": True, "flags": flags}
+    return {"rows": rows, "ok": True, "flags": _claim_flags(report, f"m={m}: ")}
 
 
 # the lattice scan's columns, each a lefschetz.PathRoute attribute of that name

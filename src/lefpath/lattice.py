@@ -4,11 +4,13 @@ Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
 vertices on the shifted diagonal y = x - (m - 1).  The degree-i weighted
 path matrix reproduces the degree-i pairing matrix of the dual generator
-(up to the factorial scale).  Its determinant, which the verdicts read off
-the number wall of lefschetz.property_report, is recomputed here two
-independent ways: as a signed sum over vertex-disjoint path systems, and
-as a signed count of doubly-vertex-disjoint systems obtained after a
-sign-reversing cancellation.  Both counts come from one transfer sweep over
+(up to the factorial scale).  Its entries are read off one walker's row DP,
+target_path_counts: the matrix is the window [b_(p+q)] of the counts to
+the targets.  Its determinant, which the verdicts read off the number wall of
+lefschetz.property_report, is recomputed here two independent ways: as a
+signed sum over vertex-disjoint path systems, and as a signed count of
+doubly-vertex-disjoint systems obtained after a sign-reversing
+cancellation.  Both counts come from one transfer sweep over
 the anti-diagonals x + y = s, holding at most STATE_BUDGET states.  The
 involution check enumerates the systems one by one, at most SYSTEM_BUDGET,
 in one recursive pass over a per-degree table of plain tuples (_table, at
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import BudgetExceeded
@@ -38,33 +39,6 @@ if TYPE_CHECKING:
 Point = tuple[int, int]
 
 _SWAP = str.maketrans("NE", "EN")
-
-
-def _reachable(source: Point, target: Point) -> bool:
-    """Whether any path joins a source on y = x to a target below it."""
-    a, a2 = source
-    if a != a2:
-        raise ValueError(f"source {source} must lie on the diagonal y = x")
-    b, c = target
-    if c > b:
-        raise ValueError(f"target {target} lies above the diagonal")
-    return c >= a and b >= a
-
-
-def count_paths(source: Point, target: Point) -> int:
-    """Number of subdiagonal NE paths from (a, a) to (b, c).
-
-    Closed form ((b - c + 1)/(b + c - 2a + 1)) * C(b + c - 2a + 1, c - a);
-    zero when the target is unreachable (c < a or b < a).
-    """
-    if not _reachable(source, target):
-        return 0
-    (a, _), (b, c) = source, target
-    n = b + c - 2 * a + 1
-    count, remainder = divmod((b - c + 1) * comb(n, c - a), n)
-    if remainder:
-        raise ArithmeticError(f"path count {source} -> {target} is not an integer")
-    return count
 
 
 def target_path_counts(m: int) -> list[int]:
@@ -87,10 +61,9 @@ class VertexSets(NamedTuple):
     targets: tuple[Point, ...]
 
 
-@lru_cache(maxsize=16)
 def vertex_sets(m: int, i: int) -> VertexSets:
     """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
-    basis index range (memoised)."""
+    basis index range."""
     check_degree(m, i)
     indices = basis_range(m, i)
     sources = tuple((p, p) for p in indices)
@@ -98,15 +71,21 @@ def vertex_sets(m: int, i: int) -> VertexSets:
     return VertexSets(m, i, sources, targets)
 
 
+def _window(m: int, i: int) -> list[list[int]]:
+    """Paths from (p, p) to (2m-2-q, m-1-q), p and q over basis_range(m, i):
+    those from (0, 0) to (2m-2-s, m-1-s), s = p + q, moved up the diagonal,
+    so the window [b_(p+q)] of target_path_counts(m), 0 past s = m-1."""
+    check_degree(m, i)
+    b, ps = target_path_counts(m) + [0] * m, basis_range(m, i)
+    return [[b[p + q] for q in ps] for p in ps]
+
+
 def path_matrix(m: int, i: int) -> ExactMatrix:
-    """Integer matrix of path counts; equals (3m-3-2i)! times the evaluated
-    degree-i pairing matrix."""
+    """Integer matrix of path counts, the window _window(m, i) of the row DP;
+    equals (3m-3-2i)! times the evaluated degree-i pairing matrix."""
     from .exact import ExactMatrix  # the one reader of exact on the path route
 
-    vs = vertex_sets(m, i)
-    return ExactMatrix(
-        [[count_paths(s, t) for t in vs.targets] for s in vs.sources]
-    )
+    return ExactMatrix(_window(m, i))
 
 
 # -- the involution's path table --------------------------------------------
@@ -313,8 +292,7 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     before any walk past PATH_BUDGET cell paths, and past SYSTEM_BUDGET
     vertex-disjoint systems.
     """
-    vs = vertex_sets(m, i)
-    if sum(count_paths(s, t) for s in vs.sources for t in vs.targets) > PATH_BUDGET:
+    if sum(map(sum, _window(m, i))) > PATH_BUDGET:
         raise BudgetExceeded(f"budget exceeded: over {PATH_BUDGET} paths at ({m}, {i})")
     walk = _table(m, i)[0]
     phi, budget, h = _involution(m, i), SYSTEM_BUDGET, len(walk)

@@ -7,7 +7,7 @@ generating-function identity structural: partition_gf counts the family
 by size from the multiplicity vectors, walked in two halves, and the
 partitions scan compares it with hilbert_series.  The degree formula for
 the socle pairing cross-checks the single entry of the degree-0 path
-matrix, the path count from (0, 0) to (2m-2, m-1).
+matrix, the path count from (0, 0) to (2m-2, m-1) (lattice's row DP).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import BudgetExceeded
-from .lattice import count_paths
+from .lattice import target_path_counts
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -84,8 +84,9 @@ def degree_formula(m: int, n: int) -> Fraction:
 
 
 def degree_formula_matches_hessian(m: int) -> bool:
-    """True iff the n = 2 degree formula equals the degree-0 path count."""
+    """True iff the n = 2 degree formula equals the degree-0 path count,
+    target_path_counts(m)[0], the row DP's count to (2m-2, m-1)."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     numerator, denominator = _degree_formula_terms(m, 2)
-    return numerator == denominator * count_paths((0, 0), (2 * m - 2, m - 1))
+    return numerator == denominator * target_path_counts(m)[0]

@@ -38,7 +38,7 @@ from lefpath.algebra import (
 )
 from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range, c_coeff, check_degree, flo
-from lefpath.lattice import Point, _reachable, perm_sign, vertex_sets
+from lefpath.lattice import Point, perm_sign, vertex_sets
 from lefpath.lefschetz import hankel_moments
 
 
@@ -293,10 +293,20 @@ class LatticePath:
         return f"LatticePath({self.start}, {self.steps!r})"
 
 
+def _reachable(source: Point, target: Point) -> bool:
+    """Whether any path joins a source on y = x to a target below it."""
+    a, a2 = source
+    if a != a2:
+        raise ValueError(f"source {source} must lie on the diagonal y = x")
+    b, c = target
+    if c > b:
+        raise ValueError(f"target {target} lies above the diagonal")
+    return c >= a and b >= a
+
 
 def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
     """All subdiagonal NE paths from source to target, steps in lex order
-    (E before N).  There are count_paths(source, target) of them; the system
+    (E before N), as many as the cell's path_matrix entry; the system
     enumeration tabulates one list per (source, target) cell.  The walk keeps
     each path's mask as it goes (see LatticePath), so no path is walked twice."""
     found: list[LatticePath] = []

@@ -607,13 +607,13 @@ def test_tampered_moment_fails_the_path_route(capsys, monkeypatch, action):
 )
 def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkeypatch, argv):
     # the verdicts and the determinant come off the report's Hankel minors,
-    # with no elimination, and the report checks its moments with no closed
-    # path count and no contraction Hessian; the path matrix stays an oracle
+    # with no elimination, and the report checks its moments with no path
+    # matrix and no contraction Hessian; the path matrix stays an oracle
     # for hessian --paths and lattice count, Bareiss for hessian --det and
     # --rank, the contraction Hessian for hessian without --paths
-    eliminations, matrices, counts, hessians = [], [], [], []
+    eliminations, matrices, hessians = [], [], []
     real_pivots, real_path_matrix = ExactMatrix._pivots, lattice.path_matrix
-    real_count, real_hessian = lattice.count_paths, algebra.hessian
+    real_hessian = algebra.hessian
 
     def pivots(self):
         eliminations.append(self.rows)
@@ -623,25 +623,19 @@ def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkey
         matrices.append((m, i))
         return real_path_matrix(m, i)
 
-    def count_paths(source, target):
-        counts.append((source, target))
-        return real_count(source, target)
-
     def hessian(m, i, point=(1, 0)):
         hessians.append((m, i))
         return real_hessian(m, i, point)
 
     monkeypatch.setattr(ExactMatrix, "_pivots", pivots)
     monkeypatch.setattr(lattice, "path_matrix", path_matrix)
-    monkeypatch.setattr(lattice, "count_paths", count_paths)
     monkeypatch.setattr(algebra, "hessian", hessian)
     monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert eliminations == [] and matrices == [] and counts == [] and hessians == []
+    assert eliminations == [] and matrices == [] and hessians == []
     assert run(capsys, "hessian", "5", "3", "--paths", "--det") == (0, "-125\n", "")
     assert eliminations == [((275, 75), (75, 20))] and matrices == [(5, 3)]  # the spies are live
-    assert len(counts) == 4
     assert run(capsys, "hessian", "5", "3", "--det") == (0, "-5/20736\n", "")
     assert hessians == [(5, 3)]
 
@@ -687,6 +681,13 @@ def test_involution_check_past_its_path_budget_exits_2_fast(capsys):
     assert err.splitlines() == [
         f"lefpath lattice: error: budget exceeded: over {lattice.PATH_BUDGET} paths at (20, 20)"
     ]
+
+
+def test_first_window_past_the_path_budget_exits_2(capsys):
+    # (9, 6)'s cells hold 677,409 paths, past the 131,072 of the budget
+    assert run(capsys, "lattice", "9", "6", "involution-check") == (
+        2, "", "lefpath lattice: error: budget exceeded: over 131072 paths at (9, 6)\n"
+    )
 
 
 def test_partition_walk_past_its_budget_exits_2_fast(capsys):
@@ -969,21 +970,14 @@ def test_crosscheck_reads_every_basis_start(capsys, monkeypatch, m):
 
 
 def test_common_mode_tamper_fails_the_report(capsys, monkeypatch):
-    # dual_numerator(5, 2) and the closed path counts at s = p + q = 2 both
-    # off by one: the two agree with each other, so a check comparing one
-    # with the other passes, but neither source of the moment check shares
-    # their formula
-    real_numerator, real_count = lefschetz.dual_numerator, lattice.count_paths
-
-    def count_paths(source, target):
-        s = source[0] + 4 - target[1]  # p + q for m = 5: target (8 - q, 4 - q)
-        return real_count(source, target) + (target[0] - target[1] == 4 and s == 2)
-
+    # dual_numerator(5, 2) off by one: the path matrix is a window of the
+    # row DP, which shares no formula with it, so the two windows part, and
+    # the moment check's relation sees the change
+    real_numerator = lefschetz.dual_numerator
     monkeypatch.setattr(
         lefschetz, "dual_numerator", lambda mm, n: real_numerator(mm, n) + (mm == 5 and n == 2)
     )
-    monkeypatch.setattr(lattice, "count_paths", count_paths)
-    assert lattice.path_matrix(5, 3).rows == hankel_window(5, 3).rows != ((275, 75), (75, 20))
+    assert lattice.path_matrix(5, 3) != hankel_window(5, 3)
     line = "MISMATCH: moments of m = 5 break the relation f_m o F_m = 0\n"
     assert run(capsys, "report", "5") == (1, "", "lefpath report: " + line)
 

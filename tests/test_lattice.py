@@ -34,10 +34,9 @@ from conftest import (
 from lefpath import lattice
 
 from lefpath.exact import ExactMatrix
-from lefpath.hilbert import basis_range, flo, hilbert_m2_closed
+from lefpath.hilbert import basis_range, dual_numerator, flo, hilbert_m2_closed
 from lefpath.lattice import (
     check_involution,
-    count_paths,
     path_matrix,
     transfer_counts,
     vertex_sets,
@@ -106,46 +105,33 @@ def test_mask_has_one_bit_per_vertex():
         assert p.mask == bits
 
 
-def test_count_examples():
-    assert count_paths((0, 0), (8, 4)) == 275
-    assert count_paths((1, 1), (7, 3)) == 20
-    assert count_paths((0, 0), (2, 1)) == 2
-
-
 def test_target_path_counts_match_the_closed_form():
-    # the one-walker row DP against the closed count, to every target
+    # the one-walker row DP against the ballot numbers m C(3m-2-2s, m-1-s) /
+    # (3m-2-2s) = dual_numerator(m, m-1-s), to every target
     assert lattice.target_path_counts(1) == [1]
     assert lattice.target_path_counts(5) == [275, 75, 20, 5, 1]
     for m in range(1, 31):
-        expected = [count_paths((0, 0), (2 * m - 2 - s, m - 1 - s)) for s in range(m)]
+        expected = [dual_numerator(m, m - 1 - s) for s in range(m)]
         assert lattice.target_path_counts(m) == expected, m
-
-
-def test_count_unreachable():
-    assert count_paths((3, 3), (5, 1)) == 0
-    assert count_paths((3, 3), (1, 1)) == 0
-    assert count_paths((2, 2), (2, 2)) == 1
-
-
-def test_count_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        count_paths((1, 0), (3, 2))
-    with pytest.raises(ValueError):
-        count_paths((0, 0), (1, 2))
 
 
 def test_enumerate_examples():
     assert [p.steps for p in enumerate_paths((0, 0), (2, 1))] == ["EEN", "ENE"]
     assert [p.steps for p in enumerate_paths((0, 0), (0, 0))] == [""]
     assert len(enumerate_paths((1, 1), (7, 3))) == 20
+    assert enumerate_paths((3, 3), (5, 1)) == enumerate_paths((3, 3), (1, 1)) == []
+    with pytest.raises(ValueError):
+        enumerate_paths((1, 0), (3, 2))  # source off the diagonal
+    with pytest.raises(ValueError):
+        enumerate_paths((0, 0), (1, 2))  # target above it
 
 
 def test_enumeration_matches_count_everywhere():
+    # every path matrix entry, the zero ones past s = p + q = m-1 included
     for m, i in all_instances(5):
         vs = vertex_sets(m, i)
-        for s in vs.sources:
-            for t in vs.targets:
-                assert len(enumerate_paths(s, t)) == count_paths(s, t)
+        counts = [[len(enumerate_paths(s, t)) for t in vs.targets] for s in vs.sources]
+        assert path_matrix(m, i).rows == tuple(map(tuple, counts)), (m, i)
 
 
 def test_enumeration_is_sorted_and_unique():
@@ -429,12 +415,11 @@ def test_transfer_counts_signed_sum_is_det_on_every_contiguous_range():
     # sources that enter after a target leaves, and a last source that
     # reaches no target (a zero row)
     for m in range(1, 9):
+        b = lattice.target_path_counts(m) + [0] * m
         for start in range(m):
             for stop in range(start + 1, m + 1):
                 ps = range(start, stop)
-                det = ExactMatrix(
-                    [[count_paths((p, p), (2 * m - 2 - q, m - 1 - q)) for q in ps] for p in ps]
-                ).det()
+                det = ExactMatrix([[b[p + q] for q in ps] for p in ps]).det()
                 assert transfer_counts(m, ps)[0] == det, (m, ps)
 
 
@@ -519,6 +504,17 @@ def test_involution_check_stops_at_its_path_budget(monkeypatch):
         check_involution(4, 2)
     monkeypatch.setattr(lattice, "PATH_BUDGET", 80)
     assert check_involution(4, 2) == involution_both_sides(4, 2)
+
+
+def test_path_budget_figures():
+    # the path counts that the involution check sums before any walk: every
+    # degree of m <= 8 fits the budget, the most at (8, 6), and (9, 6) does not
+    def cell_paths(m, i):
+        return sum(map(sum, path_matrix(m, i).rows))
+
+    most = max(all_instances(8), key=lambda mi: cell_paths(*mi))
+    assert (most, cell_paths(*most)) == ((8, 6), 108_808)
+    assert cell_paths(8, 6) <= lattice.PATH_BUDGET < cell_paths(9, 6) == 677_409
 
 
 def test_dead_vertex_pruning_keeps_the_systems_and_their_order():
