@@ -10,31 +10,24 @@ is exposed as hilbert's relation residues, all of one m read in one pass.
 from __future__ import annotations
 
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .hilbert import dual_numerator, flo, relation_residues
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-def _as_exact(value) -> Fraction:
-    """as_exact, loaded only for a coefficient that is not an int."""
-    from .exact import as_exact
-
-    return as_exact(value)
-
 
 class TruncatedSeries:
-    """Power series truncated at a fixed order, exact coefficients: int
-    coefficients stay int, Fraction ones stay Fraction, floats are rejected."""
+    """Power series truncated at a fixed order, over the ints: any other
+    coefficient (a float, a Fraction, a bool) is rejected."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence):
+    def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
-        self.coeffs = tuple(c if type(c) is int else _as_exact(c) for c in coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"series coefficients are ints, got {c!r}")
+        self.coeffs = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -46,7 +39,7 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
-    def __getitem__(self, n: int) -> int | Fraction:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -61,11 +54,11 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the same order (constant term != 0)."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = c0 if c0 in (1, -1) else _as_exact(1) / c0  # an int stays int at +-1
+        """Multiplicative inverse up to the same order (constant term +-1, the
+        units of the ints)."""
+        inv0 = self.coeffs[0]
+        if inv0 not in (1, -1):
+            raise ValueError(f"series with constant term {inv0} has no integer reciprocal")
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))

@@ -229,9 +229,10 @@ def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
 
 def hankel_window(m: int, i: int) -> ExactMatrix:
     """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
-    [[b_(p+q)]] of hankel_moments(m), p and q over basis_range(m, i)."""
+    [[b_(p+q)]] of hankel_moments(m), 0 past s = m-1, p and q over
+    basis_range(m, i)."""
     check_degree(m, i)
-    b, ps = hankel_moments(m), basis_range(m, i)
+    b, ps = hankel_moments(m) + (0,) * m, basis_range(m, i)
     return ExactMatrix([[b[p + q] for q in ps] for p in ps])
 
 

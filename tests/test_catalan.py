@@ -55,7 +55,7 @@ def test_pow_rejects_negative_exponent():
 
 @pytest.mark.parametrize(
     "series",
-    [catalan_series(12), TruncatedSeries([2, -1, 0, 3]), TruncatedSeries([Fraction(1, 2), 1, 0])],
+    [catalan_series(12), TruncatedSeries([2, -1, 0, 3]), TruncatedSeries([-1, 1, 0])],
 )
 def test_pow_equals_repeated_mul(series):
     product = TruncatedSeries([1] + [0] * series.order)
@@ -67,11 +67,10 @@ def test_pow_equals_repeated_mul(series):
 def test_integer_series_stay_integer():
     assert all(type(c) is int for c in catalan_series(20).pow(40).coeffs)
     assert all(type(c) is int for c in catalan_power(7, 20).mul(catalan_series(20)).coeffs)
-    half = TruncatedSeries([Fraction(1, 2), 3])
-    assert [type(c) for c in half.coeffs] == [Fraction, int]
-    assert [type(c) for c in half.mul(half).coeffs] == [Fraction, Fraction]
     with pytest.raises(TypeError):
         TruncatedSeries([1, 0.5])
+    with pytest.raises(TypeError):
+        TruncatedSeries([Fraction(1, 2), 3])
 
 
 @pytest.mark.parametrize("m", range(1, 41))
@@ -80,17 +79,17 @@ def test_reciprocal_holds_no_float(m):
     assert all(type(c) is int for c in catalan_power_reciprocal(m, 20).coeffs)
 
 
-def test_reciprocal_of_a_non_unit_constant_is_rational():
-    recip = TruncatedSeries([2, 1]).reciprocal()
-    assert recip.coeffs == (Fraction(1, 2), Fraction(-1, 4))
-    assert all(type(c) is Fraction for c in recip.coeffs)
+def test_reciprocal_needs_a_unit_constant():
+    # 1/(2 + x) has no integer coefficients; -1 is the other unit
+    with pytest.raises(ValueError):
+        TruncatedSeries([2, 1]).reciprocal()
     assert TruncatedSeries([-1, 1]).reciprocal().coeffs == (-1, -1)
 
 
 def test_reciprocal_heads():
     assert catalan_power_reciprocal(5, 2).coeffs == (1, -5, 5)
     assert catalan_power_reciprocal(2, 1).coeffs == (1, -2)
-    assert catalan_power_reciprocal(7, 0).coeffs == (Fraction(1),)
+    assert catalan_power_reciprocal(7, 0).coeffs == (1,)
 
 
 @pytest.mark.parametrize("m", range(1, 11))

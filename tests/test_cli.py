@@ -46,6 +46,19 @@ def test_hilbert_closed_form(capsys):
     assert out == "1 1 2 1 2 1 1\n"
 
 
+def test_hilbert_closed_form_mismatch_exits_1_on_one_line(capsys, monkeypatch):
+    # a closed form that parts from the series prints nothing on stdout and
+    # one prefixed MISMATCH line on stderr
+    real = hilbert.hilbert_m2_closed
+    monkeypatch.setattr(hilbert, "hilbert_m2_closed", lambda m, i: real(m, i) + (i == 2))
+    assert run(capsys, "hilbert", "3", "2", "--closed-form") == (
+        1,
+        "",
+        "lefpath hilbert: MISMATCH: closed form (1, 1, 3, 1, 2, 1, 1)"
+        " != series (1, 1, 2, 1, 2, 1, 1)\n",
+    )
+
+
 def test_hilbert_closed_form_needs_n2(capsys, monkeypatch):
     # rejected at the parser, before the series is computed
     def refuse(m, n):
@@ -1036,16 +1049,16 @@ def test_moment_check_failure_exits_1_on_one_line(capsys, monkeypatch, argv):
 
 
 def test_moment_check_at_the_smallest_m(capsys, monkeypatch):
-    # m = 2: b holds one term, b_0 = a_1, fewer than m, and the relation
-    # supplies a_0 = 1; m = 1: b = (a_0,) = (1,), which the lattice commands
-    # and the lattice scan read through the report
-    assert lefschetz.hankel_moments(2) == (2,)
+    # m = 2: b = (a_1, a_0) = (2, 1), though its one window reads b_0 alone;
+    # m = 1: b = (a_0,) = (1,), which the lattice commands and the lattice
+    # scan read through the report
+    assert lefschetz.hankel_moments(2) == (2, 1)
     assert lefschetz.hankel_moments(1) == (1,)
     assert run(capsys, "report", "2")[0] == 0
     assert run(capsys, "lattice", "1", "0", "dvd-count")[0] == 0
     assert run(capsys, "scan", "--mode", "lattice", "--m", "1..3", "--format", "json")[0] == 0
     real = lefschetz.hankel_moments
-    for m, tampered in [(2, (3,)), (1, (2,))]:
+    for m, tampered in [(2, (3, 1)), (1, (2,))]:
 
         def patched(mm, m=m, tampered=tampered):
             return tampered if mm == m else real(mm)

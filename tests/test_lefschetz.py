@@ -5,7 +5,7 @@ every basis start."""
 
 import pytest
 from conftest import det_cofactor
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from lefpath import lefschetz
@@ -73,9 +73,9 @@ def test_a_degree_sweep_builds_one_report(monkeypatch, m):
     # ran one kernel pass per degree and basis start
     real, walls = lefschetz.hankel_wall, []
 
-    def counted(seq, depths):
+    def counted(seq, starts, depth):
         walls.append(seq)
-        return real(seq, depths)
+        return real(seq, starts, depth)
 
     monkeypatch.setattr(lefschetz, "hankel_wall", counted)
     for i in range(flo(3 * (m - 1)) + 1):
@@ -218,13 +218,14 @@ def test_primitive_dims_at_most_one_under_strong_lefschetz():
 
 
 def test_report_moments_are_the_one_sequence():
-    # b_s = a_(m-1-s), 0 for s >= m, through 2 flo(flo(3(m-1))), the largest
-    # p + q of any degree's window: the windows of every degree read this tuple
+    # b_s = a_(m-1-s) for s < m, unpadded (the wall pads it with zeros up to
+    # 2 flo(flo(3(m-1))), the largest p + q of any degree's window): the
+    # windows of every degree read this tuple
     for m in range(1, 41):
         report = property_report(m)
         b = hankel_moments(m)
-        assert len(b) == 2 * flo(flo(3 * (m - 1))) + 1, m
-        assert b == tuple(dual_numerator(m, m - 1 - s) if s < m else 0 for s in range(len(b)))
+        assert len(b) == m
+        assert b == tuple(dual_numerator(m, m - 1 - s) for s in range(m))
         hash(report)  # the frozen report stays hashable
 
 
@@ -233,10 +234,10 @@ def test_report_moments_are_the_one_sequence():
 
 @st.composite
 def _wall_cases(draw):
-    """A sequence and a few (offset, depth) pairs.  The sequence has random
+    """A sequence, a few starts and one depth.  The sequence has random
     entries, small or some forced to zero, which put zero divisors inside
     the wall, or is a sum of a few geometric sequences, whose Hankel
-    matrices have low rank.  An offset two below a forced zero divides by it
+    matrices have low rank.  A start two below a forced zero divides by it
     from W(n, 3) on."""
     size, zeros = draw(st.integers(0, 14)), []
     if draw(st.booleans()):
@@ -251,25 +252,48 @@ def _wall_cases(draw):
             st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=max(size // 2, 0))
         )
         seq = [sum(c * x**t for c, x in terms) for t in range(size)]
-    offsets = draw(st.lists(st.integers(0, size + 1), unique=True, min_size=1, max_size=3))
-    return seq, {n: draw(st.integers(1, 7)) for n in offsets + [t - 2 for t in zeros if t >= 2]}
+    starts = draw(st.lists(st.integers(0, size + 1), unique=True, min_size=1, max_size=3))
+    starts = sorted(set(starts) | {t - 2 for t in zeros if t >= 2})
+    return seq, starts, draw(st.integers(1, 7))
 
 
 def _hankel_block(seq, n, h):
     return [[seq[n + p + q] if n + p + q < len(seq) else 0 for q in range(h)] for p in range(h)]
 
 
+def _zero_divisors(seq, depth):
+    """The entries W(n, k), 3 <= k <= depth, n + k < L (seq[L-1] the last
+    nonzero term), that the wall divides by W(n+2, k-2), in the wall's
+    order, whose divisor elimination finds to be 0."""
+    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
+    return [
+        (n, k)
+        for k in range(3, depth + 1)
+        for n in range(size - k)
+        if ExactMatrix(_hankel_block(seq, n + 2, k - 2)).det() == 0
+    ]
+
+
 @settings(max_examples=300)
 @given(_wall_cases())
 def test_hankel_minors_match_elimination(case):
-    # each list holds true minors, nonzero but perhaps the last; at size
-    # h <= len the rank is h (h-1 at a zero minor), and Sylvester-Jacobi on
-    # the nonzero minors gives the signature
-    seq, depths = case
-    minors = hankel_wall(seq, depths)
-    assert set(minors) == set(depths)
+    # the wall raises, naming the first, exactly when elimination finds a
+    # zero divisor in its rows 2..depth; otherwise each list holds true
+    # minors, running to depth or to its first zero, at size h <= len the
+    # rank is h (h-1 at a zero minor), and Sylvester-Jacobi on the nonzero
+    # minors gives the signature
+    seq, starts, depth = case
+    zero_divisors = _zero_divisors(seq, depth)
+    if zero_divisors:
+        n, k = zero_divisors[0]
+        message = rf"^number wall: W\({n}, {k}\) divides by W\({n + 2}, {k - 2}\) = 0$"
+        with pytest.raises(ArithmeticError, match=message):
+            hankel_wall(seq, starts, depth)
+        return
+    minors = hankel_wall(seq, starts, depth)
+    assert list(minors) == starts
     for n, found in minors.items():
-        assert len(found) <= depths[n] and None not in found and 0 not in found[:-1]
+        assert 0 not in found[:-1] and (len(found) == depth or found[-1] == 0)
         for h in range(1, len(found) + 1):
             rows = _hankel_block(seq, n, h)
             block = ExactMatrix(rows)
@@ -284,51 +308,36 @@ def test_hankel_minors_match_elimination(case):
                 assert det_cofactor(rows) == found[h - 1]
 
 
-@settings(max_examples=300)
-@given(_wall_cases())
-def test_wall_stops_early_only_behind_a_zero_divisor(case):
-    # a list short of its depth with no zero at its end stops before a minor
-    # the wall could not compute: one whose recurrence divides, at some
-    # level, by a zero minor W(n', j), n' >= n+2, inside the computed region
-    seq, depths = case
-    size = max((s + 1 for s, x in enumerate(seq) if x), default=0)
-    for n, found in hankel_wall(seq, depths).items():
-        r = len(found)
-        if r == depths[n] or found[-1:] == [0]:
-            continue
-        divisors = [
-            ExactMatrix(_hankel_block(seq, m, j)).det()
-            for j in range(1, r)
-            for m in range(n + 2, n + 2 * (r + 1 - j) + 1)
-            if m + j < size
-        ]
-        assert 0 in divisors, (n, found)
+@pytest.mark.parametrize("divides_by_zero", [True, False])
+def test_wall_cases_yield_both_outcomes(divides_by_zero):
+    # the strategy reaches walls with and without a zero divisor
+    find(_wall_cases(), lambda case: bool(_zero_divisors(case[0], case[2])) == divides_by_zero)
 
 
 def test_wall_examples():
     # the structural tail: past seq's trailing zeros W(0, 2) = -2^2 and
     # W(0, 3) = 0, with no division at all
-    assert hankel_wall([1, 2, 0, 0, 0], {0: 3}) == {0: [1, -4, 0]}
-    # W(0, 3) divides by W(2, 1) = 0: offset 0 stops before it, and offset 2
-    # at its zero W(2, 1); the true W(0, 3) is -2
-    assert hankel_wall([1, 1, 0, 1, 1], {0: 3, 2: 3}) == {0: [1, -1], 2: [0]}
+    assert hankel_wall([1, 2, 0, 0, 0], [0], 3) == {0: [1, -4, 0]}
+    # W(0, 3) divides by W(2, 1) = 0, so a wall of depth 3 raises; at depth 2
+    # the wall computes no third row, and start 2 stops at its zero W(2, 1);
+    # the true W(0, 3) is -2
+    with pytest.raises(ArithmeticError, match=r"^number wall: W\(0, 3\) divides by W\(2, 1\) = 0$"):
+        hankel_wall([1, 1, 0, 1, 1], [0, 2], 3)
+    assert hankel_wall([1, 1, 0, 1, 1], [0, 2], 2) == {0: [1, -1], 2: [0]}
     assert ExactMatrix(_hankel_block([1, 1, 0, 1, 1], 0, 3)).det() == -2
     # twice the exchange matrix, one entry past the other lists' first zeros
-    assert hankel_wall([0, 0, 2, 0, 0], {0: 3, 1: 2, 2: 3}) == {0: [0], 1: [0], 2: [2, 0]}
-    assert hankel_wall([], {0: 2, 3: 1}) == {0: [0], 3: [0]}
+    assert hankel_wall([0, 0, 2, 0, 0], [0, 1, 2], 3) == {0: [0], 1: [0], 2: [2, 0]}
+    assert hankel_wall([], [0, 3], 2) == {0: [0], 3: [0]}
+    assert hankel_wall([1], [0], 1) == {0: [1]}
 
 
-def _raises_past_the_wall(monkeypatch, moments, degree):
-    """The report of m = 5 over a patched sequence b, padded with zeros to the
-    7 terms its windows read (offsets 0 and 2 are its two basis starts),
-    raises at the first degree whose window the wall cannot settle."""
-
-    def patched(m):
-        return tuple(moments) + (0,) * (7 - len(moments))
-
-    monkeypatch.setattr(lefschetz, "hankel_moments", patched)
+def _raises_past_the_wall(monkeypatch, moments, message):
+    """The report of m = 5 over a patched sequence b of 5 terms (its basis
+    starts are offsets 0 and 2, its largest window 3 x 3) raises
+    ArithmeticError with the message."""
+    monkeypatch.setattr(lefschetz, "hankel_moments", lambda m: tuple(moments))
     assert len(basis_range(5, 4)) == 3
-    with pytest.raises(ArithmeticError, match=rf"at \(m, i\) = \(5, {degree}\):"):
+    with pytest.raises(ArithmeticError, match=message):
         lefschetz.property_report(5)
 
 
@@ -336,8 +345,8 @@ def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
     # all-ones sequence, the moments of no A(m, 2): H_1 = 1, H_2 = 0 on both
     # starts, so the rank rules stop at size 2 and the first size-3 window
     # (degree 4) raises; elimination gives the block det 0, rank 1, signature 1
-    assert hankel_wall([1] * 5, {0: 3, 2: 3}) == {0: [1, 0], 2: [1, 0]}
-    _raises_past_the_wall(monkeypatch, [1] * 5, 4)
+    assert hankel_wall([1] * 5, [0, 2], 3) == {0: [1, 0], 2: [1, 0]}
+    _raises_past_the_wall(monkeypatch, [1] * 5, r"no 3 x 3 window at \(m, i\) = \(5, 4\):")
     ones = ExactMatrix([[1] * 3] * 3)
     assert (ones.det(), ones.rank(), ones.signature()) == (0, 1, 1)
 
@@ -346,30 +355,33 @@ def test_fallback_keeps_the_exact_determinant(monkeypatch):
     # H_1 = 0 on start 0, so its first window of size 2 (degree 2) raises;
     # elimination keeps twice the 3 x 3 exchange matrix's integer
     # determinant -8, not only its sign
-    _raises_past_the_wall(monkeypatch, [0, 0, 2, 0, 0], 2)
+    _raises_past_the_wall(monkeypatch, [0, 0, 2, 0, 0], r"no 2 x 2 window at \(m, i\) = \(5, 2\):")
     exchange = ExactMatrix([[0, 0, 2], [0, 2, 0], [2, 0, 0]])
     det = exchange.det()
     assert (det, det.denominator, exchange.rank(), exchange.signature()) == (-8, 1, 3, 1)
 
 
 def test_zero_divisor_sends_the_start_to_elimination(monkeypatch):
-    # b = (1, 1, 0, 1, 1): W(0, 3) divides by W(2, 1) = 0, so the degree-4
-    # window (size 3 on start 0) raises; test_wall_examples has its
-    # determinant -2 by elimination
-    _raises_past_the_wall(monkeypatch, [1, 1, 0, 1, 1], 4)
+    # b = (1, 1, 0, 1, 1): W(0, 3), which the degree-4 window (size 3 on
+    # start 0) reads, divides by W(2, 1) = 0, so the wall raises, naming the
+    # entry; test_wall_examples has its determinant -2 by elimination
+    _raises_past_the_wall(
+        monkeypatch, [1, 1, 0, 1, 1], r"^number wall: W\(0, 3\) divides by W\(2, 1\) = 0$"
+    )
 
 
 def test_wall_settles_every_window_of_the_moments():
     # the law behind the report's one path: on every basis start of A(m, 2),
     # W(2lo, k) != 0 iff 2k <= m or 2lo + k = m (the anti-triangular tail),
-    # so each start's minors, kept through the first zero, cover its largest
-    # window, and no window is left for elimination
+    # so the wall of the report's depth meets no zero divisor, and each
+    # start's minors, kept through the first zero, cover its largest window
     for m in range(2, 61):
-        depths = {}
+        largest = {}
         for i in range(flo(3 * (m - 1)) + 1):
             ps = basis_range(m, i)
-            depths[2 * ps.start] = max(depths.get(2 * ps.start, 0), len(ps))
-        for n, found in hankel_wall(hankel_moments(m), depths).items():
-            assert len(found) == depths[n], (m, n)
+            largest[2 * ps.start] = max(largest.get(2 * ps.start, 0), len(ps))
+        depth = max(largest.values())
+        for n, found in hankel_wall(hankel_moments(m), largest, depth).items():
+            assert largest[n] <= len(found) <= depth, (m, n)
             for k, minor in enumerate(found, 1):
                 assert (minor != 0) == (2 * k <= m or n + k == m), (m, n, k)
