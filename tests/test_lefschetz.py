@@ -308,6 +308,28 @@ def test_hankel_minors_match_elimination(case):
                 assert det_cofactor(rows) == found[h - 1]
 
 
+@settings(max_examples=300)
+@given(_wall_cases())
+def test_wall_stops_early_only_behind_a_zero_divisor(case):
+    # a list short of the depth stops at a zero minor, which elimination
+    # confirms; a recurrence that would divide by a zero minor does not cut
+    # its list short but raises, naming the first such entry
+    seq, starts, depth = case
+    zero_divisors = _zero_divisors(seq, depth)
+    try:
+        minors = hankel_wall(seq, starts, depth)
+    except ArithmeticError as err:
+        assert zero_divisors, err
+        n, k = zero_divisors[0]
+        assert str(err) == f"number wall: W({n}, {k}) divides by W({n + 2}, {k - 2}) = 0"
+        return
+    assert not zero_divisors
+    for n, found in minors.items():
+        r = len(found)
+        if r < depth:
+            assert found[-1] == 0 and ExactMatrix(_hankel_block(seq, n, r)).det() == 0, (n, found)
+
+
 @pytest.mark.parametrize("divides_by_zero", [True, False])
 def test_wall_cases_yield_both_outcomes(divides_by_zero):
     # the strategy reaches walls with and without a zero divisor
