@@ -3,25 +3,25 @@
 Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
 vertices on the shifted diagonal y = x - (m - 1).  The degree-i weighted
-path matrix reproduces the degree-i pairing matrix of the dual generator
-(up to the factorial scale).  Its entries are read off one walker's row DP,
-target_path_counts: the matrix is the window [b_(p+q)] of the counts to
-the targets.  Its determinant, which the verdicts read off the number wall of
+path matrix reproduces the degree-i pairing matrix of the dual generator (up
+to the factorial scale).  Its entries are read off one walker's row DP,
+target_path_counts: the matrix is the window [b_(p+q)] of the counts to the
+targets.  Its determinant, which the verdicts read off the number wall of
 lefschetz.property_report, is recomputed here two independent ways: as a
 signed sum over vertex-disjoint path systems, and as a signed count of
-doubly-vertex-disjoint systems obtained after a sign-reversing
-cancellation.  Both counts come from one transfer sweep over
-the anti-diagonals x + y = s, holding at most STATE_BUDGET states.  The
-involution check enumerates the systems one by one, at most SYSTEM_BUDGET,
-in one recursive pass over a per-degree table of plain tuples (_table, at
-most PATH_BUDGET paths, counted before any walk) that its surgery also
-reads, and checks each pair of systems once.  A table entry holds the
-vertex sets of a path and of its flip as integer masks, one bit y(2m-1) + x
-per vertex (x, y), so disjointness, pruning and crossings are bitwise, and
-the northern-most-then-eastern-most crossing is the top bit.  No path or
-system object is built.  The module is path combinatorics only: it imports
-no lefschetz, whose path_routes compares these counts with the report's
-determinants, and exact is read only by path_matrix.
+doubly-vertex-disjoint systems obtained after a sign-reversing cancellation.
+Both counts come from one transfer sweep over the anti-diagonals x + y = s,
+holding at most STATE_BUDGET states.  The involution check enumerates the
+systems one by one, at most SYSTEM_BUDGET, in one recursive pass over a
+per-degree table of plain tuples (_table, at most PATH_BUDGET paths, counted
+before any walk) that its surgery also reads, and checks each pair of
+systems once, the image waiting under its masks and permutation.  A table
+entry holds the vertex sets of a path and of its flip as integer masks, one
+bit y(2m-1) + x per vertex (x, y), so disjointness, pruning and crossings
+are bitwise, and the northern-most-then-eastern-most crossing is the top
+bit.  No path or system object is built.  The module is path combinatorics
+only: it imports no lefschetz, whose path_routes compares these counts with
+the report's determinants, and exact is read only by path_matrix.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
 
 
 # A cell path as the involution check holds it: (mask, flip_mask, steps,
-# touches, q); see _table.
-Entry = tuple[int, int, str, tuple[int, ...], int]
+# touches); see _table.  Its cell, not the entry, names its target.
+Entry = tuple[int, int, str, tuple[int, ...]]
 
 
 @lru_cache(maxsize=2)
@@ -102,10 +102,10 @@ def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str,
     target) cell, the paths that miss every other source and target, in lex
     order of steps (E before N), and the same entries keyed by steps.  The
     enumeration walks the lists and the involution's surgery looks its new
-    paths up in the dicts.  An entry is (mask, flip_mask, steps, touches, q):
+    paths up in the dicts.  An entry is (mask, flip_mask, steps, touches):
     the masks hold bit y(2m-1) + x for each vertex (x, y) of the path and of
-    its flip, touches are the step indices at which the path is on the
-    shifted diagonal, and q is the target's index.
+    its flip, and touches are the step indices at which the path is on the
+    shifted diagonal.
 
     The flip reflects every lower primitive segment of the path across the
     shifted diagonal y = x - (m - 1), on which every target lies, so one walk
@@ -125,7 +125,7 @@ def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str,
 
         def step(x, y, height, steps, bit, mask, flip_bit, flip_mask, touches):
             if height == 0 and x >= x_min:
-                row[x_max - x].append((mask, flip_mask, steps, touches, x_max - x))
+                row[x_max - x].append((mask, flip_mask, steps, touches))
                 return
             n = len(steps) + 1
             if x < x_max:
@@ -244,12 +244,12 @@ def _involution(m: int, i: int) -> Callable[[tuple[Entry, ...], tuple[int, ...],
         meeting = [k for k, entry in enumerate(entries) if entry[1] & bit]
         y, x = divmod(top, width)
         if len(meeting) != 2:
-            raise ValueError(f"more than two paths meet at {(x, y)}; system outside the domain")
+            raise ArithmeticError(f"more than two paths meet at {(x, y)}; system outside the domain")
         # a flip passes (x, y) where its path does, or where its path passes
         # the mirror point below the line; the paths are disjoint, so one of each
         up, lo = meeting if entries[meeting[0]][0] & bit else meeting[::-1]
-        _, _, s_lo, t_lo, _ = entries[lo]
-        _, _, s_up, t_up, _ = entries[up]
+        _, _, s_lo, t_lo = entries[lo]
+        _, _, s_up, t_up = entries[up]
         # each path meets the anti-diagonal of the crossing and its mirror
         # once: cut there, and again at the path's next touch of the line
         j_lo, j_up = x + y - diagonals[lo], x + y - diagonals[up]
@@ -264,7 +264,7 @@ def _involution(m: int, i: int) -> Callable[[tuple[Entry, ...], tuple[int, ...],
             s_up[:j_up] + s_lo[j_lo:e_lo].translate(_SWAP) + s_lo[e_lo:]
         )
         if new_lo is None or new_up is None:
-            raise ValueError("surgery misses the swapped targets; system outside the domain")
+            raise ArithmeticError("surgery misses the swapped targets; system outside the domain")
         image = list(entries)
         image[lo], image[up] = new_lo, new_up
         return tuple(image), tuple(new)
@@ -276,8 +276,7 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     """Enumerate the vertex-disjoint systems of degree i and check the
     involution (_involution) on the set N of those not doubly vertex
     disjoint: (|N|, signed sum over N, ok), where ok says every image has the
-    permutation its paths' ends give and the opposite sign, is vertex
-    disjoint, is in N, and maps back.
+    opposite sign and crossing flips, maps back, and is reached.
 
     The systems are built one source at a time, targets ascending and paths
     in lex order, from the _table lists, with no path or system object; the
@@ -287,8 +286,10 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     holds no path through another source or target, so a later source or an
     unused target is never on one.  A system is doubly disjoint iff its
     flips' overlap is 0.  Each pair of N is checked once, from its first
-    member; the image waits, keyed by its masks (which fix it), until the
-    enumeration reaches it.  Past a failure, only counts.  The check stops
+    member; the image waits, keyed by its masks and permutation, until the
+    enumeration reaches it, as it does only if the image is in N under the
+    permutation its paths' ends give.  A surgery that leaves the table
+    raises ArithmeticError.  Past a failure, only counts.  The check stops
     before any walk past PATH_BUDGET cell paths, and past SYSTEM_BUDGET
     vertex-disjoint systems.
     """
@@ -329,29 +330,23 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
                     continue
                 size += 1
                 signed += sign
-                key = (*masks, entry[0])
+                key = (*masks, entry[0], *perm)
                 if key in pending:
                     pending.remove(key)
                 elif ok:
                     system = (*chosen, entry)
                     image, image_perm = phi(system, perm, crossings)
-                    # the image is vertex disjoint and not doubly so: implied
-                    # once it is reached, but checked here so a failure shows
-                    # at this system
-                    seen = shared = flip_seen = flip_shared = 0
-                    for mask, flip_mask, *_ in image:
-                        shared |= seen & mask
-                        seen |= mask
-                        flip_shared |= flip_seen & flip_mask
-                        flip_seen |= flip_mask
+                    # the image's crossings, which its own surgery reads
+                    seen = crossed = 0
+                    for _, flip_mask, *_ in image:
+                        crossed |= seen & flip_mask
+                        seen |= flip_mask
                     ok = (
-                        image_perm == tuple([e[4] for e in image])
-                        and perm_sign(image_perm) == -sign
-                        and not shared
-                        and flip_shared != 0
-                        and phi(image, image_perm, flip_shared) == (system, perm)
+                        perm_sign(image_perm) == -sign
+                        and crossed != 0
+                        and phi(image, image_perm, crossed) == (system, perm)
                     )
-                    pending.add(tuple([e[0] for e in image]))
+                    pending.add((*[e[0] for e in image], *image_perm))
 
     extend(0, 0, 0, 0)
     return size, signed, ok and not pending

@@ -14,8 +14,9 @@ list, the height above the shifted diagonal, a system's flips and its
 vertex- and doubly-vertex-disjointness), the reflection across the
 shifted diagonal, the flip by primitive-segment surgery, the unpruned and
 the collision-pruned system enumerations, the involution check from both
-members of every pair, and the adapter that runs a map of PathSystems in
-place of the check's involution on its table entries."""
+members of every pair, the check's table with one image path gone from
+its lookup, and the adapter that runs a map of PathSystems in place of the
+check's involution on its table entries."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import pytest
 
-from lefpath import lefschetz
+from lefpath import lattice, lefschetz
 from lefpath.algebra import (
     OPERATOR_SIDE,
     GradedPoly,
@@ -652,16 +653,31 @@ def row_major_mask(points, m: int) -> int:
     return sum(1 << y * (2 * m - 1) + x for x, y in set(points))
 
 
-def entry_of(path: LatticePath, m: int, q: int) -> tuple:
-    """The check's table entry of an oracle path to target q."""
+def entry_of(path: LatticePath, m: int) -> tuple:
+    """The check's table entry of an oracle path: (mask, flip_mask, steps,
+    touches).  It names no target; the permutation rides in the check's
+    pending key, and the enumeration reaches a system only under the
+    permutation its paths' ends give."""
     flipped = _fold(path)
     return (
         row_major_mask(vertices(path), m),
         row_major_mask(vertices(flipped), m),
         path.steps,
         path._touches,
-        q,
     )
+
+
+def table_lacking_an_image_path(m: int, i: int):
+    """lattice._table(m, i) with one path of the image of the first system
+    of N gone from the lookup, while the walk keeps it: the path the image
+    takes from the first source at which it parts from the system."""
+    first = next(s for s in enumerate_systems(m, i) if not is_doubly_vertex_disjoint(s))
+    image = involution_phi(first)
+    k = next(k for k, (a, b) in enumerate(zip(first.paths, image.paths)) if a != b)
+    walk, lookup = lattice._table(m, i)
+    lookup = [[dict(cell) for cell in row] for row in lookup]
+    del lookup[k][image.permutation[k]][image.paths[k].steps]
+    return walk, lookup
 
 
 def system_of(m: int, i: int, entries, perm) -> PathSystem:
@@ -672,16 +688,14 @@ def system_of(m: int, i: int, entries, perm) -> PathSystem:
 
 def involution_seam(fake):
     """A stand-in for lattice._involution that runs ``fake``, a map of oracle
-    PathSystems, on the check's entries; each image path's entry names the
-    target the path ends at, whatever permutation the image claims."""
+    PathSystems, on the check's entries; the image's entries are its paths'
+    and its permutation is the one it claims, which rides in the check's
+    pending key next to the paths' masks."""
 
     def involution(m: int, i: int):
-        targets = vertex_sets(m, i).targets
-
         def phi(entries, perm, crossings):
             image = fake(system_of(m, i, entries, perm))
-            entries = tuple(entry_of(p, m, targets.index(p.end)) for p in image.paths)
-            return entries, image.permutation
+            return tuple(entry_of(p, m) for p in image.paths), image.permutation
 
         return phi
 

@@ -17,6 +17,7 @@ from conftest import (
     involution_seam,
     is_doubly_vertex_disjoint,
     is_vertex_disjoint,
+    table_lacking_an_image_path,
 )
 
 from lefpath import algebra, cli, hilbert, lattice, lefschetz, partitions
@@ -790,6 +791,18 @@ def test_involution_check_catches_a_broken_involution(capsys, monkeypatch, fake)
     code, out, _ = run(capsys, "lattice", "4", "2", "involution-check")
     assert code == 1
     assert out.endswith("involution=MISMATCH\n")
+
+
+def test_involution_surgery_off_the_table_exits_1_on_one_line(capsys, monkeypatch):
+    # a surgery whose new path the lookup lacks is a failed identity: one
+    # MISMATCH line, nothing on stdout, no traceback
+    table = table_lacking_an_image_path(4, 2)
+    monkeypatch.setattr(lattice, "_table", lambda m, i: table)
+    code, out, err = run(capsys, "lattice", "4", "2", "involution-check")
+    assert (code, out) == (1, "")
+    assert err == (
+        "lefpath lattice: MISMATCH: surgery misses the swapped targets; system outside the domain\n"
+    )
 
 
 @pytest.mark.parametrize("jobs, tasks, workers", [(5000, 2, 2), (2, 7, 2), (3, 3, 3)])

@@ -28,6 +28,7 @@ from conftest import (
     primitive_segments,
     reflect,
     shifted_offset,
+    table_lacking_an_image_path,
     vertices,
 )
 
@@ -477,12 +478,11 @@ def test_path_table_holds_the_oracle_paths_and_flips():
                         {(b % width, b // width) for b in range(flip.bit_length()) if flip >> b & 1},
                         steps,
                         touches,
-                        q_entry,
                     )
-                    for mask, flip, steps, touches, q_entry in walk[k][q]
+                    for mask, flip, steps, touches in walk[k][q]
                 ]
                 assert decoded == [
-                    (set(vertices(p)), set(vertices(_fold(p))), p.steps, _fold(p)._touches, q)
+                    (set(vertices(p)), set(vertices(_fold(p))), p.steps, _fold(p)._touches)
                     for p in oracle
                 ], (m, i, k, q)
                 assert lookup[k][q] == {entry[2]: entry for entry in walk[k][q]}
@@ -548,10 +548,32 @@ def test_check_involution_needs_every_image_reached(monkeypatch):
     assert check_involution(4, 2)[2] is False
 
 
+def test_check_involution_raises_on_a_surgery_that_leaves_the_table(monkeypatch):
+    # the lookup lacks a path of the first system's image that the walk
+    # keeps: the surgery finds no entry for it, a failed identity
+    table = table_lacking_an_image_path(4, 2)
+    monkeypatch.setattr(lattice, "_table", lambda m, i: table)
+    with pytest.raises(
+        ArithmeticError, match="^surgery misses the swapped targets; system outside the domain$"
+    ):
+        check_involution(4, 2)
+
+
+def test_the_seam_runs_the_true_involution_as_the_check_does(monkeypatch):
+    # control for the fakes run through involution_seam: the oracle's true
+    # involution, given table entries by entry_of and its claimed
+    # permutation in the pending key, passes at every degree of m <= 5
+    monkeypatch.setattr(lattice, "_involution", involution_seam(involution_phi))
+    for m, i in all_instances(5):
+        result = check_involution(m, i)
+        assert result == involution_both_sides(m, i) and result[2] is True, (m, i)
+
+
 def test_check_involution_needs_the_permutation_the_ends_give(monkeypatch):
     # images under a 3-cycle of the true permutation keep the sign and map
-    # back: only the check of the permutation against the paths' ends, which
-    # makes the pending key exact, sees them
+    # back: the permutation rides in the pending key, and the enumeration
+    # reaches the image's paths only under the permutation their ends give,
+    # so the claimed one stays pending
     phi = involution_phi
     targets = vertex_sets(5, 4).targets
 

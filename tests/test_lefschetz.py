@@ -363,7 +363,7 @@ def _raises_past_the_wall(monkeypatch, moments, message):
         lefschetz.property_report(5)
 
 
-def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
+def test_verdict_raises_past_a_zero_minor(monkeypatch):
     # all-ones sequence, the moments of no A(m, 2): H_1 = 1, H_2 = 0 on both
     # starts, so the rank rules stop at size 2 and the first size-3 window
     # (degree 4) raises; elimination gives the block det 0, rank 1, signature 1
@@ -373,7 +373,7 @@ def test_verdict_falls_back_past_a_zero_minor(monkeypatch):
     assert (ones.det(), ones.rank(), ones.signature()) == (0, 1, 1)
 
 
-def test_fallback_keeps_the_exact_determinant(monkeypatch):
+def test_window_past_a_zero_first_minor_raises(monkeypatch):
     # H_1 = 0 on start 0, so its first window of size 2 (degree 2) raises;
     # elimination keeps twice the 3 x 3 exchange matrix's integer
     # determinant -8, not only its sign
@@ -383,7 +383,7 @@ def test_fallback_keeps_the_exact_determinant(monkeypatch):
     assert (det, det.denominator, exchange.rank(), exchange.signature()) == (-8, 1, 3, 1)
 
 
-def test_zero_divisor_sends_the_start_to_elimination(monkeypatch):
+def test_zero_divisor_raises_naming_its_entry(monkeypatch):
     # b = (1, 1, 0, 1, 1): W(0, 3), which the degree-4 window (size 3 on
     # start 0) reads, divides by W(2, 1) = 0, so the wall raises, naming the
     # entry; test_wall_examples has its determinant -2 by elimination
