@@ -110,7 +110,9 @@ def catalan_power_reciprocal(m: int, order: int) -> TruncatedSeries:
 def check_identity_zero(m: int) -> bool:
     """True iff sum_{k=0}^{i} (-1)^k c_coeff(m, k) * dual_numerator(m, i-k) == 0
     for every 1 <= i <= flo(m): the relation residues at x^i of
-    C(x)^m * C(x)^-m, all read in one pass (vacuous at m = 1)."""
+    C(x)^m * C(x)^-m, all read in one pass (vacuous at m = 1).  Every report
+    already checks these residues, and all of j < m, in
+    lefschetz._check_moments; this is the catalan scan's column."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     residues = relation_residues(m, [dual_numerator(m, n) for n in range(flo(m) + 1)])

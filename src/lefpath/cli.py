@@ -249,10 +249,9 @@ def cmd_lattice(args) -> int:
     from . import lattice
 
     if args.action == "count":
-        vs = lattice.vertex_sets(m, i)
-        matrix = lattice.path_matrix(m, i)
-        print(f"sources: {list(vs.sources)}")
-        print(f"targets: {list(vs.targets)}")
+        matrix, w = lattice.path_matrix(m, i), lattice.window(m, hilbert.basis_range(m, i))
+        print(f"sources: {list(w.sources)}")
+        print(f"targets: {list(w.targets)}")
         print(matrix)
         return 0
     if args.action == "involution-check":

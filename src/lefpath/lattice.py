@@ -4,24 +4,26 @@ Paths live in the induced subgraph of Z^2 on {(x, y) : y <= x} with North
 and East steps.  Row vertices sit on the main diagonal y = x, column
 vertices on the shifted diagonal y = x - (m - 1).  The degree-i weighted
 path matrix reproduces the degree-i pairing matrix of the dual generator (up
-to the factorial scale).  Its entries are read off one walker's row DP,
-target_path_counts: the matrix is the window [b_(p+q)] of the counts to the
-targets.  Its determinant, which the verdicts read off the number wall of
-lefschetz.property_report, is recomputed here two independent ways: as a
-signed sum over vertex-disjoint path systems, and as a signed count of
-doubly-vertex-disjoint systems obtained after a sign-reversing cancellation.
-Both counts come from one transfer sweep over the anti-diagonals x + y = s,
-holding at most STATE_BUDGET states.  The involution check enumerates the
-systems one by one, at most SYSTEM_BUDGET, in one recursive pass over a
-per-degree table of plain tuples (_table, at most PATH_BUDGET paths, counted
-before any walk) that its surgery also reads, and checks each pair of
-systems once, the image waiting under its masks and permutation.  A table
-entry holds the vertex sets of a path and of its flip as integer masks, one
-bit y(2m-1) + x per vertex (x, y), so disjointness, pruning and crossings
-are bitwise, and the northern-most-then-eastern-most crossing is the top
-bit.  No path or system object is built.  The module is path combinatorics
-only: it imports no lefschetz, whose path_routes compares these counts with
-the report's determinants, and exact is read only by path_matrix.
+to the factorial scale).  A Window, built by window, fixes where a window's
+sources and targets sit; every box and anti-diagonal is read off them.  The
+matrix's entries are read off one walker's row DP, target_path_counts: it is
+the window [b_(p+q)] of the counts to the targets.  Its determinant, which
+the verdicts read off the number wall of lefschetz.property_report, is
+recomputed here two independent ways: as a signed sum over vertex-disjoint
+path systems, and as a signed count of doubly-vertex-disjoint systems
+obtained after a sign-reversing cancellation.  Both counts come from one
+transfer sweep over the anti-diagonals x + y = s, holding at most
+STATE_BUDGET states.  The involution check enumerates the systems one by
+one, at most SYSTEM_BUDGET, in one recursive pass over a per-window table of
+plain tuples (_table, at most PATH_BUDGET paths, counted before any walk)
+that its surgery also reads, and checks each pair of systems once, the image
+waiting under its masks in target order.  A table entry holds the vertex
+sets of a path and of its flip as integer masks, one bit y(2m-1) + x per
+vertex (x, y), so disjointness, pruning and crossings are bitwise, and the
+northern-most-then-eastern-most crossing is the top bit.  No path or system
+object is built.  The module is path combinatorics only: it imports no
+lefschetz, whose path_routes compares these counts with the report's
+determinants, and exact is read only by path_matrix.
 """
 
 from __future__ import annotations
@@ -52,40 +54,42 @@ def target_path_counts(m: int) -> list[int]:
     return counts[::-1]
 
 
-class VertexSets(NamedTuple):
-    """Row vertices on y = x and column vertices on y = x - (m - 1)."""
+class Window(NamedTuple):
+    """Sources (p, p) on y = x and targets (2m-2-q, m-1-q) on y = x - (m-1), p
+    and q over a contiguous range in 0..m-1 (degree i's is basis_range(m, i)).
+    The rest is read off the vertices: the box (x_max, y_max) is targets[0],
+    the least target x targets[-1][0], and a vertex's anti-diagonal x + y."""
 
     m: int
-    i: int
+    indices: range
     sources: tuple[Point, ...]
     targets: tuple[Point, ...]
 
 
-def vertex_sets(m: int, i: int) -> VertexSets:
-    """Sources (p, p) and targets (2m-2-q, m-1-q), p and q over the degree-i
-    basis index range."""
-    check_degree(m, i)
-    indices = basis_range(m, i)
-    sources = tuple((p, p) for p in indices)
-    targets = tuple((2 * m - 2 - q, m - 1 - q) for q in indices)
-    return VertexSets(m, i, sources, targets)
+def window(m: int, indices: range) -> Window:
+    """The window over indices, a nonempty contiguous range in 0..m-1: the one
+    place that says where a window's ends sit."""
+    ps = indices
+    if not ps or ps.step != 1 or ps.start < 0 or ps.stop > m:
+        raise ValueError(f"need a nonempty contiguous index range in 0..{m - 1}, got {ps}")
+    return Window(m, ps, tuple((p, p) for p in ps), tuple((2 * m - 2 - q, m - 1 - q) for q in ps))
 
 
-def _window(m: int, i: int) -> list[list[int]]:
-    """Paths from (p, p) to (2m-2-q, m-1-q), p and q over basis_range(m, i):
-    those from (0, 0) to (2m-2-s, m-1-s), s = p + q, moved up the diagonal,
-    so the window [b_(p+q)] of target_path_counts(m), 0 past s = m-1."""
-    check_degree(m, i)
-    b, ps = target_path_counts(m) + [0] * m, basis_range(m, i)
+def _window(w: Window) -> list[list[int]]:
+    """Paths from each source (p, p) to each target q: those from (0, 0) to
+    (2m-2-s, m-1-s), s = p + q, moved up the diagonal, so the window
+    [b_(p+q)] of target_path_counts(m), 0 past s = m-1."""
+    b, ps = target_path_counts(w.m) + [0] * w.m, w.indices
     return [[b[p + q] for q in ps] for p in ps]
 
 
 def path_matrix(m: int, i: int) -> ExactMatrix:
-    """Integer matrix of path counts, the window _window(m, i) of the row DP;
-    equals (3m-3-2i)! times the evaluated degree-i pairing matrix."""
+    """Integer matrix of path counts, the _window of the row DP on degree i's
+    window; equals (3m-3-2i)! times the evaluated degree-i pairing matrix."""
     from .exact import ExactMatrix  # the one reader of exact on the path route
 
-    return ExactMatrix(_window(m, i))
+    check_degree(m, i)
+    return ExactMatrix(_window(window(m, basis_range(m, i))))
 
 
 # -- the involution's path table --------------------------------------------
@@ -97,8 +101,8 @@ Entry = tuple[int, int, str, tuple[int, ...]]
 
 
 @lru_cache(maxsize=2)
-def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str, Entry]]]]:
-    """The degree-i cell paths a vertex-disjoint system can use: per (source,
+def _table(w: Window) -> tuple[list[list[list[Entry]]], list[list[dict[str, Entry]]]]:
+    """The window's cell paths a vertex-disjoint system can use: per (source,
     target) cell, the paths that miss every other source and target, in lex
     order of steps (E before N), and the same entries keyed by steps.  The
     enumeration walks the lists and the involution's surgery looks its new
@@ -113,14 +117,13 @@ def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str,
     H = y - x + m - 1 before a step, the flip steps N where an E step has
     H <= 0 or an N step has H >= 0, and E otherwise.  Reflected vertices land
     strictly above the line, so the flip touches it at the path's touches.
-    The walk ends at the first target it reaches and never steps onto
-    another source.
+    The walk stays in the box under targets[0], ends at the first target it
+    reaches and never steps onto another source.
     """
-    ps = basis_range(m, i)
-    width, x_max, y_max = 2 * m - 1, 2 * m - 2 - ps.start, m - 1 - ps.start
-    x_min = x_max - len(ps) + 1
+    m, ps = w.m, w.indices
+    width, (x_max, y_max), x_min = 2 * m - 1, w.targets[0], w.targets[-1][0]
     walk: list[list[list[Entry]]] = []
-    for p in ps:
+    for x0, y0 in w.sources:
         row: list[list[Entry]] = [[] for _ in ps]
 
         def step(x, y, height, steps, bit, mask, flip_bit, flip_mask, touches):
@@ -137,8 +140,8 @@ def _table(m: int, i: int) -> tuple[list[list[list[Entry]]], list[list[dict[str,
                 step(x, y + 1, height + 1, steps + "N", b, mask | 1 << b, f, flip_mask | 1 << f,
                      touches + (n,) if height == -1 else touches)
 
-        start = p * width + p
-        step(p, p, m - 1, "", start, 1 << start, start, 1 << start, () if m > 1 else (0,))
+        start = y0 * width + x0
+        step(x0, y0, m - 1, "", start, 1 << start, start, 1 << start, () if m > 1 else (0,))
         walk.append(row)
     return walk, [[{entry[2]: entry for entry in cell} for cell in row] for row in walk]
 
@@ -149,29 +152,27 @@ STATE_BUDGET = 2**14
 
 
 def transfer_counts(m: int, indices: range) -> tuple[int, int]:
-    """(signed count of vertex-disjoint systems, N) from sources (p, p) to
-    targets (2m-2-q, m-1-q), p and q over a range in 0..m-1 (degree i's is
-    basis_range(m, i)), from one sweep over the anti-diagonals s = x + y; a
-    path meets each in one vertex, and disjoint paths keep their order.  A
-    state, the walkers' increasing x on s, maps to its (signed, doubly)
-    counts.  Source p enters at (p, p), the least x on s = 2p, if free, so
-    the walkers hold the sources in reverse order; on s = 3m-3-2q target q's
-    vertex must be taken, and its walker leaves with sign (-1)^j, j the
-    walkers before it plus the sources not yet in (later sources whose
-    targets leave later: inversions).  A last source reaching no target
-    (p + q > m-1 for every q) is a zero row.  Flips are disjoint iff the
-    folds (x, or s-x+m-1 below the shifted diagonal) differ on every s.
-    Walkers step last first: E to x+1, or N if y+1 <= x."""
-    ps = indices
-    if not ps or ps.step != 1 or ps.start < 0 or ps.stop > m:
-        raise ValueError(f"need a nonempty contiguous index range in 0..{m - 1}, got {ps}")
-    if ps[-1] + ps.start > m - 1:
+    """(signed count of vertex-disjoint systems, N) over window(m, indices),
+    from one sweep over the anti-diagonals s = x + y, the first source's to
+    the first target's, in the box under that target; a path meets each in
+    one vertex, and disjoint paths keep their order.  A state, the walkers'
+    increasing x on s, maps to its (signed, doubly) counts.  A source enters
+    at its vertex, the least x on its s, if free, so the walkers hold the
+    sources in reverse order; on a target's s its vertex must be taken, and
+    its walker leaves with sign (-1)^j, j the walkers before it plus the
+    sources not yet in (later sources whose targets leave later:
+    inversions).  A last source above the box reaches no target: a zero row.
+    Flips are disjoint iff the folds (x, or s-x+m-1 below the shifted
+    diagonal) differ on every s.  Walkers step last first: E to x+1, or N if
+    y+1 <= x."""
+    w = window(m, indices)
+    ps, (x_max, y_max) = w.indices, w.targets[0]
+    if ps[-1] > y_max:
         return 0, 0
-    x_max, y_max, last = 2 * m - 2 - ps.start, m - 1 - ps.start, 3 * m - 3 - 2 * ps.start
-    enter = {2 * p: p for p in ps}
-    leave = {3 * m - 3 - 2 * q: 2 * m - 2 - q for q in ps}
-    states, walkers, waiting = {(): (1, 1)}, 0, len(ps)
-    for s in range(2 * ps.start, last + 1):
+    enter = {x + y: x for x, y in w.sources}
+    leave = {x + y: x for x, y in w.targets}
+    states, walkers, waiting, last = {(): (1, 1)}, 0, len(ps), x_max + y_max
+    for s in range(sum(w.sources[0]), last + 1):
         if s in enter:
             p, walkers, waiting = enter[s], walkers + 1, waiting - 1
             states = {(p,) + xs: v for xs, v in states.items() if not xs or xs[0] > p}
@@ -224,8 +225,8 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _involution(m: int, i: int) -> Callable[[tuple[Entry, ...], tuple[int, ...], int], System]:
-    """The sign-reversing involution on the degree-i systems that are vertex
+def _involution(w: Window) -> Callable[[tuple[Entry, ...], tuple[int, ...], int], System]:
+    """The sign-reversing involution on the window's systems that are vertex
     disjoint but not doubly so, as a function of a system's entries in source
     order, its permutation and the vertices where two of its flips meet; it
     returns the image's (entries, permutation).
@@ -235,8 +236,8 @@ def _involution(m: int, i: int) -> Callable[[tuple[Entry, ...], tuple[int, ...],
     the reflection exchanges, so each of the two new paths keeps its own side
     of the crossing), and transposes the two targets.
     """
-    width, cells = 2 * m - 1, _table(m, i)[1]
-    diagonals = [2 * p for p in basis_range(m, i)]  # x + y at each source
+    width, cells = 2 * w.m - 1, _table(w)[1]
+    diagonals = [x + y for x, y in w.sources]
 
     def phi(entries, perm, crossings):
         top = crossings.bit_length() - 1
@@ -286,17 +287,20 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
     holds no path through another source or target, so a later source or an
     unused target is never on one.  A system is doubly disjoint iff its
     flips' overlap is 0.  Each pair of N is checked once, from its first
-    member; the image waits, keyed by its masks and permutation, until the
+    member; the image waits, keyed by its masks in target order, until the
     enumeration reaches it, as it does only if the image is in N under the
-    permutation its paths' ends give.  A surgery that leaves the table
+    permutation its paths' ends give (each mask holds its source's bit, so
+    the key fixes the permutation).  A surgery that leaves the table
     raises ArithmeticError.  Past a failure, only counts.  The check stops
     before any walk past PATH_BUDGET cell paths, and past SYSTEM_BUDGET
     vertex-disjoint systems.
     """
-    if sum(map(sum, _window(m, i))) > PATH_BUDGET:
+    check_degree(m, i)
+    w = window(m, basis_range(m, i))
+    if sum(map(sum, _window(w))) > PATH_BUDGET:
         raise BudgetExceeded(f"budget exceeded: over {PATH_BUDGET} paths at ({m}, {i})")
-    walk = _table(m, i)[0]
-    phi, budget, h = _involution(m, i), SYSTEM_BUDGET, len(walk)
+    walk = _table(w)[0]
+    phi, budget, h = _involution(w), SYSTEM_BUDGET, len(walk)
     size = signed = visited = 0
     ok = True
     pending: set[tuple[int, ...]] = set()
@@ -322,7 +326,9 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
             visited += len(fits)
             if visited > budget:
                 raise BudgetExceeded(f"budget exceeded: over {budget} systems at ({m}, {i})")
-            perm, masks = (*used, q), tuple([e[0] for e in chosen])
+            perm, slots = (*used, q), [0] * h
+            for target, e in zip(used, chosen):
+                slots[target] = e[0]
             sign = perm_sign(perm)
             for entry in fits:
                 crossings = overlap | flips & entry[1]
@@ -330,7 +336,8 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
                     continue
                 size += 1
                 signed += sign
-                key = (*masks, entry[0], *perm)
+                slots[q] = entry[0]
+                key = tuple(slots)
                 if key in pending:
                     pending.remove(key)
                 elif ok:
@@ -338,15 +345,17 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
                     image, image_perm = phi(system, perm, crossings)
                     # the image's crossings, which its own surgery reads
                     seen = crossed = 0
-                    for _, flip_mask, *_ in image:
+                    image_slots = [0] * h
+                    for target, (mask, flip_mask, *_) in zip(image_perm, image):
                         crossed |= seen & flip_mask
                         seen |= flip_mask
+                        image_slots[target] = mask
                     ok = (
                         perm_sign(image_perm) == -sign
                         and crossed != 0
                         and phi(image, image_perm, crossed) == (system, perm)
                     )
-                    pending.add((*[e[0] for e in image], *image_perm))
+                    pending.add(tuple(image_slots))
 
     extend(0, 0, 0, 0)
     return size, signed, ok and not pending

@@ -13,13 +13,9 @@ matrix, the path count from (0, 0) to (2m-2, m-1) (lattice's row DP).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from . import BudgetExceeded
 from .lattice import target_path_counts
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 PARTITION_BUDGET = 2**20  # leaf visits per half of partition_gf's walk
@@ -65,22 +61,16 @@ def partition_gf(m: int, n: int) -> tuple[int, ...]:
 
 
 def _degree_formula_terms(m: int, n: int) -> tuple[int, int]:
-    """The degree formula's integer numerator and denominator, unreduced."""
+    """The degree formula's integer numerator and denominator, unreduced: the
+    scalar relating the top power of the weight-1 generator to the socle,
+
+    m^C(n,2) * (C(n+1,2)(m-1))! * 1! 2! ... (n-1)! / ((m-1)! (2m-1)! ... (nm-1)!).
+    """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
     numerator = m ** math.comb(n, 2) * math.factorial(math.comb(n + 1, 2) * (m - 1))
     numerator *= math.prod(map(math.factorial, range(1, n)))
     return numerator, math.prod(math.factorial(k * m - 1) for k in range(1, n + 1))
-
-
-def degree_formula(m: int, n: int) -> Fraction:
-    """Scalar relating the top power of the weight-1 generator to the socle:
-
-    m^C(n,2) * (C(n+1,2)(m-1))! * 1! 2! ... (n-1)! / ((m-1)! (2m-1)! ... (nm-1)!).
-    """
-    from fractions import Fraction  # the scan compares the terms in integers
-
-    return Fraction(*_degree_formula_terms(m, n))
 
 
 def degree_formula_matches_hessian(m: int) -> bool:

@@ -39,7 +39,7 @@ from lefpath.algebra import (
 )
 from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range, c_coeff, check_degree, flo
-from lefpath.lattice import Point, perm_sign, vertex_sets
+from lefpath.lattice import Point, Window, perm_sign, window
 from lefpath.lefschetz import hankel_moments
 
 
@@ -410,12 +410,18 @@ def _northern_most(mask: int) -> Point:
     return best_x, best_y
 
 
+def degree_window(m: int, i: int) -> Window:
+    """lattice.window over degree i's basis range, the degree checked."""
+    check_degree(m, i)
+    return window(m, basis_range(m, i))
+
+
 @lru_cache(maxsize=2)
 def _cells(m: int, i: int) -> list[list[dict[str, LatticePath]]]:
     """Per (source, target) cell, its paths keyed by steps in lex order: the
     enumeration walks them and the involution's surgery looks its paths up."""
-    vs = vertex_sets(m, i)
-    return [[{p.steps: p for p in enumerate_paths(s, t)} for t in vs.targets] for s in vs.sources]
+    w = degree_window(m, i)
+    return [[{p.steps: p for p in enumerate_paths(s, t)} for t in w.targets] for s in w.sources]
 
 
 def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
@@ -424,9 +430,9 @@ def enumerate_systems(m: int, i: int) -> Iterator[PathSystem]:
     order.  Every source and target vertex starts occupied, and a path joins
     only if it misses the occupied vertices other than its own two ends, so a
     collision, or a later source or unused target on it, prunes its subtree."""
-    vs = vertex_sets(m, i)
+    w = degree_window(m, i)
     cells = [[[(p.mask, p) for p in cell.values()] for cell in row] for row in _cells(m, i)]
-    ends = [[1 << _bit(s) | 1 << _bit(t) for t in vs.targets] for s in vs.sources]
+    ends = [[1 << _bit(s) | 1 << _bit(t) for t in w.targets] for s in w.sources]
     h = len(cells)
     chosen: list[LatticePath] = []
     used: list[int] = []
@@ -578,16 +584,16 @@ def flip_by_segments(path: LatticePath, m: int) -> LatticePath:
 def all_systems(m: int, i: int) -> Iterator[PathSystem]:
     """Every path system of degree i, unpruned, in enumerate_systems order:
     source k takes each unused target ascending, then each path in lex order."""
-    vs = vertex_sets(m, i)
+    w = degree_window(m, i)
 
     def extend(paths: tuple, perm: tuple) -> Iterator[PathSystem]:
         k = len(perm)
-        if k == len(vs.sources):
+        if k == len(w.sources):
             yield PathSystem(m, i, paths, perm)
             return
-        for q in range(len(vs.sources)):
+        for q in range(len(w.sources)):
             if q not in perm:
-                for path in enumerate_paths(vs.sources[k], vs.targets[q]):
+                for path in enumerate_paths(w.sources[k], w.targets[q]):
                     yield from extend(paths + (path,), perm + (q,))
 
     return extend((), ())
@@ -597,8 +603,8 @@ def collision_pruned_systems(m: int, i: int) -> Iterator[PathSystem]:
     """The vertex-disjoint systems in enumerate_systems order, with fresh
     paths per cell and pruned on collisions with the chosen paths only: a
     path through a later source or an unused target still opens a subtree."""
-    vs = vertex_sets(m, i)
-    cells = [[enumerate_paths(s, t) for t in vs.targets] for s in vs.sources]
+    w = degree_window(m, i)
+    cells = [[enumerate_paths(s, t) for t in w.targets] for s in w.sources]
     chosen: list[LatticePath] = []
     used: list[int] = []
 
@@ -625,7 +631,7 @@ def involution_both_sides(m: int, i: int) -> tuple[int, int, bool]:
     """Involution oracle: (|N|, signed sum over N, ok) from the collision-pruned
     enumeration, running involution_phi from both members of every pair (four
     calls a pair), with ok as in check_involution."""
-    ends = {t: q for q, t in enumerate(vertex_sets(m, i).targets)}
+    ends = {t: q for q, t in enumerate(degree_window(m, i).targets)}
     size = signed = 0
     ok = True
     for system in collision_pruned_systems(m, i):
@@ -655,9 +661,9 @@ def row_major_mask(points, m: int) -> int:
 
 def entry_of(path: LatticePath, m: int) -> tuple:
     """The check's table entry of an oracle path: (mask, flip_mask, steps,
-    touches).  It names no target; the permutation rides in the check's
-    pending key, and the enumeration reaches a system only under the
-    permutation its paths' ends give."""
+    touches).  It names no target; the check's pending key holds each mask
+    at the slot of the target the permutation gives it, and the enumeration
+    reaches a system only under the permutation its paths' ends give."""
     flipped = _fold(path)
     return (
         row_major_mask(vertices(path), m),
@@ -668,34 +674,37 @@ def entry_of(path: LatticePath, m: int) -> tuple:
 
 
 def table_lacking_an_image_path(m: int, i: int):
-    """lattice._table(m, i) with one path of the image of the first system
-    of N gone from the lookup, while the walk keeps it: the path the image
-    takes from the first source at which it parts from the system."""
+    """lattice._table of degree i's window with one path of the image of the
+    first system of N gone from the lookup, while the walk keeps it: the path
+    the image takes from the first source at which it parts from the system."""
     first = next(s for s in enumerate_systems(m, i) if not is_doubly_vertex_disjoint(s))
     image = involution_phi(first)
     k = next(k for k, (a, b) in enumerate(zip(first.paths, image.paths)) if a != b)
-    walk, lookup = lattice._table(m, i)
+    walk, lookup = lattice._table(degree_window(m, i))
     lookup = [[dict(cell) for cell in row] for row in lookup]
     del lookup[k][image.permutation[k]][image.paths[k].steps]
     return walk, lookup
 
 
-def system_of(m: int, i: int, entries, perm) -> PathSystem:
-    """The oracle's system of the check's entries, in source order."""
-    sources = vertex_sets(m, i).sources
-    return PathSystem(m, i, tuple(LatticePath(s, e[2]) for s, e in zip(sources, entries)), tuple(perm))
+def system_of(w: Window, entries, perm) -> PathSystem:
+    """The oracle's system of the check's entries, in source order, at a
+    degree whose basis range is the window's: any such degree has the same
+    systems."""
+    i = next(i for i in range(flo(3 * (w.m - 1)) + 1) if basis_range(w.m, i) == w.indices)
+    paths = tuple(LatticePath(s, e[2]) for s, e in zip(w.sources, entries))
+    return PathSystem(w.m, i, paths, tuple(perm))
 
 
 def involution_seam(fake):
     """A stand-in for lattice._involution that runs ``fake``, a map of oracle
     PathSystems, on the check's entries; the image's entries are its paths'
-    and its permutation is the one it claims, which rides in the check's
-    pending key next to the paths' masks."""
+    and its permutation is the one it claims, which places the paths' masks
+    in the check's pending key."""
 
-    def involution(m: int, i: int):
+    def involution(w: Window):
         def phi(entries, perm, crossings):
-            image = fake(system_of(m, i, entries, perm))
-            return tuple(entry_of(p, m) for p in image.paths), image.permutation
+            image = fake(system_of(w, entries, perm))
+            return tuple(entry_of(p, w.m) for p in image.paths), image.permutation
 
         return phi
 

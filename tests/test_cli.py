@@ -169,6 +169,11 @@ def test_lattice_count(capsys):
             ["lattice", "5", "3", "count"],
             "sources: [(0, 0), (1, 1)]\ntargets: [(8, 4), (7, 3)]\n[275 75; 75 20]\n",
         ),
+        (  # a window whose basis starts at 1
+            ["lattice", "5", "6", "count"],
+            "sources: [(1, 1), (2, 2), (3, 3)]\ntargets: [(7, 3), (6, 2), (5, 1)]\n"
+            "[20 5 1; 5 1 0; 1 0 0]\n",
+        ),
     ],
 )
 def test_golden_stdout(capsys, argv, expected):
@@ -539,7 +544,7 @@ def test_records_hash_and_compare_over_their_fields():
     records = [
         hilbert.hilbert_series(3, 2),
         hilbert.unimodality_record(hilbert.hilbert_series(3, 2)),
-        lattice.vertex_sets(4, 2),
+        lattice.window(4, range(2)),
         next(enumerate_systems(4, 2)),
         lefschetz.path_routes(4, [2])[0],
         report.verdicts[2],
@@ -797,7 +802,7 @@ def test_involution_surgery_off_the_table_exits_1_on_one_line(capsys, monkeypatc
     # a surgery whose new path the lookup lacks is a failed identity: one
     # MISMATCH line, nothing on stdout, no traceback
     table = table_lacking_an_image_path(4, 2)
-    monkeypatch.setattr(lattice, "_table", lambda m, i: table)
+    monkeypatch.setattr(lattice, "_table", lambda w: table)
     code, out, err = run(capsys, "lattice", "4", "2", "involution-check")
     assert (code, out) == (1, "")
     assert err == (

@@ -1,5 +1,6 @@
 """Path counting, enumeration, flips, disjoint systems, and the involution."""
 
+import re
 import time
 from itertools import combinations, permutations
 from math import isqrt
@@ -15,6 +16,7 @@ from conftest import (
     _shared,
     all_systems,
     collision_pruned_systems,
+    degree_window,
     enumerate_paths,
     enumerate_systems,
     flip_by_segments,
@@ -40,7 +42,7 @@ from lefpath.lattice import (
     check_involution,
     path_matrix,
     transfer_counts,
-    vertex_sets,
+    window,
 )
 from lefpath.lefschetz import path_routes
 
@@ -65,9 +67,9 @@ def route(m, i, sweep=True):
 def all_paths(max_m):
     """(m, path) for every path of every window of m <= max_m."""
     for m, i in all_instances(max_m):
-        vs = vertex_sets(m, i)
-        for s in vs.sources:
-            for t in vs.targets:
+        w = degree_window(m, i)
+        for s in w.sources:
+            for t in w.targets:
                 for p in enumerate_paths(s, t):
                     yield m, p
 
@@ -130,8 +132,8 @@ def test_enumerate_examples():
 def test_enumeration_matches_count_everywhere():
     # every path matrix entry, the zero ones past s = p + q = m-1 included
     for m, i in all_instances(5):
-        vs = vertex_sets(m, i)
-        counts = [[len(enumerate_paths(s, t)) for t in vs.targets] for s in vs.sources]
+        w = degree_window(m, i)
+        counts = [[len(enumerate_paths(s, t)) for t in w.targets] for s in w.sources]
         assert path_matrix(m, i).rows == tuple(map(tuple, counts)), (m, i)
 
 
@@ -141,32 +143,56 @@ def test_enumeration_is_sorted_and_unique():
     assert len(set(paths)) == len(paths)
 
 
-# -- vertex sets and path matrix ------------------------------------------------
+# -- windows and path matrix ----------------------------------------------------
 
 
-def test_vertex_sets_examples():
-    vs = vertex_sets(5, 3)
-    assert vs.sources == ((0, 0), (1, 1))
-    assert vs.targets == ((8, 4), (7, 3))
-    vs = vertex_sets(5, 4)
-    assert vs.sources == ((0, 0), (1, 1), (2, 2))
-    assert vs.targets == ((8, 4), (7, 3), (6, 2))
-    vs = vertex_sets(5, 6)
-    assert vs.sources == ((1, 1), (2, 2), (3, 3))
-    assert vs.targets == ((7, 3), (6, 2), (5, 1))
+def test_window_examples():
+    w = window(5, basis_range(5, 3))
+    assert w == (5, range(0, 2), ((0, 0), (1, 1)), ((8, 4), (7, 3)))
+    w = window(5, basis_range(5, 4))
+    assert w.sources == ((0, 0), (1, 1), (2, 2))
+    assert w.targets == ((8, 4), (7, 3), (6, 2))
+    w = window(5, basis_range(5, 6))
+    assert w.sources == ((1, 1), (2, 2), (3, 3))
+    assert w.targets == ((7, 3), (6, 2), (5, 1))
 
 
-def test_vertex_sets_sizes_and_lines():
+def test_window_sizes_and_lines():
     for m, i in all_instances(8):
-        vs = vertex_sets(m, i)
-        assert len(vs.sources) == hilbert_m2_closed(m, i)
-        assert all(x == y for x, y in vs.sources)
-        assert all(y == x - (m - 1) for x, y in vs.targets)
+        w = window(m, basis_range(m, i))
+        assert len(w.sources) == len(w.targets) == hilbert_m2_closed(m, i)
+        assert all(x == y for x, y in w.sources)
+        assert all(y == x - (m - 1) for x, y in w.targets)
 
 
-def test_vertex_sets_range_error():
-    with pytest.raises(ValueError):
-        vertex_sets(5, 7)
+def test_window_vertices_give_what_each_reader_derived_from_the_range():
+    # the box, the least target x, the anti-diagonals and the zero-row test
+    # the readers take off the vertices equal the expressions of (m, range)
+    # they wrote before, on every contiguous range of m <= 12
+    for m in range(1, 13):
+        for lo in range(m):
+            for hi in range(lo + 1, m + 1):
+                ps = range(lo, hi)
+                w = window(m, ps)
+                assert (w.m, w.indices) == (m, ps)
+                assert w.sources == tuple((p, p) for p in ps)
+                assert w.targets == tuple((2 * m - 2 - q, m - 1 - q) for q in ps)
+                assert w.targets[0] == (2 * m - 2 - lo, m - 1 - lo)
+                assert w.targets[-1][0] == 2 * m - 2 - lo - len(ps) + 1
+                assert [x + y for x, y in w.sources] == [2 * p for p in ps]
+                assert [x + y for x, y in w.targets] == [3 * m - 3 - 2 * q for q in ps]
+                assert (ps[-1] > w.targets[0][1]) == (ps[-1] + lo > m - 1)
+
+
+def test_window_range_error():
+    for ps in [range(3, 3), range(0, 4, 2), range(-1, 2), range(3, 6)]:
+        text = f"need a nonempty contiguous index range in 0..4, got {ps}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            window(5, ps)
+    # the degree-i readers check the degree before they build its window
+    for reader in (path_matrix, check_involution, degree_window):
+        with pytest.raises(ValueError, match="^degree 7 outside \\[0, 6\\] for m=5$"):
+            reader(5, 7)
 
 
 def test_path_matrix_examples():
@@ -464,11 +490,11 @@ def test_path_table_holds_the_oracle_paths_and_flips():
     # paths that miss the window's other sources and targets, in lex order,
     # each with its row-major vertex set, its flip's, and its touches
     for m, i in all_instances(6):
-        width, vs = 2 * m - 1, vertex_sets(m, i)
-        ends = set(vs.sources) | set(vs.targets)
-        walk, lookup = lattice._table(m, i)
-        for k, s in enumerate(vs.sources):
-            for q, t in enumerate(vs.targets):
+        width, w = 2 * m - 1, degree_window(m, i)
+        ends = set(w.sources) | set(w.targets)
+        walk, lookup = lattice._table(w)
+        for k, s in enumerate(w.sources):
+            for q, t in enumerate(w.targets):
                 oracle = [
                     p for p in enumerate_paths(s, t) if not set(vertices(p)) & (ends - {s, t})
                 ]
@@ -540,11 +566,11 @@ def test_check_involution_needs_every_image_reached(monkeypatch):
     first = next(s for s in systems if not is_doubly_vertex_disjoint(s))
     image = involution_phi(first)
     k = next(k for k, (a, b) in enumerate(zip(first.paths, image.paths)) if a != b)
-    walk, lookup = lattice._table(4, 2)
+    walk, lookup = lattice._table(degree_window(4, 2))
     walk = [list(map(list, row)) for row in walk]
     cell = walk[k][image.permutation[k]]
     cell.remove(lookup[k][image.permutation[k]][image.paths[k].steps])
-    monkeypatch.setattr(lattice, "_table", lambda m, i: (walk, lookup))
+    monkeypatch.setattr(lattice, "_table", lambda w: (walk, lookup))
     assert check_involution(4, 2)[2] is False
 
 
@@ -552,7 +578,7 @@ def test_check_involution_raises_on_a_surgery_that_leaves_the_table(monkeypatch)
     # the lookup lacks a path of the first system's image that the walk
     # keeps: the surgery finds no entry for it, a failed identity
     table = table_lacking_an_image_path(4, 2)
-    monkeypatch.setattr(lattice, "_table", lambda m, i: table)
+    monkeypatch.setattr(lattice, "_table", lambda w: table)
     with pytest.raises(
         ArithmeticError, match="^surgery misses the swapped targets; system outside the domain$"
     ):
@@ -575,7 +601,7 @@ def test_check_involution_needs_the_permutation_the_ends_give(monkeypatch):
     # reaches the image's paths only under the permutation their ends give,
     # so the claimed one stays pending
     phi = involution_phi
-    targets = vertex_sets(5, 4).targets
+    targets = degree_window(5, 4).targets
 
     def fake(system):
         true = system._replace(
@@ -617,8 +643,8 @@ def test_walk_built_paths_and_flips_match_the_checked_constructor():
     for m in range(1, 7):
         cells = set()
         for i in range(flo(3 * (m - 1)) + 1):
-            vs = vertex_sets(m, i)
-            cells.update((s, t) for s in vs.sources for t in vs.targets)
+            w = degree_window(m, i)
+            cells.update((s, t) for s in w.sources for t in w.targets)
         for s, t in cells:
             for p in enumerate_paths(s, t):
                 for built in (p, _fold(p)):
