@@ -6,9 +6,10 @@ Conventions shared by all subcommands:
 * exit 0: every verified equality held; 1: one was violated, or an exact
   identity failed inside the arithmetic, such as a report's moment checks
   (one "MISMATCH:" line on stderr);
-  2: bad input, a computation past its budget or an unwritable --output, on
-  one "error:" line.  "FLAG:" lines report findings (claim/computation
-  mismatches), never the exit code;
+  2: bad input, a computation past its budget, or an output that cannot be
+  written (the --output file, or stdout on a full device, a closed pipe or a
+  closed descriptor), on one "error:" line.  "FLAG:" lines report findings
+  (claim/computation mismatches), never the exit code;
 * scans partition work across --jobs workers (default from LEFPATH_JOBS)
   and merge results in key order, so output bytes are identical for any
   worker count.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib
 import io
 import itertools
@@ -79,12 +81,14 @@ class _DegreeArg(argparse.Action):
 
 
 def _map_tasks(func, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    # fork starts every worker at the first submit, however few the tasks,
+    # and workers past the core count only wait for a core
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # only a parallel scan pays for it
 
-    # fork starts every worker at the first submit, however few the tasks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, tasks))
 
 
@@ -92,48 +96,59 @@ _JSON_BLOCK = 4096  # encoder chunks per write; stdout may be unbuffered
 
 
 class OutputError(Exception):
-    """The --output file could not be opened or written."""
-
-
-@contextlib.contextmanager
-def _output_errors(output: str):
-    try:
-        yield
-    except OSError as exc:
-        raise OutputError(f"cannot write --output {output}: {exc.strerror}") from None
+    """stdout or the --output file could not be opened or written."""
 
 
 @contextlib.contextmanager
 def _open_output(output: Optional[str]):
-    """Yield the write function of stdout or of the --output file.  main opens
-    the file before the command computes, so that an unwritable path fails
-    first; only opening, writing and closing it raise OutputError."""
-    if not output:
-        yield sys.stdout.write
-        return
-    with _output_errors(output):
-        fh = open(output, "w")
+    """Yield the one write function of a command, to stdout or to the --output
+    file.  main opens the file before the command computes, so that an
+    unwritable path fails first; an OSError from opening, writing, flushing
+    or closing either one raises OutputError, and nothing else does."""
+    where = f"--output {output}" if output else "stdout"
+
+    def guarded(io, *args):
+        try:
+            return io(*args)
+        except OSError as exc:
+            if not output:
+                # Python flushes stdout again at exit: what the failed write
+                # left in its buffer goes to /dev/null, not to a second error
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise OutputError(f"cannot write {where}: {exc.strerror}") from None
+
+    fh = guarded(open, output, "w") if output else sys.stdout
+    if fh is None:  # the process started with stdout closed
+        raise OutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
 
     def write(text: str) -> None:
-        with _output_errors(output):
-            fh.write(text)
-            fh.flush()  # a failed write stops the command at that write
+        guarded(fh.write, text)
+        guarded(fh.flush)  # a failed write stops the command at that write
 
     try:
         yield write
     finally:
-        with _output_errors(output):
-            fh.close()
+        if output:
+            guarded(fh.close)
 
 
-def _emit_json(payload: dict, write) -> None:
-    """json.dumps(payload, indent=2) + "\\n", written a block of chunks at a time."""
+def _emit_json(args, inputs: dict, results, **trailing) -> None:
+    """Write the envelope {schema_version, command, inputs, results,
+    **trailing} as json.dumps(indent=2) + "\\n", a block of chunks at a time."""
     import json
 
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        **trailing,
+    }
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
     while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
-        write(block)
-    write("\n")
+        args.write(block)
+    args.write("\n")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -155,12 +170,10 @@ def cmd_hilbert(args) -> int:
         args.error(f"argument --closed-form: only defined for n = 2, got n = {args.n}")
     h = hilbert.hilbert_series(args.m, args.n)
     if args.closed_form:
-        closed = tuple(
-            hilbert.hilbert_m2_closed(args.m, i) for i in range(h.socle_degree + 1)
-        )
+        closed = hilbert.hilbert_m2_closed_coeffs(args.m)
         if closed != h.coeffs:
             raise ArithmeticError(f"closed form {closed} != series {h.coeffs}")
-    print(" ".join(str(c) for c in h.coeffs))
+    args.write(" ".join(str(c) for c in h.coeffs) + "\n")
     return 0
 
 
@@ -173,16 +186,8 @@ def cmd_poly(args) -> int:
     relation = algebra.f_m(args.m)
     dual = algebra.dual_generator(args.m)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "poly",
-            "inputs": {"m": args.m},
-            "results": {
-                "relation": relation.to_json_terms(),
-                "dual_generator": dual.to_json_terms(),
-            },
-        }
-        _emit_json(payload, args.write)
+        results = {"relation": relation.to_json_terms(), "dual_generator": dual.to_json_terms()}
+        _emit_json(args, {"m": args.m}, results)
     else:
         args.write(
             f"relation: {relation.to_text()}\ndual generator: {dual.to_text()}\n"
@@ -203,15 +208,12 @@ def cmd_hessian(args) -> int:
 
         point = (args.point[0], args.point[1]) if args.point else (1, 0)
         matrix = algebra.hessian(args.m, args.i, point)
-    printed = False
     if args.det:
-        print(matrix.det())
-        printed = True
+        args.write(f"{matrix.det()}\n")
     if args.rank:
-        print(matrix.rank())
-        printed = True
-    if not printed:
-        print(matrix)
+        args.write(f"{matrix.rank()}\n")
+    if not (args.det or args.rank):
+        args.write(f"{matrix}\n")
     return 0
 
 
@@ -237,29 +239,27 @@ def cmd_lattice(args) -> int:
         (route,) = lefschetz.path_routes(m, [i])
         verdict = "OK" if route.ok else "MISMATCH"
         if args.action == "lgv-check":
-            print(f"signed_sum={route.signed_sum} det={route.det} {verdict}")
+            args.write(f"signed_sum={route.signed_sum} det={route.det} {verdict}\n")
         else:
             flag = _nonvanishing_flag(route)
             suffix = " (nonvanishing rule mismatch flagged)" if flag else ""
-            print(f"N={route.n_doubly} sign={route.predicted_sign:+d} "
-                  f"det={route.det} {verdict}{suffix}")
+            args.write(f"N={route.n_doubly} sign={route.predicted_sign:+d} "
+                       f"det={route.det} {verdict}{suffix}\n")
             if flag:
-                print(flag)
+                args.write(flag + "\n")
         return 0 if route.ok else 1
     from . import lattice
 
     if args.action == "count":
         matrix, w = lattice.path_matrix(m, i), lattice.window(m, hilbert.basis_range(m, i))
-        print(f"sources: {list(w.sources)}")
-        print(f"targets: {list(w.targets)}")
-        print(matrix)
+        args.write(f"sources: {list(w.sources)}\ntargets: {list(w.targets)}\n{matrix}\n")
         return 0
     if args.action == "involution-check":
         size, signed, ok = lattice.check_involution(m, i)
         ok = ok and signed == 0
-        print(
+        args.write(
             f"|N|={size} signed_sum_over_N={signed} "
-            f"involution={'OK' if ok else 'MISMATCH'}"
+            f"involution={'OK' if ok else 'MISMATCH'}\n"
         )
         return 0 if ok else 1
     raise AssertionError(f"unhandled action {args.action}")
@@ -336,14 +336,12 @@ def cmd_report(args) -> int:
 
     report = lefschetz.property_report(args.m)
     if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "report",
-            "inputs": {"m": args.m},
-            "results": _report_json(report),
-            "verified_hessian_equals_path_matrix": True,  # a failed check raised above
-        }
-        _emit_json(payload, args.write)
+        _emit_json(
+            args,
+            {"m": args.m},
+            _report_json(report),
+            verified_hessian_equals_path_matrix=True,  # a failed check raised above
+        )
     else:
         args.write(_report_table(report))
     return 0
@@ -356,9 +354,7 @@ def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     m, n = key
     h = hilbert.hilbert_series(m, n)
     record = hilbert.unimodality_record(h)
-    closed_ok = n != 2 or h.coeffs == tuple(
-        hilbert.hilbert_m2_closed(m, i) for i in range(h.socle_degree + 1)
-    )
+    closed_ok = n != 2 or h.coeffs == hilbert.hilbert_m2_closed_coeffs(m)
     return {"rows": [list(record)], "ok": closed_ok, "flags": []}
 
 
@@ -431,12 +427,7 @@ def _scan_partitions_task(key: tuple[int, int]) -> dict:
 
 # mode: (task, CSV header, whether it reads --n, the modules its tasks import)
 _SCAN_MODES = {
-    "hilbert": (
-        _scan_hilbert_task,
-        ["m", "n", "socle_degree", "unimodal", "first_violation_index"],
-        True,
-        (),
-    ),
+    "hilbert": (_scan_hilbert_task, list(hilbert.UnimodalityRecord._fields), True, ()),
     "lefschetz": (_scan_lefschetz_task, ["m", *_REPORT_COLUMNS], False, ("lefschetz",)),
     "lattice": (_scan_lattice_task, _LATTICE_COLUMNS, False, ("lefschetz",)),
     "catalan": (
@@ -479,15 +470,13 @@ def cmd_scan(args) -> int:
         for flag in flags:
             print(flag, file=sys.stderr)
     elif args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "scan",
-            "inputs": {"mode": args.mode, "m": args.m, "n": args.n, "jobs": args.jobs},
-            "results": [dict(zip(header, row)) for row in rows],
-            "flags": flags,
-            "all_checks_pass": all_ok,
-        }
-        _emit_json(payload, args.write)
+        _emit_json(
+            args,
+            {"mode": args.mode, "m": args.m, "n": args.n, "jobs": args.jobs},
+            [dict(zip(header, row)) for row in rows],
+            flags=flags,
+            all_checks_pass=all_ok,
+        )
     else:
         widths = [
             max(len(str(h)), max((len(str(r[k])) for r in rows), default=0))

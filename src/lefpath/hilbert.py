@@ -82,6 +82,11 @@ def hilbert_m2_closed(m: int, i: int) -> int:
     return flo(i + 2) - flo_star(i + 2 - m) - flo_star(i + 2 - 2 * m)
 
 
+def hilbert_m2_closed_coeffs(m: int) -> tuple[int, ...]:
+    """The closed form in every degree, to set against hilbert_series(m, 2).coeffs."""
+    return tuple(hilbert_m2_closed(m, i) for i in range(socle_degree(m, 2) + 1))
+
+
 def first_violation_index(seq: Sequence[int]) -> Optional[int]:
     """Index of the first dip that rises again later; None if unimodal.
 

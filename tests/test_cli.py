@@ -421,6 +421,61 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch)
     ]
 
 
+# A stdout that cannot be written is bad output, not a violated equality:
+# exit 2 on one error line, with no traceback, and no second line when
+# Python flushes stdout at exit.  Only a child process has a real stdout,
+# and it is run both with Python's stdout buffer and without it (-u).
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def cli_child(request):
+    """Start the CLI on argv in a child process, its stderr piped as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if request.param == "unbuffered" else []
+
+    def start(argv, **popen):
+        command = [sys.executable, *flags, "-m", "lefpath.cli", *argv]
+        return subprocess.Popen(command, env=env, stderr=subprocess.PIPE, text=True, **popen)
+
+    return start
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_stdout_exits_2_on_one_line(cli_child):
+    with open("/dev/full", "w") as full:
+        child = cli_child(["hilbert", "5", "2"], stdout=full)
+        _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (
+        2,
+        "lefpath hilbert: error: cannot write stdout: No space left on device\n",
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipes")
+def test_closed_pipe_exits_2_on_one_line(cli_child):
+    # the reader leaves after 10 bytes, as `| head -c 10` does, long before
+    # the JSON (some hundred kilobytes) is written
+    read_end, write_end = os.pipe()
+    argv = ["scan", "--mode", "lefschetz", "--m", "2..60", "--format", "json"]
+    child = cli_child(argv, stdout=write_end)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        assert reader.read(10) == b'{\n  "schem'
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, "lefpath scan: error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a child whose descriptor 1 is closed")
+def test_closed_stdout_exits_2_on_one_line(cli_child):
+    child = cli_child(["report", "5"], preexec_fn=lambda: os.close(1))
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (
+        2,
+        "lefpath report: error: cannot write stdout: Bad file descriptor\n",
+    )
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only a scan with --jobs above 1 loads concurrent.futures.process
     probe = "import sys, lefpath.cli; print('concurrent.futures.process' in sys.modules)"
@@ -810,10 +865,9 @@ def test_involution_surgery_off_the_table_exits_1_on_one_line(capsys, monkeypatc
     )
 
 
-@pytest.mark.parametrize("jobs, tasks, workers", [(5000, 2, 2), (2, 7, 2), (3, 3, 3)])
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, tasks, workers):
-    # fork starts every worker at the first submit, so the pool is sized by
-    # the tasks too; the fake pool starts no process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool _map_tasks starts; the fake pool starts no process."""
     import concurrent.futures
 
     sizes = []
@@ -832,8 +886,27 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, jobs, tasks, worker
             return map(func, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, tasks, workers", [(5000, 2, 2), (2, 7, 2), (3, 3, 3)])
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, pool_sizes, jobs, tasks, workers):
+    # fork starts every worker at the first submit, so the pool is sized by
+    # the tasks too; eight cores leave the tasks and --jobs to bound it
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert cli._map_tasks(lambda t: t * t, list(range(tasks)), jobs) == [t * t for t in range(tasks)]
-    assert sizes == [workers]
+    assert pool_sizes == [workers]
+
+
+@pytest.mark.parametrize(
+    "cores, sizes", [(4, [4]), (1, []), (None, [])], ids=["four-cores", "one-core", "unknown"]
+)
+def test_pool_starts_no_more_workers_than_cores(monkeypatch, pool_sizes, cores, sizes):
+    # --jobs 5000 over 7 tasks starts one worker per core, and on one core
+    # (or an unknown count) no pool at all; the results stay the same
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert cli._map_tasks(lambda t: t * t, list(range(7)), 5000) == [t * t for t in range(7)]
+    assert pool_sizes == sizes
 
 
 def test_jobs_default_env(monkeypatch):
