@@ -452,11 +452,8 @@ def cmd_scan(args) -> int:
     m_range = _parse_range(args.m)
     if args.mode == "lefschetz" and m_range.start < 2:
         args.error(f"argument --m: the lefschetz mode needs m >= 2, got {args.m!r}")
-    n_range = _parse_range(args.n) if args.n else range(2, 3)
-    if uses_n:
-        keys = [(m, n) for m in m_range for n in n_range]
-    else:
-        keys = [(m, 0) for m in m_range]
+    n_range = (_parse_range(args.n) if args.n else range(2, 3)) if uses_n else (0,)
+    keys = [(m, n) for m in m_range for n in n_range]
     for name in modules:  # loaded here once, so that no pool worker compiles them
         importlib.import_module(f"{__package__}.{name}")
     results = _map_tasks(task_func, keys, args.jobs)
@@ -478,17 +475,12 @@ def cmd_scan(args) -> int:
             all_checks_pass=all_ok,
         )
     else:
-        widths = [
-            max(len(str(h)), max((len(str(r[k])) for r in rows), default=0))
-            for k, h in enumerate(header)
+        table = [header, *rows]
+        widths = [max(len(str(row[k])) for row in table) for k in range(len(header))]
+        lines = [
+            "  ".join(str("" if v is None else v).ljust(w) for v, w in zip(row, widths))
+            for row in table
         ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append(
-                "  ".join(
-                    str("" if v is None else v).ljust(w) for v, w in zip(row, widths)
-                )
-            )
         lines.extend(flags)
         args.write("\n".join(lines) + "\n")
     return 0 if all_ok else 1
@@ -497,8 +489,20 @@ def cmd_scan(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its help, and its subcommands', goes through the guarded writer:
+    argparse's own print_help drops a failed write."""
+
+    def print_help(self):
+        try:
+            with _open_output(None) as write:
+                write(self.format_help())
+        except OutputError as exc:
+            self.exit(2, f"{self.prog}: error: {exc}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lefpath",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

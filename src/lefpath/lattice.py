@@ -18,17 +18,17 @@ one, at most SYSTEM_BUDGET, in one recursive pass over a per-window table of
 plain tuples (_table, at most PATH_BUDGET paths, counted before any walk)
 that its surgery also reads, and checks each pair of systems once, the image
 waiting under its masks in target order.  A table entry holds the vertex
-sets of a path and of its flip as integer masks, one bit y(2m-1) + x per
-vertex (x, y), so disjointness, pruning and crossings are bitwise, and the
-northern-most-then-eastern-most crossing is the top bit.  No path or system
-object is built.  The module is path combinatorics only: it imports no
-lefschetz, whose path_routes compares these counts with the report's
-determinants, and exact is read only by path_matrix.
+sets of a path, of its flip and of its fold as integer masks, one bit
+y(2m-1) + x per vertex (x, y), so disjointness, pruning and crossings are
+bitwise, the northern-most-then-eastern-most crossing is the top bit, and
+the surgery cuts bit ranges.  No path or system object is built.  The
+module is path combinatorics only: it imports no lefschetz, whose
+path_routes compares these counts with the report's determinants, and
+exact is read only by path_matrix.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -39,8 +39,6 @@ if TYPE_CHECKING:
     from .exact import ExactMatrix
 
 Point = tuple[int, int]
-
-_SWAP = str.maketrans("NE", "EN")
 
 
 def target_path_counts(m: int) -> list[int]:
@@ -95,55 +93,52 @@ def path_matrix(m: int, i: int) -> ExactMatrix:
 # -- the involution's path table --------------------------------------------
 
 
-# A cell path as the involution check holds it: (mask, flip_mask, steps,
-# touches); see _table.  Its cell, not the entry, names its target.
-Entry = tuple[int, int, str, tuple[int, ...]]
+# A cell path as the involution check holds it: (mask, flip_mask, fold_mask);
+# see _table.  Its cell, not the entry, names its target.
+Entry = tuple[int, int, int]
 
 
 @lru_cache(maxsize=2)
-def _table(w: Window) -> tuple[list[list[list[Entry]]], list[list[dict[str, Entry]]]]:
+def _table(w: Window) -> tuple[list[list[list[Entry]]], list[list[dict[int, Entry]]]]:
     """The window's cell paths a vertex-disjoint system can use: per (source,
     target) cell, the paths that miss every other source and target, in lex
-    order of steps (E before N), and the same entries keyed by steps.  The
+    order of steps (E before N), and the same entries keyed by mask.  The
     enumeration walks the lists and the involution's surgery looks its new
-    paths up in the dicts.  An entry is (mask, flip_mask, steps, touches):
-    the masks hold bit y(2m-1) + x for each vertex (x, y) of the path and of
-    its flip, and touches are the step indices at which the path is on the
-    shifted diagonal.
+    paths up in the dicts.  An entry's masks hold bit y(2m-1) + x for each
+    vertex (x, y) of the path, of its flip and of its fold.
 
-    The flip reflects every lower primitive segment of the path across the
-    shifted diagonal y = x - (m - 1), on which every target lies, so one walk
-    per source builds each path of its row and its flip together: at height
-    H = y - x + m - 1 before a step, the flip steps N where an E step has
-    H <= 0 or an N step has H >= 0, and E otherwise.  Reflected vertices land
-    strictly above the line, so the flip touches it at the path's touches.
-    The walk stays in the box under targets[0], ends at the first target it
-    reaches and never steps onto another source.
+    The flip keeps the vertices on or above the shifted diagonal
+    y = x - (m - 1), on which every target lies, and reflects those below,
+    (x, y) -> (y + m - 1, x - m + 1); the fold keeps those on or below and
+    reflects those above.  One walk per source builds each path of its row
+    with both; it keeps the fold m - 1 rows up and then drops the mirror
+    points below row 0, which come before any cut of the surgery.  It stays
+    in the box under targets[0], ends at the first target it reaches and
+    never steps onto another source.
     """
     m, ps = w.m, w.indices
     width, (x_max, y_max), x_min = 2 * m - 1, w.targets[0], w.targets[-1][0]
+    below = (m - 1) * width
     walk: list[list[list[Entry]]] = []
     for x0, y0 in w.sources:
         row: list[list[Entry]] = [[] for _ in ps]
 
-        def step(x, y, height, steps, bit, mask, flip_bit, flip_mask, touches):
+        def step(x, y, height, mask, flip_mask, fold_mask):
+            vertex, mirror = y * width + x, (x - m + 1) * width + y + m - 1
+            mask |= 1 << vertex
+            flip_mask |= 1 << (vertex if height >= 0 else mirror)
+            fold_mask |= 1 << below + (vertex if height <= 0 else mirror)
             if height == 0 and x >= x_min:
-                row[x_max - x].append((mask, flip_mask, steps, touches))
+                row[x_max - x].append((mask, flip_mask, fold_mask >> below))
                 return
-            n = len(steps) + 1
             if x < x_max:
-                b, f = bit + 1, flip_bit + (width if height <= 0 else 1)
-                step(x + 1, y, height - 1, steps + "E", b, mask | 1 << b, f, flip_mask | 1 << f,
-                     touches + (n,) if height == 1 else touches)
+                step(x + 1, y, height - 1, mask, flip_mask, fold_mask)
             if y < y_max and (y + 1 < x or y + 1 == x >= ps.stop):
-                b, f = bit + width, flip_bit + (width if height >= 0 else 1)
-                step(x, y + 1, height + 1, steps + "N", b, mask | 1 << b, f, flip_mask | 1 << f,
-                     touches + (n,) if height == -1 else touches)
+                step(x, y + 1, height + 1, mask, flip_mask, fold_mask)
 
-        start = y0 * width + x0
-        step(x0, y0, m - 1, "", start, 1 << start, start, 1 << start, () if m > 1 else (0,))
+        step(x0, y0, m - 1, 0, 0, 0)
         walk.append(row)
-    return walk, [[{entry[2]: entry for entry in cell} for cell in row] for row in walk]
+    return walk, [[{entry[0]: entry for entry in cell} for cell in row] for row in walk]
 
 
 # Live states a transfer sweep may hold: every window of m <= 16 fits (the
@@ -225,6 +220,15 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _graft(head: int, cut: int, tail: int, tail_cut: int, reflected: int) -> int:
+    """head below its cut, then tail's piece from tail_cut (cut's mirror) to
+    its next touch of the line as reflected (tail's flip or fold) holds it,
+    then tail; the touch is the first bit past tail_cut that the two share."""
+    shared = tail & reflected & -tail_cut
+    touch = shared & -shared
+    return head & (cut - 1) | reflected & (2 * touch - 1) & -cut | tail & -2 * touch
+
+
 def _involution(w: Window) -> Callable[[tuple[Entry, ...], tuple[int, ...], int], System]:
     """The sign-reversing involution on the window's systems that are vertex
     disjoint but not doubly so, as a function of a system's entries in source
@@ -234,10 +238,10 @@ def _involution(w: Window) -> Callable[[tuple[Entry, ...], tuple[int, ...], int]
     It locates the northern-most-then-eastern-most crossing, the top bit of
     the crossings, swaps everything after it (surgery done on the pieces that
     the reflection exchanges, so each of the two new paths keeps its own side
-    of the crossing), and transposes the two targets.
+    of the crossing), and transposes the two targets.  Bits rise along a
+    path, its flip and its fold, so _graft builds each new path of bit ranges.
     """
     width, cells = 2 * w.m - 1, _table(w)[1]
-    diagonals = [x + y for x, y in w.sources]
 
     def phi(entries, perm, crossings):
         top = crossings.bit_length() - 1
@@ -249,25 +253,16 @@ def _involution(w: Window) -> Callable[[tuple[Entry, ...], tuple[int, ...], int]
         # a flip passes (x, y) where its path does, or where its path passes
         # the mirror point below the line; the paths are disjoint, so one of each
         up, lo = meeting if entries[meeting[0]][0] & bit else meeting[::-1]
-        _, _, s_lo, t_lo = entries[lo]
-        _, _, s_up, t_up = entries[up]
-        # each path meets the anti-diagonal of the crossing and its mirror
-        # once: cut there, and again at the path's next touch of the line
-        j_lo, j_up = x + y - diagonals[lo], x + y - diagonals[up]
-        e_lo, e_up = t_lo[bisect_right(t_lo, j_lo)], t_up[bisect_right(t_up, j_up)]
-        new = list(perm)
-        new[lo], new[up] = perm[up], perm[lo]
+        mask_up, _, fold_up = entries[up]
+        mask_lo, flip_lo, _ = entries[lo]
+        mirror = 1 << (x - w.m + 1) * width + y + w.m - 1
         # both new paths run from a source to a target: look them up in their cells
-        new_lo = cells[lo][new[lo]].get(
-            s_lo[:j_lo] + s_up[j_up:e_up].translate(_SWAP) + s_up[e_up:]
-        )
-        new_up = cells[up][new[up]].get(
-            s_up[:j_up] + s_lo[j_lo:e_lo].translate(_SWAP) + s_lo[e_lo:]
-        )
+        new_lo = cells[lo][perm[up]].get(_graft(mask_lo, mirror, mask_up, bit, fold_up))
+        new_up = cells[up][perm[lo]].get(_graft(mask_up, bit, mask_lo, mirror, flip_lo))
         if new_lo is None or new_up is None:
             raise ArithmeticError("surgery misses the swapped targets; system outside the domain")
-        image = list(entries)
-        image[lo], image[up] = new_lo, new_up
+        image, new = list(entries), list(perm)
+        image[lo], image[up], new[lo], new[up] = new_lo, new_up, perm[up], perm[lo]
         return tuple(image), tuple(new)
 
     return phi
@@ -346,7 +341,7 @@ def check_involution(m: int, i: int) -> tuple[int, int, bool]:
                     # the image's crossings, which its own surgery reads
                     seen = crossed = 0
                     image_slots = [0] * h
-                    for target, (mask, flip_mask, *_) in zip(image_perm, image):
+                    for target, (mask, flip_mask, _) in zip(image_perm, image):
                         crossed |= seen & flip_mask
                         seen |= flip_mask
                         image_slots[target] = mask

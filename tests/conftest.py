@@ -14,9 +14,11 @@ list, the height above the shifted diagonal, a system's flips and its
 vertex- and doubly-vertex-disjointness), the reflection across the
 shifted diagonal, the flip by primitive-segment surgery, the unpruned and
 the collision-pruned system enumerations, the involution check from both
-members of every pair, the check's table with one image path gone from
+members of every pair, the fold (upper vertices reflected down) that the
+check's entries carry, the check's table with one image path gone from
 its lookup, and the adapter that runs a map of PathSystems in place of the
-check's involution on its table entries."""
+check's involution on its table entries, reading each entry's steps off
+its mask."""
 
 from __future__ import annotations
 
@@ -254,7 +256,7 @@ class LatticePath:
     Immutable; ``steps`` is a string over {"N", "E"}.  ``mask`` holds one
     bit per vertex (see _bit), so an E step moves the bit up by the new x and
     an N step by 1.  The flip and the touches of the shifted diagonal are
-    filled in by _fold on first use.
+    filled in by _flip on first use.
     """
 
     __slots__ = ("start", "steps", "end", "mask", "_hash", "_flipped", "_touches")
@@ -330,7 +332,7 @@ def enumerate_paths(source: Point, target: Point) -> list[LatticePath]:
     return found
 
 
-def _fold(path: LatticePath) -> LatticePath:
+def _flip(path: LatticePath) -> LatticePath:
     """The flip: reflect every lower primitive segment across the shifted
     diagonal y = x - (m - 1) through the path's end (which fixes m).
 
@@ -340,7 +342,7 @@ def _fold(path: LatticePath) -> LatticePath:
     with an end strictly below the line are exactly those of the lower
     segments; reflection (x, y) -> (y + m - 1, x - m + 1) fixes the segment
     endpoints and swaps N and E, so the result is an upper path with the
-    same endpoints.  Upper paths are fixed points, so folding the flip
+    same endpoints.  Upper paths are fixed points, so flipping the flip
     returns it.  The flip is kept on the path with the indices of its
     vertices on the line; reflected vertices land strictly above it, so the
     flip touches it at the same indices.  One walk gives the flip's steps,
@@ -469,7 +471,7 @@ def involution_phi(system: PathSystem) -> PathSystem:
     m = system.m
     if _shared([p.mask for p in system.paths]):
         raise ValueError("involution defined only on vertex-disjoint systems")
-    flips = [_fold(p).mask for p in system.paths]
+    flips = [_flip(p).mask for p in system.paths]
     crossings = _shared(flips)
     if not crossings:
         raise ValueError("system is doubly vertex disjoint; involution undefined")
@@ -485,7 +487,7 @@ def involution_phi(system: PathSystem) -> PathSystem:
 
     # each path meets the anti-diagonal of the crossing and its mirror once:
     # cut there, and again at the path's next touch of the shifted diagonal
-    # (the folds above filled in the touches)
+    # (the flips above filled in the touches)
     j_lo, j_up = x + y - sum(p_lo.start), x + y - sum(p_up.start)
     e_lo = p_lo._touches[bisect_right(p_lo._touches, j_lo)]
     e_up = p_up._touches[bisect_right(p_up._touches, j_up)]
@@ -520,7 +522,7 @@ def shifted_offset(point: Point, m: int) -> int:
 
 
 def flipped_paths(system: PathSystem) -> tuple[LatticePath, ...]:
-    return tuple(_fold(p) for p in system.paths)
+    return tuple(_flip(p) for p in system.paths)
 
 
 def is_vertex_disjoint(system: PathSystem) -> bool:
@@ -659,17 +661,23 @@ def row_major_mask(points, m: int) -> int:
     return sum(1 << y * (2 * m - 1) + x for x, y in set(points))
 
 
+def folded_vertices(path: LatticePath, m: int) -> tuple[Point, ...]:
+    """The path's fold: its vertices with every one strictly above the
+    shifted diagonal reflected across it, those that land below row 0 left
+    out (they come before any cut of the check's surgery)."""
+    folded = (reflect(v, m) if shifted_offset(v, m) > 0 else v for v in vertices(path))
+    return tuple(v for v in folded if v[1] >= 0)
+
+
 def entry_of(path: LatticePath, m: int) -> tuple:
-    """The check's table entry of an oracle path: (mask, flip_mask, steps,
-    touches).  It names no target; the check's pending key holds each mask
+    """The check's table entry of an oracle path: (mask, flip_mask,
+    fold_mask).  It names no target; the check's pending key holds each mask
     at the slot of the target the permutation gives it, and the enumeration
     reaches a system only under the permutation its paths' ends give."""
-    flipped = _fold(path)
     return (
         row_major_mask(vertices(path), m),
-        row_major_mask(vertices(flipped), m),
-        path.steps,
-        path._touches,
+        row_major_mask(vertices(_flip(path)), m),
+        row_major_mask(folded_vertices(path, m), m),
     )
 
 
@@ -682,8 +690,15 @@ def table_lacking_an_image_path(m: int, i: int):
     k = next(k for k, (a, b) in enumerate(zip(first.paths, image.paths)) if a != b)
     walk, lookup = lattice._table(degree_window(m, i))
     lookup = [[dict(cell) for cell in row] for row in lookup]
-    del lookup[k][image.permutation[k]][image.paths[k].steps]
+    del lookup[k][image.permutation[k]][row_major_mask(vertices(image.paths[k]), m)]
     return walk, lookup
+
+
+def steps_of(mask: int, m: int) -> str:
+    """The steps of a path from its check's mask: along the path the bits
+    rise, by 1 at an E step and by 2m - 1 at an N step."""
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return "".join({1: "E", 2 * m - 1: "N"}[b - a] for a, b in zip(bits, bits[1:]))
 
 
 def system_of(w: Window, entries, perm) -> PathSystem:
@@ -691,7 +706,7 @@ def system_of(w: Window, entries, perm) -> PathSystem:
     degree whose basis range is the window's: any such degree has the same
     systems."""
     i = next(i for i in range(flo(3 * (w.m - 1)) + 1) if basis_range(w.m, i) == w.indices)
-    paths = tuple(LatticePath(s, e[2]) for s, e in zip(w.sources, entries))
+    paths = tuple(LatticePath(s, steps_of(e[0], w.m)) for s, e in zip(w.sources, entries))
     return PathSystem(w.m, i, paths, tuple(perm))
 
 

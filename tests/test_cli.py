@@ -476,6 +476,40 @@ def test_closed_stdout_exits_2_on_one_line(cli_child):
     )
 
 
+def test_help_on_a_writable_stdout_is_the_parser_help(cli_child):
+    # the help goes through the guarded writer byte for byte: the child's
+    # stdout is a pipe in both runs, so both wrap the help at one width
+    probe = "from lefpath import cli; print(cli.build_parser().format_help(), end='')"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    expected = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    ).stdout
+    child = cli_child(["--help"], stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out, err) == (0, expected, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", [["--help"], ["hilbert", "--help"], ["scan", "-h"]])
+def test_help_to_a_full_stdout_exits_2_on_one_line(cli_child, argv):
+    # the top-level help and a subcommand's, which argparse prints itself
+    with open("/dev/full", "w") as full:
+        child = cli_child(argv, stdout=full)
+        _, err = child.communicate(timeout=60)
+    prog = " ".join(["lefpath", *argv[:-1]])
+    assert (child.returncode, err) == (
+        2,
+        f"{prog}: error: cannot write stdout: No space left on device\n",
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a child whose descriptor 1 is closed")
+def test_help_to_a_closed_stdout_exits_2_on_one_line(cli_child):
+    child = cli_child(["--help"], preexec_fn=lambda: os.close(1))
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, "lefpath: error: cannot write stdout: Bad file descriptor\n")
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only a scan with --jobs above 1 loads concurrent.futures.process
     probe = "import sys, lefpath.cli; print('concurrent.futures.process' in sys.modules)"

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from conftest import (
     LatticePath,
     PathSystem,
-    _fold,
+    _flip,
     _northern_most,
     _shared,
     all_systems,
     collision_pruned_systems,
     degree_window,
     enumerate_paths,
+    entry_of,
     enumerate_systems,
     flip_by_segments,
+    folded_vertices,
     flipped_paths,
     involution_both_sides,
     involution_phi,
@@ -29,6 +31,7 @@ from conftest import (
     is_vertex_disjoint,
     primitive_segments,
     reflect,
+    row_major_mask,
     shifted_offset,
     table_lacking_an_image_path,
     vertices,
@@ -237,12 +240,12 @@ def test_primitive_segments_with_lower_piece():
 def test_flip_fixes_upper_paths():
     upper = LatticePath((0, 0), "ENENE")  # bounces along y = x - 1
     assert is_upper(upper, 2)
-    assert _fold(upper) == upper
+    assert _flip(upper) == upper
 
 
 def test_flip_reflects_lower_segment():
     path = LatticePath((0, 0), "EEEEEEEENNNN")
-    flipped = _fold(path)
+    flipped = _flip(path)
     assert flipped == LatticePath((0, 0), "EEEENNNNEEEE")
     assert flipped.start == path.start and flipped.end == path.end
     assert is_upper(flipped, 5)
@@ -250,9 +253,9 @@ def test_flip_reflects_lower_segment():
 
 def test_flip_is_idempotent_and_fixes_exactly_uppers():
     for m, p in all_paths(4):
-        once = _fold(p)
+        once = _flip(p)
         assert is_upper(once, m)
-        assert _fold(once) == once
+        assert _flip(once) == once
         assert (once == p) == is_upper(p, m)
         assert once.start == p.start and once.end == p.end
 
@@ -266,7 +269,7 @@ def test_double_reflection_restores_lower_segments():
     # un-reflecting the reflected pieces recovers the original path
     path = LatticePath((0, 0), "EEEEEEEENNNN")
     decomposition = primitive_segments(path, 5)
-    flipped = _fold(path)
+    flipped = _flip(path)
     redecomposed = primitive_segments(flipped, 5)
     assert redecomposed.initial == decomposition.initial
     for (orig, side), (new, _) in zip(
@@ -485,33 +488,46 @@ def test_check_involution_equals_the_both_sides_oracle():
     assert check_involution(7, 8) == (22, 0, True)
 
 
+def test_check_surgery_gives_the_oracle_images():
+    # the check's bit-range surgery and the oracle's step-string surgery are
+    # two derivations of one map: on every system of N, at every degree of
+    # m <= 6, they give the same image paths and permutation
+    for m, i in all_instances(6):
+        phi = lattice._involution(degree_window(m, i))
+        for system in enumerate_systems(m, i):
+            if is_doubly_vertex_disjoint(system):
+                continue
+            entries = tuple(entry_of(p, m) for p in system.paths)
+            image = involution_phi(system)
+            assert phi(entries, system.permutation, _shared(e[1] for e in entries)) == (
+                tuple(entry_of(p, m) for p in image.paths),
+                image.permutation,
+            ), (m, i, system)
+
+
 def test_path_table_holds_the_oracle_paths_and_flips():
     # every cell of every degree of m <= 6: the entries are the oracle's
     # paths that miss the window's other sources and targets, in lex order,
-    # each with its row-major vertex set, its flip's, and its touches
+    # each with its row-major vertex set, its flip's, and its fold's (its
+    # upper vertices reflected, none below row 0), keyed by mask
     for m, i in all_instances(6):
         width, w = 2 * m - 1, degree_window(m, i)
         ends = set(w.sources) | set(w.targets)
         walk, lookup = lattice._table(w)
+
+        def decode(mask):
+            return {(b % width, b // width) for b in range(mask.bit_length()) if mask >> b & 1}
+
         for k, s in enumerate(w.sources):
             for q, t in enumerate(w.targets):
                 oracle = [
                     p for p in enumerate_paths(s, t) if not set(vertices(p)) & (ends - {s, t})
                 ]
-                decoded = [
-                    (
-                        {(b % width, b // width) for b in range(mask.bit_length()) if mask >> b & 1},
-                        {(b % width, b // width) for b in range(flip.bit_length()) if flip >> b & 1},
-                        steps,
-                        touches,
-                    )
-                    for mask, flip, steps, touches in walk[k][q]
-                ]
-                assert decoded == [
-                    (set(vertices(p)), set(vertices(_fold(p))), p.steps, _fold(p)._touches)
+                assert [tuple(map(decode, entry)) for entry in walk[k][q]] == [
+                    (set(vertices(p)), set(vertices(_flip(p))), set(folded_vertices(p, m)))
                     for p in oracle
                 ], (m, i, k, q)
-                assert lookup[k][q] == {entry[2]: entry for entry in walk[k][q]}
+                assert lookup[k][q] == {entry[0]: entry for entry in walk[k][q]}
 
 
 def test_involution_check_stops_at_its_path_budget(monkeypatch):
@@ -569,7 +585,7 @@ def test_check_involution_needs_every_image_reached(monkeypatch):
     walk, lookup = lattice._table(degree_window(4, 2))
     walk = [list(map(list, row)) for row in walk]
     cell = walk[k][image.permutation[k]]
-    cell.remove(lookup[k][image.permutation[k]][image.paths[k].steps])
+    cell.remove(lookup[k][image.permutation[k]][row_major_mask(vertices(image.paths[k]), 4)])
     monkeypatch.setattr(lattice, "_table", lambda w: (walk, lookup))
     assert check_involution(4, 2)[2] is False
 
@@ -629,7 +645,7 @@ def test_flipped_vertices_are_those_of_the_flip():
     # the flip is the paper's segment surgery, and it reflects exactly the
     # vertices strictly below the shifted diagonal
     for m, p in all_paths(5):
-        flipped = _fold(p)
+        flipped = _flip(p)
         assert flipped == flip_by_segments(p, m)
         assert vertices(flipped) == tuple(
             reflect(v, m) if shifted_offset(v, m) < 0 else v for v in vertices(p)
@@ -637,7 +653,7 @@ def test_flipped_vertices_are_those_of_the_flip():
 
 
 def test_walk_built_paths_and_flips_match_the_checked_constructor():
-    # enumerate_paths and _fold build their paths in their own walks; every
+    # enumerate_paths and _flip build their paths in their own walks; every
     # cell path of m <= 6, and its flip, carries what the checked walk of
     # LatticePath(start, steps) gives, and the path its touches of the line
     for m in range(1, 7):
@@ -647,7 +663,7 @@ def test_walk_built_paths_and_flips_match_the_checked_constructor():
             cells.update((s, t) for s in w.sources for t in w.targets)
         for s, t in cells:
             for p in enumerate_paths(s, t):
-                for built in (p, _fold(p)):
+                for built in (p, _flip(p)):
                     checked = LatticePath(built.start, built.steps)
                     assert built == checked and built.end == t
                     assert (built.mask, built.end, hash(built)) == (
