@@ -10,8 +10,8 @@ with weighted degree a + 2b:
 
 The degree-i pairing matrices (higher Hessians) of the dual polynomial are
 the verdicts' independent oracle; f_m's and F_m's integers come from hilbert.
-Coefficients are exact, ``int`` or ``Fraction``, an int staying int through
-sums, products and contractions: the Hessian divides once per anti-diagonal.
+Coefficients pass exact.as_exact: an int stays int through sums, products and
+contractions (the Hessian divides once per anti-diagonal), a Fraction a Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .exact import ExactMatrix, as_exact, as_int_or_fraction
+from .exact import ExactMatrix, as_exact
 from .hilbert import _exact_quotient, basis_range, c_coeff, check_degree, dual_numerator, flo
 
 OPERATOR_SIDE = "op"
@@ -45,7 +45,7 @@ class GradedPoly:
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent in term ({a}, {b})")
-            c = as_int_or_fraction(coeff)
+            c = as_exact(coeff)
             if c != 0:
                 cleaned[(a, b)] = c
         self.side = side
@@ -89,7 +89,7 @@ class GradedPoly:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "GradedPoly":
-        c = as_int_or_fraction(factor)
+        c = as_exact(factor)
         return GradedPoly(self.side, {key: c * v for key, v in self.terms.items()})
 
     def __mul__(self, other: "GradedPoly") -> "GradedPoly":
@@ -102,8 +102,8 @@ class GradedPoly:
         return GradedPoly(self.side, terms)
 
     def evaluate(self, c1, c2) -> Fraction:
-        x, y = as_int_or_fraction(c1), as_int_or_fraction(c2)
-        return as_exact(sum(c * x**a * y**b for (a, b), c in self.terms.items()))
+        x, y = as_exact(c1), as_exact(c2)
+        return Fraction(sum(c * x**a * y**b for (a, b), c in self.terms.items()))
 
     # -- rendering ---------------------------------------------------------
 

@@ -162,6 +162,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _text_table(header: list[str], rows: list[list]) -> list[str]:
+    """The lines of a table: content-wide, left-justified columns two spaces
+    apart, None as an empty cell."""
+    cells = [[str("" if v is None else v) for v in row] for row in [header, *rows]]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells]
+
+
 # -- hilbert ------------------------------------------------------------------
 
 
@@ -283,6 +291,10 @@ _REPORT_COLUMNS = {
 }
 
 
+# the report's summary fields, each a lefschetz.PropertyReport attribute of that name
+_REPORT_SUMMARY = ("max_sl_degree", "hlp", "max_chrr_degree")
+
+
 def _verdict_row(v: lefschetz.DegreeVerdict) -> list:
     return [getattr(v, attr) for attr in _REPORT_COLUMNS.values()]
 
@@ -290,20 +302,10 @@ def _verdict_row(v: lefschetz.DegreeVerdict) -> list:
 def _report_table(report: lefschetz.PropertyReport) -> str:
     lines = [
         f"A(m,2) with m={report.m}: socle degree {report.socle_degree}",
-        "  i  h  det  rank  window  SL   HLP  cHRR(exp)  cHRR  HRR(exp)  HRR",
+        *_text_table(list(_REPORT_COLUMNS), [_verdict_row(v) for v in report.verdicts]),
+        "summary: " + " ".join(f"{key}={getattr(report, key)}" for key in _REPORT_SUMMARY),
+        *_claim_flags(report),
     ]
-    for v in report.verdicts:
-        lines.append(
-            f"{v.i:>3}{v.h:>3}{v.det_sign:>+5}{v.rank:>6}{v.window_min:>8}"
-            f"{'yes' if v.sl_pass else 'no':>5}{'yes' if v.hlp_pass else 'no':>5}"
-            f"{v.chrr_expected_sign:>+10}{'yes' if v.chrr_pass else 'no':>6}"
-            f"{v.hrr_expected_sign:>+9}{'yes' if v.hrr_pass else 'no':>5}"
-        )
-    lines.append(
-        f"summary: max_sl_degree={report.max_sl_degree} hlp={report.hlp} "
-        f"max_chrr_degree={report.max_chrr_degree}"
-    )
-    lines += _claim_flags(report)
     return "\n".join(lines) + "\n"
 
 
@@ -324,9 +326,7 @@ def _report_json(report: lefschetz.PropertyReport) -> dict:
             dict(zip(_REPORT_COLUMNS, _verdict_row(v)))
             for v in report.verdicts
         ],
-        "max_sl_degree": report.max_sl_degree,
-        "hlp": report.hlp,
-        "max_chrr_degree": report.max_chrr_degree,
+        **{key: getattr(report, key) for key in _REPORT_SUMMARY},
         "flags": [f._asdict() for f in report.claim_flags],
     }
 
@@ -475,14 +475,7 @@ def cmd_scan(args) -> int:
             all_checks_pass=all_ok,
         )
     else:
-        table = [header, *rows]
-        widths = [max(len(str(row[k])) for row in table) for k in range(len(header))]
-        lines = [
-            "  ".join(str("" if v is None else v).ljust(w) for v, w in zip(row, widths))
-            for row in table
-        ]
-        lines.extend(flags)
-        args.write("\n".join(lines) + "\n")
+        args.write("\n".join([*_text_table(header, rows), *flags]) + "\n")
     return 0 if all_ok else 1
 
 

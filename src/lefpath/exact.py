@@ -1,10 +1,10 @@
-"""Exact int/Fraction coercions and exact symmetric matrices.
+"""One exact coercion and exact symmetric matrices.
 
 Every matrix the workbench builds is a symmetric pairing form, so an
-ExactMatrix is a square symmetric tuple of tuples of ``fractions.Fraction``;
-other input raises ValueError.  Its det, rank and signature come from one
-memoised fraction-free (Bareiss) elimination by congruences of an integer
-copy, cleared by the lcm of the denominators: an oracle beside the
+ExactMatrix is a square symmetric tuple of tuples of ints and Fractions, each
+kept as as_exact gives it; other input raises.  Its det, rank and signature
+come from one memoised fraction-free (Bareiss) elimination by congruences of
+an integer copy, cleared by the lcm of the denominators: an oracle beside the
 verdicts' number wall (lefschetz), for ``hessian``, path matrices and tests.
 """
 
@@ -15,22 +15,17 @@ from fractions import Fraction
 from typing import Iterable
 
 
-def as_exact(value) -> Fraction:
-    """Coerce an int or Fraction to Fraction; reject floats."""
-    if isinstance(value, Fraction):
+def as_exact(value) -> int | Fraction:
+    """An int stays an int (a bool its int), a Fraction a Fraction; else TypeError."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact arithmetic only: got {type(value).__name__}")
 
 
-def as_int_or_fraction(value) -> int | Fraction:
-    """An int stays int; anything else goes through as_exact (floats raise)."""
-    return value if type(value) is int else as_exact(value)
-
-
 class ExactMatrix:
-    """Square symmetric matrix over the rationals with exact det / rank / signature."""
+    """Square symmetric matrix of exact rationals with exact det / rank / signature."""
 
     __slots__ = ("rows", "_elimination")
 

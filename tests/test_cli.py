@@ -248,6 +248,23 @@ def test_report_column_names_are_pinned(capsys):
     assert out.splitlines()[0].split(",") == ["m", *REPORT_COLUMNS]
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_report_table_is_the_lefschetz_scan_table_without_its_m_column(capsys, m):
+    code, report, _ = run(capsys, "report", str(m))
+    assert code == 0
+    code, scan, _ = run(capsys, "scan", "--mode", "lefschetz", "--m", str(m))
+    assert code == 0
+    table = [line for line in scan.splitlines() if not line.startswith("FLAG:")]
+    width = len(str(m))  # the m column: its heading "m" is never wider
+    assert [line[: width + 2] for line in table] == ["m".ljust(width + 2)] + [
+        f"{m}  "
+    ] * (len(table) - 1)
+    lines = report.splitlines()
+    assert lines[1 : len(table) + 1] == [line[width + 2 :] for line in table]
+    assert lines[1].split() == REPORT_COLUMNS
+    assert lines[len(table) + 1].startswith("summary: ")
+
+
 def test_scan_hilbert_csv(capsys):
     code, out, _ = run(
         capsys, "scan", "--m", "3..7", "--mode", "hilbert", "--n", "2..2",

@@ -1,4 +1,4 @@
-"""Exact kernel: determinant, rank, signature, and the binomial test helper.
+"""Exact kernel: the coercion, determinant, rank, signature, and the binomial test helper.
 
 Determinants are cross-checked against recursive cofactor expansion and
 signatures against a Descartes-rule oracle on the exact characteristic
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lefpath import lefschetz
 from lefpath.algebra import hessian
-from lefpath.exact import ExactMatrix
+from lefpath.exact import ExactMatrix, as_exact
 from lefpath.hilbert import basis_range
 from lefpath.lattice import path_matrix
 
@@ -42,6 +42,24 @@ def test_binomial_edges():
 def test_binomial_pascal(n, k):
     if 0 < k <= n:
         assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+
+# -- coercion -----------------------------------------------------------------
+
+
+def test_as_exact_keeps_ints_and_fractions_and_rejects_the_rest():
+    assert type(as_exact(7)) is int and type(as_exact(True)) is int and as_exact(True) == 1
+    assert type(as_exact(Fraction(3))) is Fraction
+    for inexact in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            as_exact(inexact)
+    # a path matrix keeps its int entries, and so does its scaled copy
+    matrix = path_matrix(5, 3)
+    assert all(type(e) is int for row in matrix.scaled(2).rows for e in row)
+    assert all(type(e) is int for row in matrix.rows for e in row)
+    assert type(ExactMatrix([[Fraction(1, 2)]]).rows[0][0]) is Fraction
+    with pytest.raises(TypeError):
+        ExactMatrix([[0.5]])
 
 
 # -- determinant --------------------------------------------------------------
