@@ -101,10 +101,6 @@ class GradedPoly:
                 terms[key] = terms.get(key, 0) + c1 * c2
         return GradedPoly(self.side, terms)
 
-    def evaluate(self, c1, c2) -> Fraction:
-        x, y = as_exact(c1), as_exact(c2)
-        return Fraction(sum(c * x**a * y**b for (a, b), c in self.terms.items()))
-
     # -- rendering ---------------------------------------------------------
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
@@ -196,31 +192,29 @@ def contract(op: GradedPoly, dual: GradedPoly) -> GradedPoly:
     return GradedPoly(DUAL_SIDE, terms)
 
 
-def hessian(m: int, i: int, eval_point: tuple = (1, 0)) -> ExactMatrix:
-    """Degree-i pairing matrix of the dual generator, entries evaluated at a point.
+def hessian(m: int, i: int) -> ExactMatrix:
+    """Degree-i pairing matrix of the dual generator at the Lefschetz element e1.
 
-    Entry (p, q) is (e1^(2i-2s) e2^s o F_m), s = p + q, evaluated at
-    (E1, E2) = eval_point, over the degree-i monomial basis: one contraction
-    per anti-diagonal s, shared by its entries.  The contraction and the
-    evaluation run over integers on D * F_m, D = (3m-3)!, a multiple of every
-    term's a! b!, and each anti-diagonal divides by D once.  The Lefschetz
-    evaluation point is (c1, 0): the degree-1 component is spanned by e1
-    alone, so linear forms are c1*e1.  A nonzero second coordinate is
-    allowed for experimentation but is not a Lefschetz evaluation.
+    Entry (p, q) is the E1^(3m-3-2i) coefficient of e1^(2i-2s) e2^s o F_m,
+    s = p + q, over the degree-i monomial basis: one contraction per
+    anti-diagonal s, shared by its entries.  The coefficient is the
+    contraction evaluated at (E1, E2) = (1, 0).  The degree-1 component is
+    spanned by e1 alone, so any other linear form c1*e1 only scales the entry
+    by c1^(3m-3-2i).  The contraction runs over integers on D * F_m,
+    D = (3m-3)!, a multiple of every term's a! b!, and each anti-diagonal
+    divides by D once.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     check_degree(m, i)
-    c1, c2 = eval_point
     D = math.factorial(3 * m - 3)
     F = GradedPoly(DUAL_SIDE, {
         key: _exact_quotient(c.numerator * D, c.denominator, "(3m-3)! * F_m")
         for key, c in dual_generator(m).terms.items()
     })
-    ps = basis_range(m, i)
-    anti_diagonal = {
-        s: contract(GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * s, s), F).evaluate(c1, c2) / D
-        for s in range(2 * ps.start, 2 * ps.stop - 1)
-    }
+    ps, e1_power = basis_range(m, i), (3 * m - 3 - 2 * i, 0)
+    anti_diagonal = {}
+    for s in range(2 * ps.start, 2 * ps.stop - 1):
+        contraction = contract(GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * s, s), F)
+        anti_diagonal[s] = Fraction(contraction.terms.get(e1_power, 0), D)
     return ExactMatrix([[anti_diagonal[p + q] for q in ps] for p in ps])
-

@@ -10,9 +10,8 @@ Conventions shared by all subcommands:
   written (the --output file, or stdout on a full device, a closed pipe or a
   closed descriptor), on one "error:" line.  "FLAG:" lines report findings
   (claim/computation mismatches), never the exit code;
-* scans partition work across --jobs workers (default from LEFPATH_JOBS)
-  and merge results in key order, so output bytes are identical for any
-  worker count.
+* scans partition work across --jobs workers (default 1) and merge results
+  in key order, so output bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -164,23 +163,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _text_table(header: list[str], rows: list[list]) -> list[str]:
     """The lines of a table: content-wide, left-justified columns two spaces
-    apart, None as an empty cell."""
+    apart, None as an empty cell, no trailing spaces."""
     cells = [[str("" if v is None else v) for v in row] for row in [header, *rows]]
     widths = [max(map(len, column)) for column in zip(*cells)]
-    return ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in cells]
+    return ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in cells]
 
 
 # -- hilbert ------------------------------------------------------------------
 
 
 def cmd_hilbert(args) -> int:
-    if args.closed_form and args.n != 2:
-        args.error(f"argument --closed-form: only defined for n = 2, got n = {args.n}")
     h = hilbert.hilbert_series(args.m, args.n)
-    if args.closed_form:
-        closed = hilbert.hilbert_m2_closed_coeffs(args.m)
-        if closed != h.coeffs:
-            raise ArithmeticError(f"closed form {closed} != series {h.coeffs}")
     args.write(" ".join(str(c) for c in h.coeffs) + "\n")
     return 0
 
@@ -214,8 +207,7 @@ def cmd_hessian(args) -> int:
     else:
         from . import algebra
 
-        point = (args.point[0], args.point[1]) if args.point else (1, 0)
-        matrix = algebra.hessian(args.m, args.i, point)
+        matrix = algebra.hessian(args.m, args.i)
     if args.det:
         args.write(f"{matrix.det()}\n")
     if args.rank:
@@ -353,9 +345,9 @@ def cmd_report(args) -> int:
 def _scan_hilbert_task(key: tuple[int, int]) -> dict:
     m, n = key
     h = hilbert.hilbert_series(m, n)
-    record = hilbert.unimodality_record(h)
-    closed_ok = n != 2 or h.coeffs == hilbert.hilbert_m2_closed_coeffs(m)
-    return {"rows": [list(record)], "ok": closed_ok, "flags": []}
+    if n == 2 and (closed := hilbert.hilbert_m2_closed_coeffs(m)) != h.coeffs:
+        raise ArithmeticError(f"closed form of m = {m} {closed} != series {h.coeffs}")
+    return {"rows": [list(hilbert.unimodality_record(h))], "ok": True, "flags": []}
 
 
 def _scan_lefschetz_task(key: tuple[int, int]) -> dict:
@@ -507,12 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hilbert.add_argument("m", type=_at_least(1))
     p_hilbert.add_argument("n", type=_at_least(1))
-    p_hilbert.add_argument(
-        "--closed-form",
-        action="store_true",
-        help="use the n=2 closed form and cross-check it against the series",
-    )
-    p_hilbert.set_defaults(func=cmd_hilbert, error=p_hilbert.error)
+    p_hilbert.set_defaults(func=cmd_hilbert)
 
     p_poly = sub.add_parser(
         "poly", help="print the degree-m relation and the dual generator"
@@ -523,24 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_hessian = sub.add_parser(
-        "hessian", help="degree-i pairing matrix of the dual generator"
+        "hessian", help="degree-i pairing matrix of the dual generator at e1"
     )
     p_hessian.add_argument("m", type=_at_least(2))
     p_hessian.add_argument("i", type=int, action=_DegreeArg)
     p_hessian.add_argument("--det", action="store_true", help="print the determinant")
     p_hessian.add_argument("--rank", action="store_true", help="print the rank")
-    source = p_hessian.add_mutually_exclusive_group()
-    source.add_argument(
+    p_hessian.add_argument(
         "--paths",
         action="store_true",
         help="print the integer path matrix ((3m-3-2i)! times the pairing matrix)",
-    )
-    source.add_argument(
-        "--point",
-        nargs=2,
-        type=int,
-        metavar=("C1", "C2"),
-        help="evaluation point, default 1 0 (C2 != 0 is not a Lefschetz evaluation)",
     )
     p_hessian.set_defaults(func=cmd_hessian)
 
@@ -589,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--jobs",
         type=_at_least(1),
-        default=os.environ.get("LEFPATH_JOBS", "1"),
-        help="worker count (default from LEFPATH_JOBS, else 1)",
+        default=1,
+        help="worker count (default 1)",
     )
     p_scan.set_defaults(func=cmd_scan, error=p_scan.error)
 

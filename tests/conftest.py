@@ -219,19 +219,20 @@ def verify_power_sum(m: int) -> bool:
 
 def hessian_per_entry(m: int, i: int, eval_point: tuple) -> ExactMatrix:
     """Independent Hessian oracle: one contraction of the dual generator per
-    entry (p, q), by the operator e1^(2i-2p-2q) e2^(p+q)."""
-    c1, c2 = eval_point
+    entry (p, q), by the operator e1^(2i-2p-2q) e2^(p+q), evaluated whole at
+    (E1, E2) = eval_point."""
+    c1, c2 = map(Fraction, eval_point)
     F, ps = dual_generator(m), basis_range(m, i)
 
     def entry(p: int, q: int) -> Fraction:
         op = GradedPoly.monomial(OPERATOR_SIDE, 2 * i - 2 * p - 2 * q, p + q)
-        return contract(op, F).evaluate(c1, c2)
+        return sum((c * c1**a * c2**b for (a, b), c in contract(op, F).terms.items()), Fraction(0))
 
     return ExactMatrix([[entry(p, q) for q in ps] for p in ps])
 
 
 def hankel_window(m: int, i: int) -> ExactMatrix:
-    """(3m-3-2i)! * hessian(m, i, (1, 0)): the integer Hankel window
+    """(3m-3-2i)! * hessian(m, i): the integer Hankel window
     [[b_(p+q)]] of hankel_moments(m), 0 past s = m-1, p and q over
     basis_range(m, i)."""
     check_degree(m, i)

@@ -70,17 +70,17 @@ def test_criterion_03_hessian_path_equivalence():
     for m in range(2, 13):
         for i in range(flo(3 * (m - 1)) + 1):
             scale = math.factorial(3 * m - 3 - 2 * i)
-            ok &= path_matrix(m, i) == hessian(m, i, (1, 0)).scaled(scale)
-    _verdict(3, "path matrix = (3m-3-2i)! * evaluated Hessian for m <= 12", ok)
+            ok &= path_matrix(m, i) == hessian(m, i).scaled(scale)
+    _verdict(3, "path matrix = (3m-3-2i)! * Hessian for m <= 12", ok)
 
 
 def test_criterion_04_worked_example():
     ok = path_matrix(5, 3) == ExactMatrix([[275, 75], [75, 20]])
     ok &= path_matrix(5, 3).det() == -125
-    ok &= hessian(5, 3, (1, 0)) == ExactMatrix(
+    ok &= hessian(5, 3) == ExactMatrix(
         [[275, 75], [75, 20]]
     ).scaled(Fraction(1, math.factorial(6)))
-    ok &= hessian(5, 4, (1, 0)).det() == 0
+    ok &= hessian(5, 4).det() == 0
     ok &= path_matrix(5, 4).rank() == 2
     _verdict(4, "worked example m=5: degree-3 matrix/det, degree-4 kernel", ok)
 

@@ -42,32 +42,39 @@ def test_hilbert_trivial(capsys):
 
 
 def test_hilbert_closed_form(capsys):
-    code, out, _ = run(capsys, "hilbert", "3", "2", "--closed-form")
-    assert code == 0
-    assert out == "1 1 2 1 2 1 1\n"
+    # the hilbert scan sets the n = 2 closed form against every n = 2 series
+    code, out, _ = run(capsys, "scan", "--mode", "hilbert", "--m", "1..30", "--format", "json")
+    assert code == 0 and json.loads(out)["all_checks_pass"] is True
+    assert run(capsys, "hilbert", "3", "2") == (0, "1 1 2 1 2 1 1\n", "")
 
 
 def test_hilbert_closed_form_mismatch_exits_1_on_one_line(capsys, monkeypatch):
-    # a closed form that parts from the series prints nothing on stdout and
-    # one prefixed MISMATCH line on stderr
+    # a closed form that parts from the series at m = 3 stops the scan, in a
+    # worker or not: nothing on stdout and one prefixed MISMATCH line naming m
+    import concurrent.futures
+
     real = hilbert.hilbert_m2_closed
-    monkeypatch.setattr(hilbert, "hilbert_m2_closed", lambda m, i: real(m, i) + (i == 2))
-    assert run(capsys, "hilbert", "3", "2", "--closed-form") == (
-        1,
-        "",
-        "lefpath hilbert: MISMATCH: closed form (1, 1, 3, 1, 2, 1, 1)"
-        " != series (1, 1, 2, 1, 2, 1, 1)\n",
+    monkeypatch.setattr(
+        hilbert, "hilbert_m2_closed", lambda m, i: real(m, i) + (m == 3 and i == 2)
     )
+    pools = []
 
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
 
-def test_hilbert_closed_form_needs_n2(capsys, monkeypatch):
-    # rejected at the parser, before the series is computed
-    def refuse(m, n):
-        raise AssertionError("hilbert_series ran")
-
-    monkeypatch.setattr(cli.hilbert, "hilbert_series", refuse)
-    error = _bad_input_error(capsys, ["hilbert", "3", "3", "--closed-form"])
-    assert "n = 2" in error
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("1", "2"):
+        argv = ["scan", "--mode", "hilbert", "--m", "2..3", "--n", "2", "--jobs", jobs]
+        assert run(capsys, *argv) == (
+            1,
+            "",
+            "lefpath scan: MISMATCH: closed form of m = 3 (1, 1, 3, 1, 2, 1, 1)"
+            " != series (1, 1, 2, 1, 2, 1, 1)\n",
+        )
+    assert pools == [2]  # --jobs 2 ran the two tasks in two worker processes
 
 
 def test_hessian_det(capsys):
@@ -697,7 +704,6 @@ def test_a_sweep_off_by_one_fails_every_path_route_view(capsys, monkeypatch, off
         return signed + off[0], n_doubly + off[1]
 
     monkeypatch.setattr(lattice, "transfer_counts", tampered)
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, out, _ = run(capsys, *argv)
     assert code == 1
     if argv[0] == "scan":
@@ -748,14 +754,13 @@ def test_path_route_runs_no_elimination_and_builds_no_path_matrix(capsys, monkey
         matrices.append((m, i))
         return real_path_matrix(m, i)
 
-    def hessian(m, i, point=(1, 0)):
+    def hessian(m, i):
         hessians.append((m, i))
-        return real_hessian(m, i, point)
+        return real_hessian(m, i)
 
     monkeypatch.setattr(ExactMatrix, "_pivots", pivots)
     monkeypatch.setattr(lattice, "path_matrix", path_matrix)
     monkeypatch.setattr(algebra, "hessian", hessian)
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert eliminations == [] and matrices == [] and hessians == []
@@ -960,12 +965,13 @@ def test_pool_starts_no_more_workers_than_cores(monkeypatch, pool_sizes, cores, 
     assert pool_sizes == sizes
 
 
-def test_jobs_default_env(monkeypatch):
+def test_jobs_default_env(capsys, monkeypatch):
+    # --jobs defaults to 1, whatever the environment holds
     scan = ["scan", "--mode", "hilbert", "--m", "2"]
-    monkeypatch.setenv("LEFPATH_JOBS", "4")
-    assert cli.build_parser().parse_args(scan).jobs == 4
-    monkeypatch.delenv("LEFPATH_JOBS")
-    assert cli.build_parser().parse_args(scan).jobs == 1
+    for value in ("4", "abc", "0"):
+        monkeypatch.setenv("LEFPATH_JOBS", value)
+        assert cli.build_parser().parse_args(scan).jobs == 1
+        assert run(capsys, *scan)[0] == 0
 
 
 def _bad_input_error(capsys, argv) -> str:
@@ -1007,8 +1013,8 @@ def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
         ["poly", "1"],
         ["hilbert", "5", "0"],
         ["lattice", "3", "9", "count"],
-        ["hilbert", "5", "3", "--closed-form"],
-        ["hessian", "5", "3", "--paths", "--point", "1", "0"],
+        ["hessian", "5", "-1"],
+        ["lattice", "5", "3", "flip"],
     ],
 )
 def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):
@@ -1016,12 +1022,24 @@ def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):
     assert error.startswith(f"lefpath {argv[0]}: error: argument")
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_jobs_env_fails_only_scan(capsys, monkeypatch, value):
-    monkeypatch.setenv("LEFPATH_JOBS", value)
-    assert run(capsys, "hilbert", "3", "2") == (0, "1 1 2 1 2 1 1\n", "")
-    error = _bad_input_error(capsys, ["scan", "--mode", "hilbert", "--m", "2"])
-    assert error.startswith("lefpath scan: error: argument --jobs")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "5", "2", "--closed-form"],
+        ["hilbert", "5", "3", "--closed-form"],
+        ["hessian", "5", "3", "--point", "1", "-1", "--det"],
+    ],
+)
+def test_retired_options_exit_2_before_computing(capsys, monkeypatch, argv):
+    # hilbert --closed-form and hessian --point are gone: the parser rejects
+    # them before any series or Hessian is computed
+    def refuse(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(cli.hilbert, "hilbert_series", refuse)
+    monkeypatch.setattr(algebra, "hessian", refuse)
+    error = _bad_input_error(capsys, argv)
+    assert error.startswith(f"lefpath: error: unrecognized arguments: {argv[3]}")
 
 
 def test_report_crosscheck_mismatch_exits_1(capsys, monkeypatch):
@@ -1049,7 +1067,6 @@ def test_tampered_moment_fails_the_crosscheck(capsys, monkeypatch, m):
         return real(mm, n) + (mm == m and n == 2)
 
     monkeypatch.setattr(lefschetz, "dual_numerator", tampered)
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     line = f"MISMATCH: moments of m = {m} break the relation f_m o F_m = 0\n"
     assert run(capsys, "report", str(m)) == (1, "", "lefpath report: " + line)
     argv = ["scan", "--mode", "lefschetz", "--m", str(m), "--format", "json"]
@@ -1073,7 +1090,6 @@ def test_window_the_wall_cannot_settle_exits_1_on_one_line(capsys, monkeypatch, 
     monkeypatch.setattr(
         lefschetz, "dual_numerator", lambda mm, n: real(mm, n) + (mm == 8 and n == 2)
     )
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"lefpath {argv[0]}: MISMATCH: ") and err.count("\n") == 1
@@ -1087,13 +1103,12 @@ def test_tampered_contraction_hessian_fails_the_crosscheck(capsys, monkeypatch, 
     # oracle's own cross-check, the closed-form compare of
     # tests/test_algebra.py::test_hessian_equals_closed_form, fails
     argv = ["scan", "--mode", "lefschetz", "--m", "5", "--format", "json"]
-    monkeypatch.delenv("LEFPATH_JOBS", raising=False)
     before = run(capsys, "report", "5"), run(capsys, *argv)
     real, calls = algebra.hessian, []
 
-    def tampered(m, i, point=(1, 0)):
+    def tampered(m, i):
         calls.append((m, i))
-        matrix = real(m, i, point)
+        matrix = real(m, i)
         if i != degree:
             return matrix
         rows = [list(row) for row in matrix.rows]

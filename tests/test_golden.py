@@ -6,7 +6,7 @@ A change that alters one of these outputs on purpose rewrites the file with
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of golden.json shows each output it changed.  Commands run in
-process, with the help width pinned to 80 columns and LEFPATH_JOBS unset;
+process, with the help width pinned to 80 columns;
 stdout and stderr are kept as lists of lines, line ends included.
 """
 
@@ -25,11 +25,9 @@ GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
 _README = [
     "hilbert 5 2",
-    "hilbert 5 2 --closed-form",
     "poly 5",
     "hessian 5 3 --det",
     "hessian 5 3 --det --paths",
-    "hessian 5 3 --point 1 -1 --det",
     "lattice 5 3 dvd-count",
     "lattice 5 4 lgv-check",
     "lattice 4 2 involution-check",
@@ -49,15 +47,17 @@ COMMANDS = list(dict.fromkeys([
     ),
     *(f"lattice 5 3 {action}" for action in ("count", "lgv-check", "dvd-count")),
     "lattice 4 2 involution-check",
-    *(f"hessian 5 3{flags}" for flags in ("", " --det", " --det --paths", " --point 1 -1 --det")),
+    *(f"hessian 5 3{flags}" for flags in ("", " --det", " --det --paths")),
     "poly 3",
     "poly 3 --format json",
     "hilbert 5 2",
-    "hilbert 5 2 --closed-form",
     # bad input: exit 2
     "report 1",
     "lattice 3 9 count",
+    # retired options
+    "hilbert 5 2 --closed-form",
     "hilbert 5 3 --closed-form",
+    "hessian 5 3 --point 1 -1 --det",
 ]))
 
 
@@ -65,7 +65,6 @@ def outcome(command: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        os.environ.pop("LEFPATH_JOBS", None)
         try:
             code = cli.main(command.split())
         except SystemExit as exc:  # argparse rejected the input
