@@ -965,13 +965,10 @@ def test_pool_starts_no_more_workers_than_cores(monkeypatch, pool_sizes, cores, 
     assert pool_sizes == sizes
 
 
-def test_jobs_default_env(capsys, monkeypatch):
+def test_jobs_default_env(monkeypatch):
     # --jobs defaults to 1, whatever the environment holds
-    scan = ["scan", "--mode", "hilbert", "--m", "2"]
-    for value in ("4", "abc", "0"):
-        monkeypatch.setenv("LEFPATH_JOBS", value)
-        assert cli.build_parser().parse_args(scan).jobs == 1
-        assert run(capsys, *scan)[0] == 0
+    monkeypatch.setenv("LEFPATH_JOBS", "4")
+    assert cli.build_parser().parse_args(["scan", "--mode", "hilbert", "--m", "2"]).jobs == 1
 
 
 def _bad_input_error(capsys, argv) -> str:
@@ -1020,6 +1017,17 @@ def test_scan_bad_input_exits_2_with_one_error_line(capsys, argv):
 def test_bad_positional_input_exits_2_with_one_error_line(capsys, argv):
     error = _bad_input_error(capsys, argv)
     assert error.startswith(f"lefpath {argv[0]}: error: argument")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_jobs_env_fails_only_scan(capsys, monkeypatch, value):
+    # scan used to read its --jobs default from LEFPATH_JOBS and fail on a bad
+    # value; it reads no environment now, so such a value fails nothing
+    monkeypatch.setenv("LEFPATH_JOBS", value)
+    assert run(capsys, "hilbert", "3", "2") == (0, "1 1 2 1 2 1 1\n", "")
+    code, out, err = run(capsys, "scan", "--mode", "hilbert", "--m", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_checks_pass"] is True
 
 
 @pytest.mark.parametrize(
